@@ -261,8 +261,11 @@ func checkLayers(g *Graph, layers []int) error {
 	return nil
 }
 
-// DynamicGraph is a mutable multi-layer graph with O(1) edge updates,
-// the streaming companion of Graph.
+// DynamicGraph is a mutable multi-layer graph, the streaming companion
+// of Graph, stored as a copy-on-write CSR. An edge update costs O(deg):
+// a binary search and a sorted insert or delete in the two endpoint
+// rows. Freeze exports an immutable Graph, rebuilding only the layers
+// edited since the previous Freeze and sharing the others.
 type DynamicGraph = dynamic.Graph
 
 // CoreMaintainer tracks the d-CC of a fixed layer subset while its

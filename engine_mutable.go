@@ -59,7 +59,9 @@ type UpdateStats struct {
 	RebuiltHierarchies     int // invalidated artifacts re-derived in one shared sweep
 
 	Version        uint64        // engine version after the batch
-	RebuildElapsed time.Duration // freeze + derive time (0 for no-ops)
+	FreezeElapsed  time.Duration // export of the mutated graph to CSR (0 for no-ops)
+	DeriveElapsed  time.Duration // incremental artifact derivation (0 for no-ops)
+	RebuildElapsed time.Duration // FreezeElapsed + DeriveElapsed
 }
 
 // NewMutableEngine returns a live-graph Engine initially serving g.
@@ -124,12 +126,14 @@ func (e *Engine) ApplyUpdates(ctx context.Context, updates []EdgeUpdate) (*Updat
 	}
 	start := time.Now()
 	ng := e.live.Freeze()
+	stats.FreezeElapsed = time.Since(start)
 	np, info := st.pr.Derive(ng, core.DirtySet{
 		Layers:     res.DirtyLayers,
 		UnionVerts: res.Touched,
 		MaxDirtyD:  res.MaxDirtyD,
 	}, st.version+1)
 	stats.RebuildElapsed = time.Since(start)
+	stats.DeriveElapsed = stats.RebuildElapsed - stats.FreezeElapsed
 	stats.DirtyLayers = info.DirtyLayers
 	stats.InvalidatedHierarchies = info.InvalidatedHierarchies
 	stats.RetainedHierarchies = info.RetainedHierarchies

@@ -147,29 +147,25 @@ func (pr *Prepared) Derive(g *multilayer.Graph, dirty DirtySet, version uint64) 
 	pr.mu.Unlock()
 	info.RetainedHierarchies = len(keep)
 
-	if len(keep) == 0 {
-		info.RebuiltHierarchies = np.rebuildHierarchies(rebuild)
-		return np, info
-	}
-
-	// Kept hierarchies reference the union adjacency as their index
-	// edges (refineC's Lemma 9 flood). A stale row could hide a new edge
-	// from the flood — unsound — so rows of update-touched vertices are
-	// re-derived from g while clean rows are shared. The patched array
-	// is installed as np's union adjacency: it equals a cold build row
-	// for row, so lazily built hierarchies for other d values share it.
+	// Union adjacency: a vertex's row changes only if it is an endpoint of
+	// a changed edge, so rows of update-touched vertices are re-derived
+	// from g and every other row is shared with pr. The patched array
+	// equals a cold build row for row; installed as np's union adjacency,
+	// it serves the kept hierarchies (whose refineC Lemma 9 flood must see
+	// the new edges — a stale row would be unsound), the eager rebuilds
+	// below and later lazy builds, instead of a rebuild of all n rows.
+	// Patching needs pr's rows: a handle that never built them has no
+	// kept hierarchies referencing them, so np builds lazily from g.
 	var newUA [][]int32
-	if l <= 64 {
-		oldUA := pr.unionAdjacency()
-		newUA = make([][]int32, len(oldUA))
-		copy(newUA, oldUA)
+	if oldUA := pr.builtUnionAdjacency(); oldUA != nil && l <= 64 {
+		newUA = slices.Clone(oldUA)
 		pool.Run(np.workers, len(dirty.UnionVerts), func(j int) {
 			v := int(dirty.UnionVerts[j])
 			if v >= 0 && v < len(newUA) {
 				newUA[v] = g.UnionNeighbors(v)
 			}
 		})
-		np.unionAdjOnce.Do(func() { np.unionAdj = newUA })
+		newUA = np.adoptUnionAdjacency(newUA)
 	}
 	np.mu.Lock()
 	for _, k := range keep {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/live"
@@ -97,6 +98,39 @@ func TestDeriveMatchesFreshBuild(t *testing.T) {
 				if got.CoverSize != want.CoverSize || !reflect.DeepEqual(got.Cores, want.Cores) {
 					t.Fatalf("seed %d %s %+v: results differ", seed, a.name, o)
 				}
+			}
+		}
+	}
+}
+
+// TestDerivePatchesUnionAdjacency pins the union-adjacency patch: when
+// the old handle had built its union adjacency, the derived handle
+// carries one (whether or not any hierarchy was retained) that equals a
+// cold build row for row and shares every untouched row with the old
+// handle.
+func TestDerivePatchesUnionAdjacency(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := testutil.RandomCorrelatedGraph(rng, 60, 4, 0.25, 0.85, 0.05)
+		pr := NewPrepared(g, 1)
+		old := pr.unionAdjacency()
+		st := live.NewStore(g)
+		res := applyRandom(t, st, rng, 1+rng.Intn(30))
+		g2 := st.Freeze()
+		derived, _ := pr.Derive(g2, DirtySet{
+			Layers: res.DirtyLayers, UnionVerts: res.Touched, MaxDirtyD: res.MaxDirtyD,
+		}, 1)
+		got := derived.builtUnionAdjacency()
+		if got == nil {
+			t.Fatalf("seed %d: derived handle has no union adjacency", seed)
+		}
+		want := NewPrepared(g2, 1).unionAdjacency()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: patched union adjacency differs from a cold build", seed)
+		}
+		for v := range got {
+			if !slices.Contains(res.Touched, int32(v)) && len(got[v]) > 0 && &got[v][0] != &old[v][0] {
+				t.Fatalf("seed %d: untouched row %d was rebuilt", seed, v)
 			}
 		}
 	}

@@ -36,8 +36,9 @@ type Prepared struct {
 	coreness     [][]int // per layer: full core decomposition (d-independent)
 	maxCoreness  int     // max over layers and vertices; set with coreness
 
-	unionAdjOnce sync.Once
-	unionAdj     [][]int32 // union adjacency (d-independent, shared by all hierarchies)
+	unionAdjOnce  sync.Once
+	unionAdj      [][]int32   // union adjacency (d-independent, shared by all hierarchies)
+	unionAdjBuilt atomic.Bool // unionAdj is installed; lets Derive reuse it without forcing a build
 
 	mu  sync.Mutex
 	byD map[int]*dArtifact
@@ -253,7 +254,28 @@ func (pr *Prepared) unionAdjacency() [][]int32 {
 				pr.unionAdj[v] = pr.g.UnionNeighbors(v)
 			}
 		})
+		pr.unionAdjBuilt.Store(true)
 	})
+	return pr.unionAdj
+}
+
+// adoptUnionAdjacency installs ua as the union adjacency unless one is
+// installed already, and returns whichever the handle keeps. ua must
+// equal what unionAdjacency would build for pr's graph.
+func (pr *Prepared) adoptUnionAdjacency(ua [][]int32) [][]int32 {
+	pr.unionAdjOnce.Do(func() {
+		pr.unionAdj = ua
+		pr.unionAdjBuilt.Store(true)
+	})
+	return pr.unionAdj
+}
+
+// builtUnionAdjacency returns the union adjacency if it is installed,
+// nil otherwise; it never triggers a build.
+func (pr *Prepared) builtUnionAdjacency() [][]int32 {
+	if !pr.unionAdjBuilt.Load() {
+		return nil
+	}
 	return pr.unionAdj
 }
 

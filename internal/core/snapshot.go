@@ -301,8 +301,7 @@ func (pr *Prepared) RestoreSnapshot(data []byte) error {
 		pr.version.Store(uint64(graphVersion))
 	}
 	if unionAdj != nil {
-		pr.unionAdjOnce.Do(func() { pr.unionAdj = unionAdj })
-		unionAdj = pr.unionAdj // whichever copy the once kept
+		unionAdj = pr.adoptUnionAdjacency(unionAdj)
 	} else if l <= 64 && len(entries) > 0 {
 		// Old artifacts without the embedded section: rebuild from the
 		// graph (one parallel sweep, deterministic).

@@ -30,12 +30,18 @@ import (
 	"repro/internal/multilayer"
 )
 
-// Graph is a mutable multi-layer graph with O(1) edge updates, the
-// companion of the immutable multilayer.Graph.
+// Graph is a mutable multi-layer graph stored as a copy-on-write CSR: the
+// last frozen generation (an immutable multilayer.Graph, shared with
+// whoever holds it) plus, per layer, an overlay of the adjacency rows
+// edited since. A row is copied out of the base on its first edit and
+// kept sorted, so an edge update costs O(deg) — a binary search and a
+// slice insert or delete — and Neighbors returns either kind of row
+// without allocating. Freeze splices the overlay back into CSR form,
+// rebuilding only the layers that have one.
 type Graph struct {
-	n   int
-	adj []map[int32]map[int32]struct{} // adj[layer][v] = neighbor set
-	m   []int
+	base    *multilayer.Graph
+	overlay []map[int32][]int32 // overlay[layer][v] = v's edited row; nil while the layer is unedited
+	m       []int               // per-layer undirected edge count
 }
 
 // NewGraph returns an empty mutable graph with n vertices and the given
@@ -44,64 +50,49 @@ func NewGraph(n, layers int) *Graph {
 	if n < 0 || layers < 0 {
 		panic("dynamic: negative dimensions")
 	}
-	g := &Graph{n: n, adj: make([]map[int32]map[int32]struct{}, layers), m: make([]int, layers)}
-	for i := range g.adj {
-		g.adj[i] = map[int32]map[int32]struct{}{}
-	}
-	return g
+	return FromMultilayer(multilayer.NewBuilder(n, layers).Build())
 }
 
-// FromMultilayer copies an immutable graph into a mutable one.
+// FromMultilayer returns a mutable graph whose initial state is src, in
+// O(l): src becomes the base generation and is never written, so the
+// caller may keep using it.
 func FromMultilayer(src *multilayer.Graph) *Graph {
-	g := NewGraph(src.N(), src.L())
-	for layer := 0; layer < src.L(); layer++ {
-		for v := 0; v < src.N(); v++ {
-			for _, u := range src.Neighbors(layer, v) {
-				if int(u) > v {
-					g.AddEdge(layer, v, int(u))
-				}
-			}
-		}
+	g := &Graph{base: src, overlay: make([]map[int32][]int32, src.L()), m: make([]int, src.L())}
+	for layer := range g.m {
+		g.m[layer] = src.M(layer)
 	}
 	return g
 }
 
 // N returns the vertex count.
-func (g *Graph) N() int { return g.n }
+func (g *Graph) N() int { return g.base.N() }
 
 // L returns the layer count.
-func (g *Graph) L() int { return len(g.adj) }
+func (g *Graph) L() int { return g.base.L() }
 
 // M returns the undirected edge count of a layer.
 func (g *Graph) M(layer int) int { return g.m[layer] }
 
 // HasEdge reports whether {u, v} is an edge on the layer.
 func (g *Graph) HasEdge(layer, u, v int) bool {
-	_, ok := g.adj[layer][int32(u)][int32(v)]
-	return ok
+	_, found := slices.BinarySearch(g.Neighbors(layer, u), int32(v))
+	return found
 }
 
 // Degree returns the degree of v on the layer.
-func (g *Graph) Degree(layer, v int) int { return len(g.adj[layer][int32(v)]) }
+func (g *Graph) Degree(layer, v int) int { return len(g.Neighbors(layer, v)) }
 
-// Neighbors calls fn for each neighbor of v on the layer, in ascending
-// vertex id, until fn returns false. The sort makes every traversal
-// built on it (cascade peels, region growth, Freeze) deterministic —
-// the adjacency sets are Go maps, whose raw iteration order would
-// otherwise leak into results (the determinism contract dccs-vet's
-// detrange analyzer enforces).
-func (g *Graph) Neighbors(layer, v int, fn func(u int) bool) {
-	set := g.adj[layer][int32(v)]
-	nbrs := make([]int32, 0, len(set))
-	for u := range set {
-		nbrs = append(nbrs, u)
+// Neighbors returns the neighbors of v on the layer in ascending vertex
+// id — the edited row if v has one, the base generation's CSR row
+// otherwise. The sorted order makes every traversal built on it (cascade
+// peels, region growth) deterministic. The slice is owned by the graph:
+// callers must not modify it, and it is only valid until the next update
+// of an edge at v.
+func (g *Graph) Neighbors(layer, v int) []int32 {
+	if row, ok := g.overlay[layer][int32(v)]; ok {
+		return row
 	}
-	slices.Sort(nbrs)
-	for _, u := range nbrs {
-		if !fn(int(u)) {
-			return
-		}
-	}
+	return g.base.Neighbors(layer, v)
 }
 
 // AddEdge inserts the undirected edge {u, v} on the layer; it reports
@@ -124,80 +115,122 @@ func (g *Graph) RemoveEdge(layer, u, v int) bool {
 	if !g.HasEdge(layer, u, v) {
 		return false
 	}
-	delete(g.adj[layer][int32(u)], int32(v))
-	delete(g.adj[layer][int32(v)], int32(u))
+	g.unlink(layer, int32(u), int32(v))
+	g.unlink(layer, int32(v), int32(u))
 	g.m[layer]--
 	return true
 }
 
 func (g *Graph) check(layer, u, v int) {
-	if layer < 0 || layer >= len(g.adj) || u < 0 || u >= g.n || v < 0 || v >= g.n {
+	if layer < 0 || layer >= g.L() || u < 0 || u >= g.N() || v < 0 || v >= g.N() {
 		panic(fmt.Sprintf("dynamic: edge (%d: %d,%d) out of range", layer, u, v))
 	}
 }
 
+// link inserts u into v's row, which must not contain it.
 func (g *Graph) link(layer int, v, u int32) {
-	set := g.adj[layer][v]
-	if set == nil {
-		set = map[int32]struct{}{}
-		g.adj[layer][v] = set
-	}
-	set[u] = struct{}{}
+	row := g.edit(layer, v)
+	i, _ := slices.BinarySearch(row, u)
+	g.overlay[layer][v] = slices.Insert(row, i, u)
 }
 
-// Freeze converts the mutable graph into an immutable multilayer.Graph.
-// Edges are emitted in vertex order so the builder sees a deterministic
-// stream regardless of map layout.
+// unlink removes u from v's row, which must contain it.
+func (g *Graph) unlink(layer int, v, u int32) {
+	row := g.edit(layer, v)
+	i, _ := slices.BinarySearch(row, u)
+	g.overlay[layer][v] = slices.Delete(row, i, i+1)
+}
+
+// edit returns v's overlay row on the layer, copying it out of the base
+// generation on first touch: frozen generations are shared with readers
+// and are never written.
+func (g *Graph) edit(layer int, v int32) []int32 {
+	ov := g.overlay[layer]
+	if ov == nil {
+		ov = map[int32][]int32{}
+		g.overlay[layer] = ov
+	}
+	row, ok := ov[v]
+	if !ok {
+		row = slices.Clone(g.base.Neighbors(layer, int(v)))
+		ov[v] = row
+	}
+	return row
+}
+
+// Freeze returns the current graph as an immutable multilayer.Graph and
+// makes it the new base generation. Layers not edited since the previous
+// Freeze share their CSR arrays with the previous generation; each edited
+// layer is rebuilt in O(n + m_layer) by splice. Without edits Freeze
+// returns the base itself. The result is in canonical CSR form, so it is
+// Equal to, and fingerprints like, a Builder build of the same edge set.
+// Earlier generations are never modified.
 func (g *Graph) Freeze() *multilayer.Graph {
-	b := multilayer.NewBuilder(g.n, g.L())
-	for layer := range g.adj {
-		for v := 0; v < g.n; v++ {
-			g.Neighbors(layer, v, func(u int) bool {
-				if u > v {
-					b.MustAddEdge(layer, v, u)
-				}
-				return true
-			})
+	var layers []int
+	var offsets [][]int64
+	var neighbors [][]int32
+	for layer, ov := range g.overlay {
+		if ov == nil {
+			continue
 		}
+		off, nbr := g.splice(layer, ov)
+		layers = append(layers, layer)
+		offsets = append(offsets, off)
+		neighbors = append(neighbors, nbr)
 	}
-	return b.Build()
-}
-
-// ToMultilayer exports the mutable graph straight into immutable CSR
-// form, skipping Freeze's edge-list accumulation and re-sort: the
-// adjacency sets already hold each undirected edge in both directions
-// without duplicates, so one counting pass sizes the arrays and one
-// sorted sweep fills them. This is the rebuild path of the live-graph
-// engine — it runs once per accepted update batch — and it produces a
-// graph Equal to Freeze()'s (both CSR forms are canonical), which the
-// round-trip tests assert.
-func (g *Graph) ToMultilayer() *multilayer.Graph {
-	offsets := make([][]int64, g.L())
-	neighbors := make([][]int32, g.L())
-	for layer := range g.adj {
-		off := make([]int64, g.n+1)
-		for v := 0; v < g.n; v++ {
-			off[v+1] = off[v] + int64(len(g.adj[layer][int32(v)]))
-		}
-		nbr := make([]int32, off[g.n])
-		w := 0
-		for v := 0; v < g.n; v++ {
-			g.Neighbors(layer, v, func(u int) bool {
-				nbr[w] = int32(u)
-				w++
-				return true
-			})
-		}
-		offsets[layer], neighbors[layer] = off, nbr
+	if len(layers) == 0 {
+		return g.base
 	}
-	mg, err := multilayer.FromCSR(g.n, offsets, neighbors)
+	next, err := g.base.ReplaceLayers(layers, offsets, neighbors)
 	if err != nil {
-		// The arrays above are canonical by construction (sorted sets,
-		// both directions, no self-loops); failing validation means this
-		// function is broken, not the caller.
+		// Rows are kept sorted, duplicate- and self-loop-free and
+		// symmetric by AddEdge/RemoveEdge; failing validation means this
+		// package is broken, not the caller.
 		panic(err)
 	}
-	return mg
+	for _, layer := range layers {
+		g.overlay[layer] = nil
+	}
+	g.base = next
+	return next
+}
+
+// splice builds the CSR arrays of one edited layer. Edited vertices are
+// visited in ascending order; the base rows between two of them move as
+// one span, their offsets shifted by the size change accumulated so far,
+// and each edited row is copied in at its vertex. Every row is the sorted
+// adjacency of its vertex, so the arrays are the canonical CSR a cold
+// build produces.
+func (g *Graph) splice(layer int, ov map[int32][]int32) ([]int64, []int32) {
+	edited := make([]int32, 0, len(ov))
+	for v := range ov {
+		edited = append(edited, v)
+	}
+	slices.Sort(edited)
+	n := g.N()
+	baseOff, baseNbr := g.base.LayerCSR(layer)
+	off := make([]int64, n+1)
+	nbr := make([]int32, 2*g.m[layer])
+	w, next := int64(0), 0 // write head; first vertex not yet emitted
+	for i := 0; ; i++ {
+		end := n
+		if i < len(edited) {
+			end = int(edited[i])
+		}
+		shift := w - baseOff[next]
+		for v := next; v < end; v++ {
+			off[v] = baseOff[v] + shift
+		}
+		w += int64(copy(nbr[w:], baseNbr[baseOff[next]:baseOff[end]]))
+		if end == n {
+			break
+		}
+		off[end] = w
+		w += int64(copy(nbr[w:], ov[int32(end)]))
+		next = end + 1
+	}
+	off[n] = w
+	return off, nbr
 }
 
 // Maintainer keeps the d-coherent core of a fixed layer subset current
@@ -225,6 +258,12 @@ type Maintainer struct {
 
 	pending     []int32 // peel worklist stashed by a cancelled cascade
 	insertDirty bool    // cancelled insertion grow: full rebuild required
+
+	// region and grown are ObserveAdd's scratch: the candidate-region set
+	// and the list of its members, through which each grow clears exactly
+	// the bits it set instead of allocating an n-bit set per insertion.
+	region *bitset.Set
+	grown  []int32
 }
 
 // NewMaintainer wraps g and computes the initial d-CC of the given layer
@@ -256,9 +295,10 @@ func NewMaintainer(ctx context.Context, g *Graph, layers []int, d int) (*Maintai
 		d:      d,
 		inL:    inL,
 		deg:    map[int][]int32{},
+		region: bitset.New(g.N()),
 	}
 	for _, layer := range layers {
-		m.deg[layer] = make([]int32, g.n)
+		m.deg[layer] = make([]int32, g.N())
 	}
 	m.rebuild(ctx)
 	return m, nil
@@ -300,7 +340,7 @@ func (m *Maintainer) Repair(ctx context.Context) bool {
 // stashes the remaining seed cascade in pending, which a later Repair
 // continues — the full-core seed peel is an ordinary cascade.
 func (m *Maintainer) rebuild(ctx context.Context) {
-	m.core = bitset.NewFull(m.g.n)
+	m.core = bitset.NewFull(m.g.N())
 	m.insertDirty = false
 	m.pending = m.peel(ctx, m.seedAll())
 }
@@ -325,13 +365,24 @@ func (m *Maintainer) seedAll() []int32 {
 // degIn counts v's neighbors inside the current core on the layer.
 func (m *Maintainer) degIn(layer, v int) int32 {
 	c := int32(0)
-	m.g.Neighbors(layer, v, func(u int) bool {
-		if m.core.Contains(u) {
+	for _, u := range m.g.Neighbors(layer, v) {
+		if m.core.Contains(int(u)) {
 			c++
 		}
-		return true
-	})
+	}
 	return c
+}
+
+// adjacentTo reports whether w has a neighbor in s on a watched layer.
+func (m *Maintainer) adjacentTo(w int, s *bitset.Set) bool {
+	for _, ly := range m.layers {
+		for _, x := range m.g.Neighbors(ly, w) {
+			if s.Contains(int(x)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // peel removes the queued vertices and cascades until the core is
@@ -364,15 +415,14 @@ func (m *Maintainer) peel(ctx context.Context, queue []int32) []int32 {
 		}
 		m.core.Remove(v)
 		for _, layer := range m.layers {
-			m.g.Neighbors(layer, v, func(u int) bool {
-				if m.core.Contains(u) {
+			for _, u := range m.g.Neighbors(layer, v) {
+				if m.core.Contains(int(u)) {
 					m.deg[layer][u]--
 					if m.deg[layer][u] < int32(m.d) {
-						queue = append(queue, int32(u))
+						queue = append(queue, u)
 					}
 				}
-				return true
-			})
+			}
 		}
 	}
 	return nil
@@ -471,57 +521,38 @@ func (m *Maintainer) ObserveAdd(ctx context.Context, layer, u, v int) {
 		m.deg[layer][v]++
 		return
 	}
-	// Candidate region: BFS from the non-core endpoints over non-core
-	// vertices along watched layers. The core is untouched until the BFS
-	// completes, so cancellation here only marks the grow as pending.
-	region := bitset.New(m.g.n)
-	var stack []int32
+	// Candidate region: search from the non-core endpoints over non-core
+	// vertices along watched layers. The region is a reachability closure,
+	// so the visit order does not affect it. The core is untouched until
+	// the search completes, so cancellation here only marks the grow as
+	// pending.
+	region, grown := m.region, m.grown[:0]
 	for _, w := range []int{u, v} {
 		if !m.core.Contains(w) && region.Add(w) {
-			stack = append(stack, int32(w))
+			grown = append(grown, int32(w))
 		}
 	}
-	steps := 0
-	for len(stack) > 0 {
-		if steps++; steps&255 == 0 && ctx != nil && ctx.Err() != nil {
+	for i := 0; i < len(grown); i++ {
+		if (i+1)&255 == 0 && ctx != nil && ctx.Err() != nil {
+			m.clearRegion(grown)
 			m.insertDirty = true
 			return
 		}
-		w := int(stack[len(stack)-1])
-		stack = stack[:len(stack)-1]
 		for _, ly := range m.layers {
-			m.g.Neighbors(ly, w, func(x int) bool {
-				if !m.core.Contains(x) && region.Add(x) {
-					stack = append(stack, int32(x))
+			for _, x := range m.g.Neighbors(ly, int(grown[i])) {
+				if !m.core.Contains(int(x)) && region.Add(int(x)) {
+					grown = append(grown, x)
 				}
-				return true
-			})
+			}
 		}
 	}
 	// Tentatively admit the region, recompute degrees over the enlarged
 	// core, and peel. Old core members cannot be peeled: their degrees
-	// only grew.
+	// only grew, and only those adjacent to the region changed at all.
 	m.core.Or(region)
 	var queue []int32
 	m.core.ForEach(func(w int) bool {
-		recompute := region.Contains(w)
-		if !recompute {
-			// Existing member: degrees only change if adjacent to the
-			// region; recompute those lazily below.
-			for _, ly := range m.layers {
-				m.g.Neighbors(ly, w, func(x int) bool {
-					if region.Contains(x) {
-						recompute = true
-						return false
-					}
-					return true
-				})
-				if recompute {
-					break
-				}
-			}
-		}
-		if recompute {
+		if region.Contains(w) || m.adjacentTo(w, region) {
 			for _, ly := range m.layers {
 				m.deg[ly][w] = m.degIn(ly, w)
 			}
@@ -534,8 +565,18 @@ func (m *Maintainer) ObserveAdd(ctx context.Context, layer, u, v int) {
 		}
 		return true
 	})
+	m.clearRegion(grown)
 	// Cancellation from here on is an ordinary interrupted cascade: the
 	// enlarged core plus recomputed counters is a valid peel-in-progress
 	// state, resumed incrementally by Repair.
 	m.pending = m.peel(ctx, queue)
+}
+
+// clearRegion empties the region scratch set through its member list and
+// keeps the list's storage for the next grow.
+func (m *Maintainer) clearRegion(grown []int32) {
+	for _, w := range grown {
+		m.region.Remove(int(w))
+	}
+	m.grown = grown[:0]
 }

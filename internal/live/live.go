@@ -72,7 +72,8 @@ type Store struct {
 	watches []*Watch // slice, not a map: deterministic fan-out order
 }
 
-// NewStore copies src into a fresh mutable store.
+// NewStore returns a mutable store whose initial graph is src. src is
+// shared, not copied, and never written.
 func NewStore(src *multilayer.Graph) *Store {
 	return &Store{dyn: dynamic.FromMultilayer(src)}
 }
@@ -119,7 +120,7 @@ func (s *Store) Apply(ctx context.Context, updates []Update) BatchResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	res := BatchResult{DirtyLayers: make([]bool, s.dyn.L())}
-	touched := map[int32]struct{}{}
+	var touched []int32
 	for _, up := range updates {
 		bound := 0
 		switch up.Op {
@@ -149,24 +150,22 @@ func (s *Store) Apply(ctx context.Context, updates []Update) BatchResult {
 		if bound > res.MaxDirtyD {
 			res.MaxDirtyD = bound
 		}
-		touched[int32(up.U)] = struct{}{}
-		touched[int32(up.V)] = struct{}{}
+		touched = append(touched, int32(up.U), int32(up.V))
 	}
 	res.Changed = res.Inserted+res.Deleted > 0
-	res.Touched = make([]int32, 0, len(touched))
-	for v := range touched {
-		res.Touched = append(res.Touched, v)
-	}
-	slices.Sort(res.Touched)
+	slices.Sort(touched)
+	res.Touched = slices.Compact(touched)
 	return res
 }
 
-// Freeze exports the current graph as an immutable CSR graph. It holds
-// the store lock, so the export is never interleaved with an Apply.
+// Freeze exports the current graph as an immutable CSR graph, rebuilding
+// only the layers edited since the previous Freeze (see
+// dynamic.Graph.Freeze). It holds the store lock, so the export is never
+// interleaved with an Apply.
 func (s *Store) Freeze() *multilayer.Graph {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dyn.ToMultilayer()
+	return s.dyn.Freeze()
 }
 
 // Watch is a maintained d-coherent core over the store's graph. It

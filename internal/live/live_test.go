@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dynamic"
+	"repro/internal/multilayer"
 	"repro/internal/testutil"
 )
 
@@ -45,7 +46,7 @@ func TestApplyBookkeeping(t *testing.T) {
 	dg := dynamic.NewGraph(5, 2)
 	dg.AddEdge(0, 0, 1)
 	dg.AddEdge(0, 1, 2)
-	s := NewStore(dg.ToMultilayer())
+	s := NewStore(dg.Freeze())
 
 	res := s.Apply(context.Background(), []Update{
 		{Op: OpInsert, Layer: 0, U: 0, V: 2}, // closes the triangle: post-insert degs 2,2 → bound 2
@@ -89,8 +90,8 @@ func TestApplyBookkeeping(t *testing.T) {
 }
 
 // TestFreezeMatchesStream cross-checks the export path: a store that
-// absorbed a random stream freezes to exactly the graph a plain
-// dynamic.Graph fed the same stream exports.
+// absorbed a random stream freezes to exactly the graph a cold Builder
+// builds from a shadow edge set fed the same stream.
 func TestFreezeMatchesStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	src := testutil.RandomGraph(rng, 40, 3, 0.15)
@@ -98,7 +99,16 @@ func TestFreezeMatchesStream(t *testing.T) {
 	if s.N() != src.N() || s.L() != src.L() {
 		t.Fatalf("store dims %dx%d, want %dx%d", s.N(), s.L(), src.N(), src.L())
 	}
-	shadow := dynamic.FromMultilayer(src)
+	type edge struct{ layer, u, v int }
+	key := func(layer, u, v int) edge { return edge{layer, min(u, v), max(u, v)} }
+	shadow := map[edge]bool{}
+	for layer := 0; layer < src.L(); layer++ {
+		for v := 0; v < src.N(); v++ {
+			for _, u := range src.Neighbors(layer, v) {
+				shadow[key(layer, v, int(u))] = true
+			}
+		}
+	}
 
 	for round := 0; round < 5; round++ {
 		ups := make([]Update, 0, 30)
@@ -116,12 +126,17 @@ func TestFreezeMatchesStream(t *testing.T) {
 		s.Apply(context.Background(), ups)
 		for _, up := range ups {
 			if up.Op == OpInsert {
-				shadow.AddEdge(up.Layer, up.U, up.V)
+				shadow[key(up.Layer, up.U, up.V)] = true
 			} else {
-				shadow.RemoveEdge(up.Layer, up.U, up.V)
+				delete(shadow, key(up.Layer, up.U, up.V))
 			}
 		}
-		if !s.Freeze().Equal(shadow.ToMultilayer()) {
+		// The Builder sorts its edge lists, so map order cannot leak.
+		b := multilayer.NewBuilder(src.N(), src.L())
+		for e := range shadow {
+			b.MustAddEdge(e.layer, e.u, e.v)
+		}
+		if !s.Freeze().Equal(b.Build()) {
 			t.Fatalf("round %d: store diverged from shadow graph", round)
 		}
 	}

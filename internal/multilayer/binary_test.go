@@ -222,6 +222,46 @@ func TestLayerSampleSharingIsAliasSafe(t *testing.T) {
 	}
 }
 
+// TestReplaceLayers pins the copy-on-write constructor: replaced layers
+// take the given arrays, the others share g's, g is untouched, and
+// malformed replacements are errors rather than adopted graphs.
+func TestReplaceLayers(t *testing.T) {
+	g := mustGraph(t, 4, [][][2]int{{{0, 1}, {1, 2}}, {{2, 3}}})
+	fpBefore := g.Fingerprint()
+	want := mustGraph(t, 4, [][][2]int{{{0, 1}, {1, 2}}, {{0, 3}, {2, 3}}})
+	off, nbr := want.LayerCSR(1)
+	got, err := g.ReplaceLayers([]int{1}, [][]int64{off}, [][]int32{nbr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) || g.Fingerprint() != fpBefore {
+		t.Fatal("replacement produced the wrong graph or modified the source")
+	}
+	o0, _ := got.LayerCSR(0)
+	g0, _ := g.LayerCSR(0)
+	if &o0[0] != &g0[0] {
+		t.Fatal("unreplaced layer not shared with the source")
+	}
+
+	bad := []struct {
+		name   string
+		layers []int
+		off    [][]int64
+		nbr    [][]int32
+	}{
+		{"layer out of range", []int{2}, [][]int64{off}, [][]int32{nbr}},
+		{"length mismatch", []int{1}, [][]int64{off, off}, [][]int32{nbr}},
+		{"short offsets", []int{1}, [][]int64{off[:3]}, [][]int32{nbr}},
+		{"unsorted row", []int{1}, [][]int64{{0, 1, 1, 2, 4}}, [][]int32{{3, 3, 2, 1}}},
+		{"self-loop", []int{1}, [][]int64{{0, 1, 1, 1, 2}}, [][]int32{{0, 0}}},
+	}
+	for _, c := range bad {
+		if _, err := g.ReplaceLayers(c.layers, c.off, c.nbr); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
 // TestInducedVertexSampleSemantics pins the vertex-sample contract under
 // the CSR representation: ids are retained (dropped vertices become
 // isolated, keepers keep their numbers), and the result round-trips

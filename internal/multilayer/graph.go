@@ -327,51 +327,32 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
-// FromCSR assembles a graph directly from per-layer CSR arrays, the
-// zero-copy counterpart of Builder for callers that already hold the
-// adjacency in canonical form (sorted, deduplicated, self-loop free,
-// each undirected edge stored in both directions) — the dynamic graph's
-// export path. The arrays are adopted, not copied; the caller must not
-// modify them afterwards. Shape invariants (offset monotonicity, sorted
-// strictly-ascending vertex ranges, ids in [0,n)) are validated so a
-// buggy producer fails here rather than as a mid-query panic; edge
-// symmetry is the caller's contract, as checking it would cost as much
-// as rebuilding through Builder.
-func FromCSR(n int, offsets [][]int64, neighbors [][]int32) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("multilayer: negative vertex count %d", n)
+// ReplaceLayers returns a graph equal to g except that layer layers[i]
+// takes the CSR arrays offsets[i] and neighbors[i] — the copy-on-write
+// step of the dynamic graph's Freeze. Every other layer shares its
+// arrays with g, as in LayerSample, so the cost is that of the replaced
+// layers alone. The replacement arrays are adopted, not copied; the
+// caller must not modify them afterwards. Only the replaced layers are
+// validated (offset monotonicity, strictly ascending vertex ranges, ids
+// in [0,n), no self-loops) so a buggy producer fails here rather than as
+// a mid-query panic; edge symmetry is the caller's contract, as checking
+// it would cost as much as rebuilding through Builder.
+func (g *Graph) ReplaceLayers(layers []int, offsets [][]int64, neighbors [][]int32) (*Graph, error) {
+	if len(offsets) != len(layers) || len(neighbors) != len(layers) {
+		return nil, fmt.Errorf("multilayer: %d layers replaced with %d offset and %d neighbor arrays",
+			len(layers), len(offsets), len(neighbors))
 	}
-	if len(offsets) != len(neighbors) {
-		return nil, fmt.Errorf("multilayer: %d offset layers but %d neighbor layers", len(offsets), len(neighbors))
-	}
-	g := &Graph{n: n, layers: make([]csrLayer, len(offsets))}
-	for li := range offsets {
-		off, nbr := offsets[li], neighbors[li]
-		if len(off) != n+1 || off[0] != 0 || off[n] != int64(len(nbr)) {
-			return nil, fmt.Errorf("multilayer: layer %d offsets malformed (len %d, first %d, last %d, %d neighbors)",
-				li, len(off), off[0], off[len(off)-1], len(nbr))
+	ng := &Graph{n: g.n, layers: slices.Clone(g.layers)}
+	for i, layer := range layers {
+		if layer < 0 || layer >= len(ng.layers) {
+			return nil, fmt.Errorf("multilayer: replaced layer %d out of range [0,%d)", layer, len(ng.layers))
 		}
-		for v := 0; v < n; v++ {
-			lo, hi := off[v], off[v+1]
-			if hi < lo {
-				return nil, fmt.Errorf("multilayer: layer %d offsets decrease at vertex %d", li, v)
-			}
-			for i := lo; i < hi; i++ {
-				u := nbr[i]
-				if u < 0 || u >= int32(n) {
-					return nil, fmt.Errorf("multilayer: layer %d neighbor %d out of range [0,%d)", li, u, n)
-				}
-				if int(u) == v {
-					return nil, fmt.Errorf("multilayer: layer %d self-loop at vertex %d", li, v)
-				}
-				if i > lo && nbr[i-1] >= u {
-					return nil, fmt.Errorf("multilayer: layer %d adjacency of vertex %d not strictly ascending", li, v)
-				}
-			}
+		if err := validateCSR(g.n, offsets[i], neighbors[i]); err != nil {
+			return nil, fmt.Errorf("multilayer: replaced layer %d: %w", layer, err)
 		}
-		g.layers[li] = csrLayer{offsets: off, neighbors: nbr}
+		ng.layers[layer] = csrLayer{offsets: offsets[i], neighbors: neighbors[i]}
 	}
-	return g, nil
+	return ng, nil
 }
 
 // FromEdgeLists builds a graph directly from per-layer edge lists, a

@@ -40,7 +40,9 @@ type UpdateResponse struct {
 	DirtyLayers            int     `json:"dirty_layers"`
 	InvalidatedHierarchies int     `json:"invalidated_hierarchies"`
 	RetainedHierarchies    int     `json:"retained_hierarchies"`
-	RebuildMS              float64 `json:"rebuild_ms"`
+	RebuildMS              float64 `json:"rebuild_ms"` // freeze_ms + derive_ms
+	FreezeMS               float64 `json:"freeze_ms"`
+	DeriveMS               float64 `json:"derive_ms"`
 }
 
 // handleUpdateEdges answers POST /v1/graphs/{graph}/edges: decode and
@@ -140,5 +142,7 @@ func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 		InvalidatedHierarchies: stats.InvalidatedHierarchies,
 		RetainedHierarchies:    stats.RetainedHierarchies,
 		RebuildMS:              float64(stats.RebuildElapsed) / float64(time.Millisecond),
+		FreezeMS:               float64(stats.FreezeElapsed) / float64(time.Millisecond),
+		DeriveMS:               float64(stats.DeriveElapsed) / float64(time.Millisecond),
 	})
 }
