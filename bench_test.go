@@ -7,6 +7,8 @@ package dccs_test
 import (
 	"context"
 	"io"
+	"math/rand"
+	"slices"
 	"testing"
 
 	dccs "repro"
@@ -211,6 +213,68 @@ func BenchmarkEngineSearch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkApplyUpdates times one live-graph update batch end to end —
+// apply, freeze, derive and the eager rebuild of every invalidated
+// hierarchy — on the live-mixed shape: a mutable engine over a planted
+// graph (n = 20,000, l = 12) with d 2..5 warm. Batches alternate between
+// inserting 100 edges absent from the graph on one layer and deleting
+// them again, so the graph returns to its start after every pair; pair p
+// edits layer p mod l. retained/op and invalidated/op report the
+// hierarchies the batch's retention bound kept and dropped.
+func BenchmarkApplyUpdates(b *testing.B) {
+	const n, layers, edges = 20000, 12, 100
+	g := datasets.Generate(datasets.Config{
+		Name: "live", N: n, Layers: layers, Seed: 1,
+		AvgDegree: 2.2, Gamma: 2.3, Correlation: 0.5,
+		Communities: n / 500, MinSize: 12, MaxSize: 30,
+		MinSupport: 3, MaxSupport: 6, PIn: 0.6,
+		Persistent: 4, CrossLayerNoise: 0.05,
+	}).Graph
+	e, err := dccs.NewMutableEngine(g, dccs.EngineConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Warm(2, 3, 4, 5); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var batches [][]dccs.EdgeUpdate
+	for p := 0; p < layers; p++ {
+		ins := make([]dccs.EdgeUpdate, 0, edges)
+		seen := map[[2]int]bool{}
+		for len(ins) < edges {
+			u, v := rng.Intn(n), rng.Intn(n)
+			key := [2]int{min(u, v), max(u, v)}
+			if u == v || seen[key] || g.HasEdge(p, u, v) {
+				continue
+			}
+			seen[key] = true
+			ins = append(ins, dccs.EdgeUpdate{Op: dccs.EdgeInsert, Layer: p, U: key[0], V: key[1]})
+		}
+		del := slices.Clone(ins)
+		for i := range del {
+			del[i].Op = dccs.EdgeDelete
+		}
+		batches = append(batches, ins, del)
+	}
+	retained, invalidated := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := e.ApplyUpdates(context.Background(), batches[i%len(batches)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Inserted+st.Deleted != edges {
+			b.Fatalf("batch %d changed %d edges, want %d", i, st.Inserted+st.Deleted, edges)
+		}
+		retained += st.RetainedHierarchies
+		invalidated += st.InvalidatedHierarchies
+	}
+	b.ReportMetric(float64(retained)/float64(b.N), "retained/op")
+	b.ReportMetric(float64(invalidated)/float64(b.N), "invalidated/op")
 }
 
 func BenchmarkSearchStatsOverhead(b *testing.B) {

@@ -8,7 +8,8 @@
 // cache keys) see the next one. Artifact reconstruction is incremental
 // via core.Derive — only the layers an update touched recompute their
 // coreness, and only the per-d hierarchies at or below the batch's
-// degree bound are invalidated (DESIGN.md § Live graphs).
+// coreness bound are invalidated and rebuilt, on all of the engine's
+// workers (DESIGN.md § Live graphs).
 package dccs
 
 import (
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/live"
 )
 
@@ -56,7 +56,7 @@ type UpdateStats struct {
 	DirtyLayers            int // layers whose coreness was recomputed
 	InvalidatedHierarchies int // per-d artifacts dropped by the batch
 	RetainedHierarchies    int // per-d artifacts carried over unchanged
-	RebuiltHierarchies     int // invalidated artifacts re-derived in one shared sweep
+	RebuiltHierarchies     int // invalidated artifacts re-derived from one shared sweep
 
 	Version        uint64        // engine version after the batch
 	FreezeElapsed  time.Duration // export of the mutated graph to CSR (0 for no-ops)
@@ -121,17 +121,13 @@ func (e *Engine) ApplyUpdates(ctx context.Context, updates []EdgeUpdate) (*Updat
 		NoOps:    res.NoOps,
 		Version:  st.version,
 	}
-	if !res.Changed {
+	if len(res.Edges) == 0 {
 		return stats, nil
 	}
 	start := time.Now()
 	ng := e.live.Freeze()
 	stats.FreezeElapsed = time.Since(start)
-	np, info := st.pr.Derive(ng, core.DirtySet{
-		Layers:     res.DirtyLayers,
-		UnionVerts: res.Touched,
-		MaxDirtyD:  res.MaxDirtyD,
-	}, st.version+1)
+	np, info := st.pr.Derive(ng, res.Edges, st.version+1)
 	stats.RebuildElapsed = time.Since(start)
 	stats.DeriveElapsed = stats.RebuildElapsed - stats.FreezeElapsed
 	stats.DirtyLayers = info.DirtyLayers

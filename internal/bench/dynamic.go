@@ -110,7 +110,7 @@ func (s *Suite) Dynamic() ([]*Table, *dynamicBenchReport, error) {
 		}
 		// Re-warm before each timed apply (a serving engine has warm
 		// artifacts when updates arrive); the apply then reports how many
-		// of them the batch's degree bound let Derive keep.
+		// of them the batch's coreness bound let Derive keep.
 		if err := eng.Warm(2, 3, defaultD, defaultD+1); err != nil {
 			return nil, nil, err
 		}

@@ -3,13 +3,12 @@
 // When a mutable engine applies an edge-update batch, the expensive
 // cached artifacts (per-layer coreness, per-d removal hierarchies) do
 // not all die: an edge {u,v} on layer i can only change computations at
-// degree thresholds d ≤ min(deg_i(u), deg_i(v)) — counting the edge
-// itself, i.e. post-insert degrees for inserts and pre-delete degrees
-// for deletes. Derive exploits that bound to carry every provably
-// unaffected artifact from the old Prepared into a fresh handle on the
-// post-update graph, so a small update on a warm engine invalidates a
-// small slice of the cache instead of all of it. The argument is spelled
-// out in DESIGN.md § Live graphs.
+// degree thresholds d ≤ min(core_i(u), core_i(v)), read on the old
+// graph or on the new one. Derive exploits that bound to carry every
+// provably unaffected artifact from the old Prepared into a fresh handle
+// on the post-update graph, so a small update on a warm engine
+// invalidates a small slice of the cache instead of all of it. The
+// argument is spelled out in DESIGN.md § Live graphs.
 package core
 
 import (
@@ -20,23 +19,6 @@ import (
 	"repro/internal/multilayer"
 	"repro/internal/pool"
 )
-
-// DirtySet describes what an edge-update batch touched, in the terms
-// Derive needs to decide artifact retention. The live store accumulates
-// it while applying a batch.
-type DirtySet struct {
-	// Layers[i] is true when layer i's edge set changed. Indices beyond
-	// len(Layers) are treated as clean.
-	Layers []bool
-	// UnionVerts lists every vertex incident to a changed edge (sorted,
-	// deduplicated). Their union-adjacency rows are re-derived from the
-	// new graph; all other rows are shared with the old handle.
-	UnionVerts []int32
-	// MaxDirtyD is max over changed edges of min(deg(u), deg(v)) on the
-	// edge's layer, counting the edge itself. Removal hierarchies with
-	// d > MaxDirtyD are byte-identical to a cold rebuild and are kept.
-	MaxDirtyD int
-}
 
 // DeriveInfo reports what a Derive call preserved, discarded and rebuilt,
 // for metrics and update responses.
@@ -57,33 +39,46 @@ type DeriveInfo struct {
 func (pr *Prepared) Version() uint64 { return pr.version.Load() }
 
 // Derive builds a Prepared for the post-update graph g, carrying over
-// every artifact of pr that the update provably did not affect:
+// every artifact of pr that the update provably did not affect. changed
+// lists the edges the batch changed (see live.BatchResult.Edges; an
+// entry whose edge ended the batch as it began is harmless), and
+// determines everything Derive recomputes:
 //
-//   - per-layer coreness rows of clean layers are shared; dirty layers
-//     are recomputed (in parallel) from g;
-//   - completed per-d hierarchies with d > dirty.MaxDirtyD are kept,
-//     re-pointed at a union adjacency whose dirty rows were patched from
-//     g (Lemma 9's seed flood must see the new edges); entries at or
-//     below the bound — and entries whose d exceeds the new
-//     maxCoreness+1 sentinel clamp — are dropped and eagerly rebuilt on
-//     the new handle, all sharing one sweep (see rebuildHierarchies).
+//   - per-layer coreness rows of layers without a changed edge are
+//     shared; the other layers are recomputed (in parallel) from g;
+//   - completed per-d hierarchies with d above the coreness bound
+//     (corenessBound) are kept, re-pointed at a union adjacency whose
+//     rows at changed-edge endpoints were patched from g (Lemma 9's seed
+//     flood must see the new edges); entries at or below the bound — and
+//     entries whose d exceeds the new maxCoreness+1 sentinel clamp — are
+//     dropped and eagerly rebuilt on the new handle, all sharing one
+//     sweep (see rebuildHierarchies).
 //
 // pr itself is never mutated: queries running against the old handle
 // keep observing a consistent pre-update state. The returned handle is
 // stamped with version and inherits pr's build counters (plus one
 // coreness build when any layer was dirty), so the amortization
 // counters stay meaningful across updates.
-func (pr *Prepared) Derive(g *multilayer.Graph, dirty DirtySet, version uint64) (*Prepared, DeriveInfo) {
+func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, version uint64) (*Prepared, DeriveInfo) {
 	old := pr.layerCoreness() // resolves pr.coreness and pr.maxCoreness
 	np := NewPrepared(g, pr.workers)
 	np.version.Store(version)
 
 	var info DeriveInfo
 	l := g.L()
+	dirty := make([]bool, l)
+	touched := make([]int32, 0, 2*len(changed))
+	for _, e := range changed {
+		dirty[e.Layer] = true
+		touched = append(touched, int32(e.U), int32(e.V))
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+
 	coreness := make([][]int, l)
 	dirtyIdx := make([]int, 0, l)
 	for i := 0; i < l; i++ {
-		if i < len(dirty.Layers) && dirty.Layers[i] {
+		if dirty[i] {
 			dirtyIdx = append(dirtyIdx, i)
 		} else {
 			coreness[i] = old[i]
@@ -110,6 +105,7 @@ func (pr *Prepared) Derive(g *multilayer.Graph, dirty DirtySet, version uint64) 
 		np.corenessBuilds.Add(1)
 	}
 	np.hierarchyBuilds.Store(pr.hierarchyBuilds.Load())
+	bound := corenessBound(changed, old, coreness)
 
 	// Snapshot the completed per-d entries under pr.mu, then decide
 	// retention outside the lock. In-flight builds (done not yet set)
@@ -131,10 +127,10 @@ func (pr *Prepared) Derive(g *multilayer.Graph, dirty DirtySet, version uint64) 
 		if !a.done.Load() || a.hier == nil {
 			continue
 		}
-		// Retention requires both the degree bound (untouched by the
+		// Retention requires both the coreness bound (untouched by the
 		// update) and the sentinel clamp (still addressable: restore and
 		// hierarchyFor clamp d at maxCoreness+1 of the NEW graph).
-		if d > dirty.MaxDirtyD && d <= maxCoreness+1 {
+		if d > bound && d <= maxCoreness+1 {
 			keep = append(keep, kept{d: d, hier: a.hier})
 		} else {
 			info.InvalidatedHierarchies++
@@ -159,11 +155,9 @@ func (pr *Prepared) Derive(g *multilayer.Graph, dirty DirtySet, version uint64) 
 	var newUA [][]int32
 	if oldUA := pr.builtUnionAdjacency(); oldUA != nil && l <= 64 {
 		newUA = slices.Clone(oldUA)
-		pool.Run(np.workers, len(dirty.UnionVerts), func(j int) {
-			v := int(dirty.UnionVerts[j])
-			if v >= 0 && v < len(newUA) {
-				newUA[v] = g.UnionNeighbors(v)
-			}
+		pool.Run(np.workers, len(touched), func(j int) {
+			v := int(touched[j])
+			newUA[v] = g.UnionNeighbors(v)
 		})
 		newUA = np.adoptUnionAdjacency(newUA)
 	}
@@ -185,9 +179,28 @@ func (pr *Prepared) Derive(g *multilayer.Graph, dirty DirtySet, version uint64) 
 	return np, info
 }
 
+// corenessBound returns the largest degree threshold an edge-update batch
+// can have affected: the maximum over the changed edges {u,v} on layer i
+// of max(min(old_i(u), old_i(v)), min(cur_i(u), cur_i(v))), where old and
+// cur are the per-layer coreness rows before and after the batch. A
+// removal hierarchy at any d above it is byte-identical to a cold
+// rebuild (DESIGN.md § Coreness-bound invalidation): each changed edge
+// has an endpoint outside layer i's d-core in both graphs, so that
+// d-core and its edge set are the same in both, and the batch loop
+// reads nothing else.
+func corenessBound(changed []multilayer.Edge, old, cur [][]int) int {
+	bound := 0
+	for _, e := range changed {
+		o, c := old[e.Layer], cur[e.Layer]
+		bound = max(bound, min(o[e.U], o[e.V]), min(c[e.U], c[e.V]))
+	}
+	return bound
+}
+
 // rebuildHierarchies eagerly re-derives the invalidated thresholds on the
-// new handle through one shared sweep (PrepareDs), so a warm cache stays
-// warm across an update batch at a fraction of the per-d rebuild cost the
+// new handle through PrepareDs — one shared sweep feeding the per-d batch
+// loops on all of the handle's workers — so a warm cache stays warm
+// across an update batch at a fraction of the per-d rebuild cost the
 // first queries would otherwise pay serially. The list may repeat values
 // (sentinel coalescing); PrepareDs dedupes and skips anything already
 // installed. It returns the number of hierarchies actually built.

@@ -8,13 +8,14 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/kcore"
 	"repro/internal/live"
+	"repro/internal/multilayer"
 	"repro/internal/testutil"
 )
 
 // applyRandom pushes a deterministic insert/delete stream through a live
-// store and returns the merged dirty set of the whole stream (union of
-// dirty layers and touched vertices, max of the per-batch degree bounds).
+// store as one batch and returns its result.
 func applyRandom(t *testing.T, st *live.Store, rng *rand.Rand, steps int) live.BatchResult {
 	t.Helper()
 	ups := make([]live.Update, 0, steps)
@@ -55,9 +56,8 @@ func TestDeriveMatchesFreshBuild(t *testing.T) {
 		st := live.NewStore(g)
 		res := applyRandom(t, st, rng, 40)
 		g2 := st.Freeze()
-		derived, info := pr.Derive(g2, DirtySet{
-			Layers: res.DirtyLayers, UnionVerts: res.Touched, MaxDirtyD: res.MaxDirtyD,
-		}, 1)
+		derived, info := pr.Derive(g2, res.Edges, 1)
+		bound := corenessBoundOracle(g, g2, res.Edges)
 		if derived.Version() != 1 {
 			t.Fatalf("derived version = %d, want 1", derived.Version())
 		}
@@ -70,7 +70,7 @@ func TestDeriveMatchesFreshBuild(t *testing.T) {
 			{D: 2, S: 2, K: 4, Seed: seed},
 			{D: 3, S: 3, K: 3, Seed: seed + 1},
 			{D: 4, S: 2, K: 2, Seed: seed + 2},
-			{D: res.MaxDirtyD + 1, S: 2, K: 3, Seed: seed},
+			{D: bound + 1, S: 2, K: 3, Seed: seed},
 		} {
 			type algo struct {
 				name string
@@ -117,9 +117,7 @@ func TestDerivePatchesUnionAdjacency(t *testing.T) {
 		st := live.NewStore(g)
 		res := applyRandom(t, st, rng, 1+rng.Intn(30))
 		g2 := st.Freeze()
-		derived, _ := pr.Derive(g2, DirtySet{
-			Layers: res.DirtyLayers, UnionVerts: res.Touched, MaxDirtyD: res.MaxDirtyD,
-		}, 1)
+		derived, _ := pr.Derive(g2, res.Edges, 1)
 		got := derived.builtUnionAdjacency()
 		if got == nil {
 			t.Fatalf("seed %d: derived handle has no union adjacency", seed)
@@ -128,22 +126,56 @@ func TestDerivePatchesUnionAdjacency(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: patched union adjacency differs from a cold build", seed)
 		}
+		touched := func(v int) bool {
+			return slices.ContainsFunc(res.Edges, func(e multilayer.Edge) bool { return e.U == v || e.V == v })
+		}
 		for v := range got {
-			if !slices.Contains(res.Touched, int32(v)) && len(got[v]) > 0 && &got[v][0] != &old[v][0] {
+			if !touched(v) && len(got[v]) > 0 && &got[v][0] != &old[v][0] {
 				t.Fatalf("seed %d: untouched row %d was rebuilt", seed, v)
 			}
 		}
 	}
 }
 
-// TestDeriveRetainsAboveBound pins the degree-bound retention theorem on
-// a graph engineered for it: a dense clique community (coreness well
-// above the batch bound) plus sparse fringe vertices. Updates among
-// degree-1 fringe vertices have bound ≤ 2, so every hierarchy with
-// d > 2 must be kept — and serving it afterwards must not rebuild.
+// corenessBoundOracle recomputes Derive's retention bound from cold core
+// decompositions of the graphs before (g) and after (g2) a batch: the
+// maximum over changed edges {u,v} on layer i of
+// max(min(core_i(u), core_i(v))) over the two graphs.
+func corenessBoundOracle(g, g2 *multilayer.Graph, changed []multilayer.Edge) int {
+	bound := 0
+	for _, e := range changed {
+		for _, gr := range []*multilayer.Graph{g, g2} {
+			cn := kcore.Coreness(gr, e.Layer, nil)
+			bound = max(bound, min(cn[e.U], cn[e.V]))
+		}
+	}
+	return bound
+}
+
+// TestDeriveRetainsAboveBound pins the coreness-bound retention theorem
+// on a graph engineered for it: a dense community on vertices 0..39
+// (coreness well above the batch bound) plus a sparse fringe, a path on
+// vertices 40..79 of layer 0. An edge closing a triangle on the path
+// raises its endpoints' coreness from 1 to 2 only, so exactly the warmed
+// hierarchies above 2 must be kept — and serving them afterwards must
+// not rebuild.
 func TestDeriveRetainsAboveBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	g := testutil.RandomCorrelatedGraph(rng, 80, 4, 0.3, 0.9, 0.02)
+	dense := testutil.RandomCorrelatedGraph(rng, 40, 4, 0.3, 0.9, 0.02)
+	b := multilayer.NewBuilder(80, dense.L())
+	for layer := 0; layer < dense.L(); layer++ {
+		for u := 0; u < dense.N(); u++ {
+			for _, v := range dense.Neighbors(layer, u) {
+				if int(v) > u {
+					b.MustAddEdge(layer, u, int(v))
+				}
+			}
+		}
+	}
+	for v := 40; v+1 < 80; v++ {
+		b.MustAddEdge(0, v, v+1)
+	}
+	g := b.Build()
 	pr := NewPrepared(g, 1)
 	maxd := pr.MaxCoreness()
 	if maxd < 4 {
@@ -156,33 +188,33 @@ func TestDeriveRetainsAboveBound(t *testing.T) {
 	}
 	builds := pr.Counters().HierarchyBuilds
 
-	// One inserted edge between two previously-isolated-ish vertices:
-	// pick u, v of minimum union degree so the post-insert bound is low.
 	st := live.NewStore(g)
 	res := st.Apply(context.Background(), []live.Update{
-		{Op: live.OpInsert, Layer: 0, U: g.N() - 1, V: g.N() - 2},
+		{Op: live.OpInsert, Layer: 0, U: 41, V: 43},
 	})
 	g2 := st.Freeze()
-	derived, info := pr.Derive(g2, DirtySet{
-		Layers: res.DirtyLayers, UnionVerts: res.Touched, MaxDirtyD: res.MaxDirtyD,
-	}, 1)
+	derived, info := pr.Derive(g2, res.Edges, 1)
 	// Thresholds under the bound (if any) were rebuilt inside Derive;
 	// serving queries must add nothing on top of that baseline.
 	builds = derived.Counters().HierarchyBuilds
 
+	bound := corenessBoundOracle(g, g2, res.Edges)
+	if bound != 2 || derived.MaxCoreness() != maxd {
+		t.Fatalf("fringe insert: bound %d, want 2; max coreness %d, was %d", bound, derived.MaxCoreness(), maxd)
+	}
 	wantKept := 0
-	for d := res.MaxDirtyD + 1; d <= maxd; d++ {
+	for d := bound + 1; d <= maxd; d++ {
 		wantKept++
 	}
-	if info.RetainedHierarchies < wantKept {
-		t.Fatalf("retained %d hierarchies, want at least %d (bound %d, max coreness %d)",
-			info.RetainedHierarchies, wantKept, res.MaxDirtyD, maxd)
+	if wantKept == 0 || info.RetainedHierarchies != wantKept {
+		t.Fatalf("retained %d hierarchies, want %d > 0 (bound %d, max coreness %d)",
+			info.RetainedHierarchies, wantKept, bound, maxd)
 	}
 
 	// Serving a retained threshold must not count a build; results must
 	// still match a from-scratch handle over the mutated graph.
 	fresh := NewPrepared(g2, 1)
-	for d := res.MaxDirtyD + 1; d <= maxd; d++ {
+	for d := bound + 1; d <= maxd; d++ {
 		o := Options{D: d, S: 2, K: 2, Seed: 1}
 		got, err := derived.BottomUp(context.Background(), o)
 		if err != nil {
@@ -201,9 +233,10 @@ func TestDeriveRetainsAboveBound(t *testing.T) {
 	}
 }
 
-// TestDeriveInvalidatesAtBound is the complement: an insert inside the
-// dense region has a high degree bound, so warmed hierarchies at and
-// below it are invalidated and eagerly rebuilt inside Derive.
+// TestDeriveInvalidatesAtBound is the complement: deleting an edge whose
+// endpoints both lie deep in layer 0's core hierarchy gives a high
+// coreness bound, so warmed hierarchies at and below it are invalidated
+// and eagerly rebuilt inside Derive.
 func TestDeriveInvalidatesAtBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := testutil.RandomCorrelatedGraph(rng, 80, 4, 0.3, 0.9, 0.02)
@@ -212,28 +245,29 @@ func TestDeriveInvalidatesAtBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Find the layer-0 vertex of maximum degree and delete one of its
-	// edges: the pre-delete bound is at least min(maxdeg, peer degree).
-	best, bestDeg := -1, -1
+	// Delete the layer-0 edge whose endpoints have the largest smaller
+	// coreness: the pre-delete coreness bound is that value.
+	core0 := kcore.Coreness(g, 0, nil)
+	best, peer, bestCore := -1, -1, -1
 	for v := 0; v < g.N(); v++ {
-		if d := g.Degree(0, v); d > bestDeg {
-			best, bestDeg = v, d
+		for _, u := range g.Neighbors(0, v) {
+			if c := min(core0[v], core0[u]); c > bestCore {
+				best, peer, bestCore = v, int(u), c
+			}
 		}
 	}
-	peer := int(g.Neighbors(0, best)[0])
 	st := live.NewStore(g)
 	res := st.Apply(context.Background(), []live.Update{
 		{Op: live.OpDelete, Layer: 0, U: best, V: peer},
 	})
-	if res.MaxDirtyD < 2 {
-		t.Fatalf("engineered delete has bound %d, want >= 2", res.MaxDirtyD)
-	}
 	g2 := st.Freeze()
-	derived, info := pr.Derive(g2, DirtySet{
-		Layers: res.DirtyLayers, UnionVerts: res.Touched, MaxDirtyD: res.MaxDirtyD,
-	}, 1)
+	bound := corenessBoundOracle(g, g2, res.Edges)
+	if bound < 2 {
+		t.Fatalf("engineered delete has bound %d, want >= 2", bound)
+	}
+	derived, info := pr.Derive(g2, res.Edges, 1)
 	if info.InvalidatedHierarchies != 1 {
-		t.Fatalf("invalidated %d hierarchies, want 1 (d=2 <= bound %d)", info.InvalidatedHierarchies, res.MaxDirtyD)
+		t.Fatalf("invalidated %d hierarchies, want 1 (d=2 <= bound %d)", info.InvalidatedHierarchies, bound)
 	}
 	if info.RebuiltHierarchies != 1 {
 		t.Fatalf("rebuilt %d hierarchies inside Derive, want 1", info.RebuiltHierarchies)
@@ -258,6 +292,94 @@ func TestDeriveInvalidatesAtBound(t *testing.T) {
 	if b := derived.Counters().HierarchyBuilds; b != base {
 		t.Fatalf("eagerly rebuilt threshold rebuilt again on use: %d builds, want %d", b, base)
 	}
+}
+
+// TestDeriveCorenessBoundProperty checks the coreness bound array by
+// array over random graphs and random mixed batches — inserts, deletes of
+// existing edges, and an edge inserted and then deleted within the batch.
+// With every threshold warm, Derive must keep exactly the hierarchies
+// above the bound (recomputed from cold core decompositions) that the
+// sentinel clamp still addresses, each equal to a cold build's h, lmask
+// and coreh, and must rebuild every dropped one equal to a cold build.
+func TestDeriveCorenessBoundProperty(t *testing.T) {
+	ctx := context.Background()
+	retained, rebuilt := 0, 0
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := testutil.RandomCorrelatedGraph(rng, 60+rng.Intn(60), 2+rng.Intn(4), 0.15, 0.85, 0.05)
+		pr := NewPrepared(g, 2)
+		if err := pr.PrepareAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+
+		// One or two layers per batch, a few changes each.
+		layers := []int{rng.Intn(g.L()), rng.Intn(g.L())}[:1+rng.Intn(2)]
+		randomPair := func() (int, int) {
+			for {
+				if u, v := rng.Intn(g.N()), rng.Intn(g.N()); u != v {
+					return u, v
+				}
+			}
+		}
+		var ups []live.Update
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			u, v := randomPair()
+			ups = append(ups, live.Update{Op: live.OpInsert, Layer: layers[rng.Intn(len(layers))], U: u, V: v})
+		}
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			layer, v := layers[rng.Intn(len(layers))], rng.Intn(g.N())
+			if nb := g.Neighbors(layer, v); len(nb) > 0 {
+				ups = append(ups, live.Update{Op: live.OpDelete, Layer: layer, U: v, V: int(nb[rng.Intn(len(nb))])})
+			}
+		}
+		rng.Shuffle(len(ups), func(i, j int) { ups[i], ups[j] = ups[j], ups[i] })
+		for {
+			u, v := randomPair()
+			if layer := layers[0]; !g.HasEdge(layer, u, v) {
+				ups = append(ups,
+					live.Update{Op: live.OpInsert, Layer: layer, U: u, V: v},
+					live.Update{Op: live.OpDelete, Layer: layer, U: u, V: v})
+				break
+			}
+		}
+
+		st := live.NewStore(g)
+		res := st.Apply(ctx, ups)
+		g2 := st.Freeze()
+		derived, info := pr.Derive(g2, res.Edges, 1)
+		bound := corenessBoundOracle(g, g2, res.Edges)
+		maxc2 := derived.MaxCoreness()
+		cold := NewPrepared(g2, 1)
+
+		kept := 0
+		for d := 1; d <= pr.MaxCoreness()+1; d++ {
+			old := pr.artifact(d).hier
+			got := derived.artifact(min(d, maxc2+1))
+			if !got.done.Load() {
+				t.Fatalf("seed %d d=%d: warm threshold missing after Derive", seed, d)
+			}
+			isKept := &got.hier.coreh[0] == &old.coreh[0]
+			if wantKept := d > bound && d <= maxc2+1; isKept != wantKept {
+				t.Fatalf("seed %d d=%d: kept %v, want %v (bound %d, max coreness %d)", seed, d, isKept, wantKept, bound, maxc2)
+			}
+			if isKept {
+				kept++
+			}
+			want := cold.hierarchyFor(ctx, min(d, maxc2+1))
+			if !sameHierarchy(got.hier, want) || !reflect.DeepEqual(got.hier.idx.unionAdj, want.idx.unionAdj) {
+				t.Fatalf("seed %d d=%d (kept %v): hierarchy differs from a cold build", seed, d, isKept)
+			}
+		}
+		if info.RetainedHierarchies != kept || info.InvalidatedHierarchies != pr.MaxCoreness()+1-kept {
+			t.Fatalf("seed %d: info %+v, want %d retained of %d", seed, info, kept, pr.MaxCoreness()+1)
+		}
+		retained += info.RetainedHierarchies
+		rebuilt += info.RebuiltHierarchies
+	}
+	if retained == 0 || rebuilt == 0 {
+		t.Fatalf("vacuous run: %d hierarchies retained, %d rebuilt", retained, rebuilt)
+	}
+	t.Logf("%d hierarchies retained, %d rebuilt", retained, rebuilt)
 }
 
 // TestSnapshotCarriesVersion pins snapshot format v2: the graph version
@@ -288,9 +410,7 @@ func TestSnapshotCarriesVersion(t *testing.T) {
 	st := live.NewStore(g)
 	res := applyRandom(t, st, rng, 10)
 	g2 := st.Freeze()
-	derived, _ := pr.Derive(g2, DirtySet{
-		Layers: res.DirtyLayers, UnionVerts: res.Touched, MaxDirtyD: res.MaxDirtyD,
-	}, 7)
+	derived, _ := pr.Derive(g2, res.Edges, 7)
 	buf.Reset()
 	if err := derived.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -305,7 +425,7 @@ func TestSnapshotCarriesVersion(t *testing.T) {
 
 	// Restoring an older snapshot never rewinds: derive the same handle
 	// forward to version 9 and feed it the version-7 image.
-	ahead, _ := derived.Derive(g2, DirtySet{Layers: make([]bool, g2.L())}, 9)
+	ahead, _ := derived.Derive(g2, nil, 9)
 	if err := ahead.RestoreSnapshot(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}

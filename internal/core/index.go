@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/bits"
+	"sync"
 
 	"repro/internal/kcore"
 	"repro/internal/multilayer"
@@ -14,7 +15,8 @@ import (
 // process repeats before h advances. Each batch is one level; I_h is the
 // union of the levels processed at threshold h. Each vertex records the
 // layer set L(v) whose d-cores contained it just before its batch was
-// removed.
+// removed. The batch numbers themselves are not stored: refineC's seed
+// flood (DESIGN.md § RefineC) needs only h and L(v).
 //
 // The index justifies two prunings used by RefineC:
 //
@@ -30,13 +32,10 @@ import (
 // the batch sequence at thresholds ≥ s is identical to the one an index
 // built on the s-preprocessed graph would produce (see DESIGN.md). Each
 // top-down query searches a view of it restricted to the survivors, in
-// compact ids (queryArena.indexView), which carries h, lmask and
-// unionAdj only.
+// compact ids (queryArena.indexView).
 type tdIndex struct {
 	h        []int32   // threshold at which the vertex was removed
-	level    []int32   // 1-based batch number (global, increasing)
 	lmask    []uint64  // L(v) as an original-layer bitmask (l ≤ 64 only)
-	levels   [][]int32 // levels[i] = vertices of batch i+1
 	unionAdj [][]int32 // index edges: union adjacency among indexed vertices
 }
 
@@ -64,11 +63,11 @@ type hierarchy struct {
 // the caller's materialized union adjacency, referenced as the index
 // edges; like the lmask field it requires l(g) ≤ 64 and is skipped (nil)
 // beyond that — the top-down algorithm rejects such graphs before
-// touching either. The h, level and coreh arrays are always populated,
-// which is all the bottom-up and greedy paths consume.
+// touching either. The h and coreh arrays are always populated, which
+// is all the bottom-up and greedy paths consume.
 //
 // The batch loop polls ctx between batches: a partial hierarchy is
-// never a valid artifact (levels above the abort point would be
+// never a valid artifact (batches after the abort point would be
 // missing), so cancellation returns nil and the caller must not cache
 // the result. A nil ctx runs to completion.
 func buildHierarchy(ctx context.Context, g *multilayer.Graph, d int, coreness [][]int, unionAdj [][]int32, workers int) *hierarchy {
@@ -77,40 +76,80 @@ func buildHierarchy(ctx context.Context, g *multilayer.Graph, d int, coreness []
 }
 
 // buildHierarchies builds the removal hierarchies for every threshold in
-// ds — which must be ascending, deduplicated and ≥ 1 — sharing one
-// kcore.Sweep for tracker initialization and one batch-loop scratch, so
-// the per-d initialization cost O(Σ m_i) is paid once for the whole set
-// instead of once per d (the level sets {coreness ≥ d} are nested; see
-// DESIGN.md § Shared multi-d hierarchy pass). emit is invoked with each
-// completed hierarchy in ascending-d order; every emitted hierarchy is
+// ds — which must be non-empty, ascending, deduplicated and ≥ 1 — on up
+// to workers goroutines fed by one shared kcore.Sweep, so the per-d
+// initialization cost O(Σ m_i) is paid once for the whole set instead of
+// once per d (the level sets {coreness ≥ d} are nested; see DESIGN.md
+// § Shared multi-d hierarchy pass). Each worker owns a tracker shell and
+// a batch-loop scratch and repeats two steps: under the lock, take the
+// next threshold in ascending order and have the sweep position its
+// shell there; then, outside the lock, run the §V-C batch loop. The
+// per-d batch loops are independent, so they run side by side; with one
+// worker this is the serial ascending loop.
+//
+// emit is invoked with each completed hierarchy, in completion order,
+// under the lock: calls never overlap, and a slow emit holds back the
+// other workers' next thresholds. Every emitted hierarchy is
 // byte-identical to a buildHierarchy call for the same d.
 //
-// Cancellation is polled between batches like buildHierarchy's: on a
-// cancelled context the function stops and returns ctx.Err(), after
-// having emitted only fully completed thresholds — the caller may cache
-// exactly what was emitted.
+// Cancellation is polled between batches like buildHierarchy's, and
+// before each threshold is taken: on a cancelled context no worker takes
+// another threshold and in-flight builds are abandoned, so the function
+// returns ctx.Err() after having emitted only fully completed thresholds
+// — the caller may cache exactly what was emitted.
 func buildHierarchies(ctx context.Context, g *multilayer.Graph, ds []int, coreness [][]int, unionAdj [][]int32, workers int, emit func(d int, hr *hierarchy)) error {
-	sweep := kcore.NewSweep(g, coreness, workers)
-	sc := newHierScratch(g)
-	for _, d := range ds {
-		if ctx != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		hr := runHierarchy(ctx, g, sweep.TrackerAt(d), unionAdj, sc)
-		if hr == nil {
-			return ctx.Err()
-		}
-		emit(d, hr)
+	sweep := kcore.NewSweep(g, ds[0], coreness, workers)
+	var (
+		mu      sync.Mutex // guards sweep, next and emitted, and serializes emit
+		next    int        // index into ds of the next threshold to take
+		emitted int
+		wg      sync.WaitGroup
+	)
+	for w := 0; w < min(workers, len(ds)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var (
+				tr *kcore.Tracker
+				hr *hierarchy
+				d  int
+			)
+			sc := newHierScratch(g)
+			for {
+				mu.Lock()
+				if hr != nil {
+					emit(d, hr)
+					emitted++
+				}
+				if next == len(ds) || (ctx != nil && ctx.Err() != nil) {
+					mu.Unlock()
+					return
+				}
+				d = ds[next]
+				next++
+				tr = sweep.TrackerAt(d, tr)
+				mu.Unlock()
+				if hr = runHierarchy(ctx, g, tr, unionAdj, sc); hr == nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if emitted < len(ds) {
+		return ctx.Err()
 	}
 	return nil
 }
 
 // hierScratch is the reusable state of the batch loop: the bucket queue
-// over support counts and the in-batch markers. runHierarchy resets it
-// on entry, so one scratch serves any sequence of builds.
+// over support counts, the in-batch markers and the batch itself.
+// runHierarchy resets it on entry, so one scratch serves any sequence of
+// builds, one build at a time.
 type hierScratch struct {
 	buckets [][]int32
 	inBatch []bool
+	batch   []int32
 }
 
 func newHierScratch(g *multilayer.Graph) *hierScratch {
@@ -127,10 +166,7 @@ func newHierScratch(g *multilayer.Graph) *hierScratch {
 // return means the context was cancelled and nothing may be cached.
 func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, unionAdj [][]int32, sc *hierScratch) *hierarchy {
 	n := g.N()
-	idx := &tdIndex{
-		h:     make([]int32, n),
-		level: make([]int32, n),
-	}
+	idx := &tdIndex{h: make([]int32, n)}
 	hr := &hierarchy{idx: idx, coreh: make([][]int32, g.L())}
 	for i := range hr.coreh {
 		hr.coreh[i] = make([]int32, n)
@@ -165,7 +201,7 @@ func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, u
 		hr.coreh[layer][v] = curH
 	}
 
-	level := int32(0)
+	batch := sc.batch
 	// Threshold 0 first: vertices supported by no layer at all, the ones
 	// vertex deletion would remove even at s = 1. Their removal cannot
 	// cascade (they sit outside every core), so the batch is one sweep.
@@ -177,7 +213,7 @@ func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, u
 			}
 			// Collect the batch: all still-alive vertices whose current
 			// support is ≤ h.
-			var batch []int32
+			batch = batch[:0]
 			for c := 0; c <= h; c++ {
 				kept := buckets[c][:0]
 				for _, v32 := range buckets[c] {
@@ -197,7 +233,6 @@ func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, u
 			if len(batch) == 0 {
 				break
 			}
-			level++
 			// Record L(v) for the whole batch before any removal: the
 			// paper evaluates the core memberships "just before v is
 			// removed from G in batch". The same memberships seed coreh —
@@ -206,7 +241,6 @@ func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, u
 			for _, v32 := range batch {
 				v := int(v32)
 				idx.h[v] = int32(h)
-				idx.level[v] = level
 				if wide {
 					for i := 0; i < g.L(); i++ {
 						if tr.Core(i).Contains(v) {
@@ -222,12 +256,11 @@ func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, u
 					}
 				}
 			}
-			idx.levels = append(idx.levels, batch)
 			for _, v32 := range batch {
 				tr.RemoveVertex(int(v32))
 			}
 		}
 	}
-
+	sc.batch = batch
 	return hr
 }

@@ -4,16 +4,25 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/testutil"
 )
 
+// sameHierarchy reports whether two hierarchies agree array by array on
+// everything the search reads besides the shared union adjacency: h,
+// lmask and coreh.
+func sameHierarchy(a, b *hierarchy) bool {
+	return slices.Equal(a.idx.h, b.idx.h) && slices.Equal(a.idx.lmask, b.idx.lmask) && reflect.DeepEqual(a.coreh, b.coreh)
+}
+
 // TestBuildHierarchiesMatchesPerD pins the tentpole byte-identity
-// contract: the shared multi-d sweep must produce, for every threshold,
-// a hierarchy deeply equal to an independent buildHierarchy call — same
-// batches, same levels, same layer masks, same coreh thresholds.
+// contract: the sweep-fed multi-d pass must produce, for every threshold
+// and at every worker count, a hierarchy deeply equal to an independent
+// buildHierarchy call — same removal thresholds, same layer masks, same
+// coreh thresholds — and emit each threshold exactly once.
 func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	g := testutil.RandomCorrelatedGraph(rng, 100, 4, 0.25, 0.85, 0.1)
@@ -29,24 +38,34 @@ func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 	for d := 1; d <= maxc+1; d++ {
 		ds = append(ds, d)
 	}
-	shared := map[int]*hierarchy{}
-	err := buildHierarchies(context.Background(), g, ds, coreness, unionAdj, 2, func(d int, hr *hierarchy) {
-		shared[d] = hr
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range ds {
-		got := shared[d]
-		if got == nil {
-			t.Fatalf("d=%d: shared pass emitted nothing", d)
+	for _, workers := range []int{1, 2, 4} {
+		shared := map[int]*hierarchy{}
+		var order []int
+		err := buildHierarchies(context.Background(), g, ds, coreness, unionAdj, workers, func(d int, hr *hierarchy) {
+			if shared[d] != nil {
+				t.Errorf("workers=%d d=%d: emitted twice", workers, d)
+			}
+			shared[d] = hr
+			order = append(order, d)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := buildHierarchy(nil, g, d, coreness, unionAdj, 1)
-		if !reflect.DeepEqual(got.coreh, want.coreh) {
-			t.Fatalf("d=%d: coreh differs between shared and per-d build", d)
+		if workers == 1 && !slices.Equal(order, ds) {
+			t.Fatalf("one worker emitted %v, want the ascending order %v", order, ds)
 		}
-		if !reflect.DeepEqual(got.idx, want.idx) {
-			t.Fatalf("d=%d: index differs between shared and per-d build", d)
+		for _, d := range ds {
+			got := shared[d]
+			if got == nil {
+				t.Fatalf("workers=%d d=%d: shared pass emitted nothing", workers, d)
+			}
+			want := buildHierarchy(nil, g, d, coreness, unionAdj, 1)
+			if !reflect.DeepEqual(got.coreh, want.coreh) {
+				t.Fatalf("workers=%d d=%d: coreh differs between shared and per-d build", workers, d)
+			}
+			if !reflect.DeepEqual(got.idx, want.idx) {
+				t.Fatalf("workers=%d d=%d: index differs between shared and per-d build", workers, d)
+			}
 		}
 	}
 }
@@ -73,9 +92,7 @@ func TestPrepareDsMatchesLazy(t *testing.T) {
 	for d := range distinct {
 		got := prA.hierarchyFor(context.Background(), d)
 		want := prB.hierarchyFor(context.Background(), d)
-		if !reflect.DeepEqual(got.coreh, want.coreh) || !reflect.DeepEqual(got.idx.h, want.idx.h) ||
-			!reflect.DeepEqual(got.idx.level, want.idx.level) || !reflect.DeepEqual(got.idx.levels, want.idx.levels) ||
-			!reflect.DeepEqual(got.idx.lmask, want.idx.lmask) {
+		if !sameHierarchy(got, want) {
 			t.Fatalf("d=%d: PrepareDs hierarchy differs from lazy build", d)
 		}
 	}
@@ -152,7 +169,7 @@ func TestPrepareDsCancellationCachesCompleted(t *testing.T) {
 	for _, d := range ds {
 		got := pr.hierarchyFor(context.Background(), d)
 		want := cold.hierarchyFor(context.Background(), d)
-		if !reflect.DeepEqual(got.coreh, want.coreh) || !reflect.DeepEqual(got.idx.h, want.idx.h) {
+		if !sameHierarchy(got, want) {
 			t.Fatalf("d=%d: resumed hierarchy differs from cold build", d)
 		}
 	}
@@ -166,6 +183,85 @@ func TestPrepareDsCancellationCachesCompleted(t *testing.T) {
 	}
 	if got := pre.Counters().HierarchyBuilds; got != 0 {
 		t.Fatalf("pre-cancelled PrepareDs built %d hierarchies", got)
+	}
+}
+
+// cancelAfterBuilds is a context that reports cancellation once the
+// handle has counted n hierarchy builds: a way to cancel a parallel
+// multi-d pass after its first completions, wherever the other workers
+// are.
+type cancelAfterBuilds struct {
+	context.Context
+	pr *Prepared
+	n  int64
+}
+
+func (c cancelAfterBuilds) Err() error {
+	if c.pr.Counters().HierarchyBuilds >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPrepareDsCancellationParallel is the cancellation contract at two
+// workers, where completions race: after a cancelled pass, the cached set
+// is exactly the set of hierarchies the pass completed, each equal to a
+// cold build; HierarchyBuilds counts exactly those; and a resumed
+// PrepareDs builds exactly the rest.
+func TestPrepareDsCancellationParallel(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
+	g := testutil.RandomCorrelatedGraph(rng, 300, 4, 0.08, 0.85, 0.05)
+	cold := NewPrepared(g, 1)
+	maxc := cold.MaxCoreness()
+	if maxc < 3 {
+		t.Fatalf("test graph too sparse: max coreness %d", maxc)
+	}
+	ds := make([]int, 0, maxc+1)
+	for d := 1; d <= maxc+1; d++ {
+		ds = append(ds, d)
+	}
+	sameAsCold := func(pr *Prepared, d int) bool {
+		got := pr.artifact(d).hier
+		return got != nil && sameHierarchy(got, cold.hierarchyFor(context.Background(), d))
+	}
+
+	for rep := 0; rep < 5; rep++ {
+		pr := NewPrepared(g, 2)
+		completed := map[int]bool{}
+		ctx := cancelAfterBuilds{Context: context.Background(), pr: pr, n: 1}
+		err := buildHierarchies(ctx, g, ds, pr.layerCoreness(), pr.unionAdjacency(), 2, func(d int, hr *hierarchy) {
+			completed[d] = true
+			pr.install(d, hr)
+		})
+		if err != context.Canceled {
+			t.Fatalf("rep %d: cancelled pass returned %v, want context.Canceled", rep, err)
+		}
+		if len(completed) == 0 || len(completed) == len(ds) {
+			t.Fatalf("rep %d: %d of %d thresholds completed, want some but not all", rep, len(completed), len(ds))
+		}
+		for _, d := range ds {
+			if cached := pr.artifact(d).done.Load(); cached != completed[d] {
+				t.Fatalf("rep %d d=%d: cached %v, completed %v", rep, d, cached, completed[d])
+			}
+			if completed[d] && !sameAsCold(pr, d) {
+				t.Fatalf("rep %d d=%d: cached hierarchy differs from a cold build", rep, d)
+			}
+		}
+		if got := pr.Counters().HierarchyBuilds; got != int64(len(completed)) {
+			t.Fatalf("rep %d: HierarchyBuilds = %d, want %d cached", rep, got, len(completed))
+		}
+
+		if err := pr.PrepareDs(context.Background(), ds...); err != nil {
+			t.Fatal(err)
+		}
+		if got := pr.Counters().HierarchyBuilds; got != int64(len(ds)) {
+			t.Fatalf("rep %d: HierarchyBuilds = %d after resume, want %d", rep, got, len(ds))
+		}
+		for _, d := range ds {
+			if !sameAsCold(pr, d) {
+				t.Fatalf("rep %d d=%d: resumed hierarchy differs from a cold build", rep, d)
+			}
+		}
 	}
 }
 

@@ -122,12 +122,13 @@ func (pr *Prepared) Prepare(d int) {
 
 // PrepareDs eagerly builds the per-d removal hierarchies for every
 // listed degree threshold (each ≥ 1; duplicates and thresholds beyond
-// the maxCoreness+1 sentinel clamp coalesce) in ONE shared sweep: the
-// per-d tracker initializations, ordinarily O(Σ m_i) each, are derived
-// incrementally from a single pass because the d-cores are nested level
-// sets (see buildHierarchies). Thresholds already cached are skipped.
-// Every produced hierarchy is byte-identical to the one the lazy
-// hierarchyFor path would build.
+// the maxCoreness+1 sentinel clamp coalesce) fed by ONE shared sweep:
+// the per-d tracker initializations, ordinarily O(Σ m_i) each, are
+// derived incrementally from a single pass because the d-cores are
+// nested level sets, and the per-d batch loops run on up to the
+// handle's workers at once (see buildHierarchies). Thresholds already
+// cached are skipped. Every produced hierarchy is byte-identical to the
+// one the lazy hierarchyFor path would build.
 //
 // Cancelling ctx mid-sweep returns ctx.Err() after caching only the
 // thresholds whose hierarchies were fully completed — the per-d
@@ -399,7 +400,7 @@ func (pr *Prepared) newPrep(ctx context.Context, opts Options, index bool) *prep
 // compact ids — h and L(v) per survivor, and the union adjacency among
 // survivors (refineC's flood never leaves its scope, which lies inside
 // the survivors) — and sizes the top-down refine scratch for n′. The
-// view lives in the arena; level and levels are not carried.
+// view lives in the arena.
 func (a *queryArena) indexView(hr *hierarchy) *tdIndex {
 	n := len(a.verts)
 	x := &a.idx

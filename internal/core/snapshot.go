@@ -38,10 +38,6 @@ import (
 //	  coreh: l sections of n int32 — per-layer core-drop thresholds
 //	trailer: FNV-1a checksum (uint64) over everything before it
 //
-// The tdIndex level/levels fields are deliberately NOT persisted: no
-// query path reads them (refineC's seed flood replaced the printed
-// level walk in PR 2), so a restored index leaves them empty.
-//
 // The graph fingerprint only ties the snapshot to its graph; the
 // trailing checksum covers the snapshot body itself, so a corrupt or
 // bit-rotted artifact is rejected up front instead of surfacing as a

@@ -83,9 +83,10 @@ func BenchmarkTrackerInitSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw := NewSweep(fx.g, fx.coreness, 1)
+		sw := NewSweep(fx.g, 1, fx.coreness, 1)
+		var tr *Tracker
 		for d := 1; d <= fx.maxc+1; d++ {
-			sw.TrackerAt(d)
+			tr = sw.TrackerAt(d, tr)
 		}
 	}
 }

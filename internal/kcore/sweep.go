@@ -32,9 +32,11 @@ const sweepChunk = 2048
 // relies on that to make shared multi-d builds indistinguishable from
 // independent ones.
 //
-// A Sweep is single-consumer state: thresholds must be requested in
-// ascending order, and each TrackerAt call reuses one tracker shell, so
-// the previous tracker is invalid once the next one is requested.
+// The base state is single-consumer: calls to TrackerAt must be
+// serialized by the caller and request thresholds in ascending order.
+// A positioned tracker shares nothing mutable with the sweep, so several
+// trackers, each in its own caller-owned shell, may peel concurrently
+// while the sweep positions the next one.
 type Sweep struct {
 	g        *multilayer.Graph
 	coreness [][]int
@@ -45,19 +47,20 @@ type Sweep struct {
 	deg   [][]int32     // base in-core degrees, -1 sentinel outside (see Tracker.deg)
 	num   []int32       // base support counts
 
-	// byLevel[i][c] lists the vertices with coreness_i(v) == c — the
-	// leavers of layer i when the threshold advances past c. Built once;
-	// total size Σ_i |{v : coreness_i(v) ≥ 1}|.
+	// byLevel[i][c] lists the vertices with coreness_i(v) == c ≥ the
+	// starting threshold — the leavers of layer i when the threshold
+	// advances past c. Built once; total size Σ_i |initial core of layer i|.
 	byLevel [][][]int32
-
-	tr *Tracker // reusable shell handed out by TrackerAt
 }
 
-// NewSweep positions a sweep at threshold d = 1 over precomputed
-// per-layer coreness arrays (see Coreness with a nil mask). workers
-// bounds the parallelism of the initial degree pass, which is sharded
-// across CSR vertex ranges; ≤ 1 runs serially.
-func NewSweep(g *multilayer.Graph, coreness [][]int, workers int) *Sweep {
+// NewSweep positions a sweep at threshold d ≥ 1, the smallest it will be
+// asked for, over precomputed per-layer coreness arrays (see Coreness
+// with a nil mask). Starting at the first threshold needed rather than
+// at 1 skips the vertices below it in the initial degree pass, and the
+// advance past them. workers bounds the parallelism of the initial
+// degree pass, which is sharded across CSR vertex ranges; ≤ 1 runs
+// serially.
+func NewSweep(g *multilayer.Graph, d int, coreness [][]int, workers int) *Sweep {
 	n, l := g.N(), g.L()
 	if workers < 1 {
 		workers = 1
@@ -66,7 +69,7 @@ func NewSweep(g *multilayer.Graph, coreness [][]int, workers int) *Sweep {
 		g:        g,
 		coreness: coreness,
 		workers:  workers,
-		d:        1,
+		d:        d,
 		cores:    make([]*bitset.Set, l),
 		deg:      make([][]int32, l),
 		num:      make([]int32, n),
@@ -87,7 +90,7 @@ func NewSweep(g *multilayer.Graph, coreness [][]int, workers int) *Sweep {
 		}
 		levels := make([][]int32, maxc+1)
 		for v, c := range cn {
-			if c >= 1 {
+			if c >= d {
 				core.Add(v)
 				levels[c] = append(levels[c], int32(v))
 			}
@@ -104,7 +107,7 @@ func NewSweep(g *multilayer.Graph, coreness [][]int, workers int) *Sweep {
 	}
 
 	// Initial in-core degree pass, parallel across (layer, CSR range)
-	// chunks: deg[i][v] = |{u ∈ N_i(v) : coreness_i(u) ≥ 1}|, writes are
+	// chunks: deg[i][v] = |{u ∈ N_i(v) : coreness_i(u) ≥ d}|, writes are
 	// chunk-disjoint so no synchronization is needed.
 	nchunks := (n + sweepChunk - 1) / sweepChunk
 	pool.Run(workers, l*nchunks, func(task int) {
@@ -117,13 +120,13 @@ func NewSweep(g *multilayer.Graph, coreness [][]int, workers int) *Sweep {
 		offs, nbrs := g.LayerCSR(i)
 		di := s.deg[i]
 		for v := lo; v < hi; v++ {
-			if cn[v] < 1 {
+			if cn[v] < d {
 				di[v] = -1
 				continue
 			}
 			dv := int32(0)
 			for _, u := range nbrs[offs[v]:offs[v+1]] {
-				if cn[u] >= 1 {
+				if cn[u] >= d {
 					dv++
 				}
 			}
@@ -173,18 +176,17 @@ func (s *Sweep) levelOf(i, c int) []int32 {
 }
 
 // TrackerAt advances the sweep to threshold d (which must be ≥ every
-// previously requested threshold and ≥ 1) and returns a tracker
-// positioned exactly like NewTrackerFromCoreness(g, d, coreness,
-// workers) would be. The tracker shell is reused across calls: the
-// caller must be done with the previous tracker before requesting the
-// next threshold.
-func (s *Sweep) TrackerAt(d int) *Tracker {
+// previously requested threshold and ≥ 1) and positions the shell t
+// exactly like NewTrackerFromCoreness(g, d, coreness, workers) would be,
+// overwriting whatever t held; a nil t allocates a new shell. It returns
+// the positioned tracker, so a caller owning one shell reuses it with
+// t = s.TrackerAt(d, t).
+func (s *Sweep) TrackerAt(d int, t *Tracker) *Tracker {
 	if d < s.d {
 		panic("kcore: sweep thresholds must be requested in ascending order")
 	}
 	s.advance(d)
 	n, l := s.g.N(), s.g.L()
-	t := s.tr
 	if t == nil {
 		t = &Tracker{
 			g:     s.g,
@@ -197,7 +199,6 @@ func (s *Sweep) TrackerAt(d int) *Tracker {
 			t.cores[i] = bitset.New(n)
 			t.deg[i] = make([]int32, n)
 		}
-		s.tr = t
 	}
 	t.d = d
 	t.NumListener, t.CoreListener = nil, nil

@@ -1,77 +1,151 @@
 package kcore
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/multilayer"
 	"repro/internal/testutil"
 )
 
-// trackersEqual compares the full observable state of two positioned
-// trackers: alive set, per-layer cores, in-core degrees (including the
-// -1 sentinel), and support counts.
-func trackersEqual(t *testing.T, got, want *Tracker, label string) {
-	t.Helper()
+// trackerDiff compares the full observable state of two positioned
+// trackers — alive set, per-layer cores, in-core degrees (including the
+// -1 sentinel), and support counts — and describes the first difference,
+// or returns "" when there is none.
+func trackerDiff(got, want *Tracker) string {
 	if !got.alive.Equal(want.alive) {
-		t.Fatalf("%s: alive sets differ", label)
+		return "alive sets differ"
 	}
 	for i := range want.cores {
 		if !got.cores[i].Equal(want.cores[i]) {
-			t.Fatalf("%s: layer %d cores differ", label, i)
+			return fmt.Sprintf("layer %d cores differ", i)
 		}
 		for v := range want.deg[i] {
 			if got.deg[i][v] != want.deg[i][v] {
-				t.Fatalf("%s: layer %d deg[%d] = %d, want %d", label, i, v, got.deg[i][v], want.deg[i][v])
+				return fmt.Sprintf("layer %d deg[%d] = %d, want %d", i, v, got.deg[i][v], want.deg[i][v])
 			}
 		}
 	}
 	for v := range want.num {
 		if got.num[v] != want.num[v] {
-			t.Fatalf("%s: num[%d] = %d, want %d", label, v, got.num[v], want.num[v])
+			return fmt.Sprintf("num[%d] = %d, want %d", v, got.num[v], want.num[v])
 		}
+	}
+	return ""
+}
+
+func trackersEqual(t *testing.T, got, want *Tracker, label string) {
+	t.Helper()
+	if diff := trackerDiff(got, want); diff != "" {
+		t.Fatalf("%s: %s", label, diff)
+	}
+}
+
+// sweepFixture returns a random correlated graph with its per-layer
+// coreness and maximum coreness.
+func sweepFixture(t *testing.T, seed int64) (*multilayer.Graph, [][]int, int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g := testutil.RandomCorrelatedGraph(rng, 120, 4, 0.2, 0.85, 0.1)
+	coreness := make([][]int, g.L())
+	maxc := 0
+	for i := range coreness {
+		coreness[i] = Coreness(g, i, nil)
+		for _, c := range coreness[i] {
+			maxc = max(maxc, c)
+		}
+	}
+	if maxc < 2 {
+		t.Fatalf("seed %d: test graph too sparse (max coreness %d)", seed, maxc)
+	}
+	return g, coreness, maxc
+}
+
+// replayRemovals removes every seventh vertex, the removal sequence the
+// sweep tests replay on both trackers of a comparison.
+func replayRemovals(tr *Tracker) {
+	for v := 0; v < tr.g.N(); v += 7 {
+		tr.RemoveVertex(v)
 	}
 }
 
 // TestSweepMatchesFromCoreness pins the byte-identity contract the shared
-// multi-d hierarchy pass relies on: for every threshold, the tracker a
-// Sweep hands out is indistinguishable from an independently built
-// NewTrackerFromCoreness tracker — both in its initial state and in its
-// behaviour under an identical removal sequence.
+// multi-d hierarchy pass relies on: for every threshold from the sweep's
+// starting one up, the tracker a Sweep positions is indistinguishable
+// from an independently built NewTrackerFromCoreness tracker — both in
+// its initial state and in its behaviour under an identical removal
+// sequence. Two shells alternate, and each is checked again after the
+// sweep has positioned the other at the next threshold: a positioned
+// tracker shares nothing mutable with the sweep.
 func TestSweepMatchesFromCoreness(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(40 + seed))
-		g := testutil.RandomCorrelatedGraph(rng, 120, 4, 0.2, 0.85, 0.1)
-		coreness := make([][]int, g.L())
-		maxc := 0
-		for i := range coreness {
-			coreness[i] = Coreness(g, i, nil)
-			for _, c := range coreness[i] {
-				if c > maxc {
-					maxc = c
-				}
-			}
-		}
-		if maxc < 2 {
-			t.Fatalf("seed %d: test graph too sparse (max coreness %d)", seed, maxc)
-		}
-
-		sw := NewSweep(g, coreness, 3)
-		for d := 1; d <= maxc+1; d++ {
-			got := sw.TrackerAt(d)
+		g, coreness, maxc := sweepFixture(t, 40+seed)
+		start := 1 + int(seed) // maxc ≥ 2, so every start is addressable
+		sw := NewSweep(g, start, coreness, 3)
+		var shells [2]*Tracker
+		var prevGot, prevWant *Tracker
+		for d := start; d <= maxc+1; d++ {
+			got := sw.TrackerAt(d, shells[d%2])
+			shells[d%2] = got
 			want := NewTrackerFromCoreness(g, d, coreness, 1)
 			trackersEqual(t, got, want, "initial state")
+			if prevGot != nil {
+				trackersEqual(t, prevGot, prevWant, "previous shell after the sweep advanced")
+			}
 
 			// The shell must also *behave* identically: replay one removal
-			// sequence on both (the next TrackerAt resets the shell from
-			// the sweep's base state, so mutating it here is safe).
-			for v := 0; v < g.N(); v += 7 {
-				got.RemoveVertex(v)
-				want.RemoveVertex(v)
-			}
+			// sequence on both.
+			replayRemovals(got)
+			replayRemovals(want)
 			trackersEqual(t, got, want, "after removals")
+			prevGot, prevWant = got, want
 		}
 	}
+}
+
+// TestSweepShellsConcurrent is the multi-d hierarchy pass's access
+// pattern: several goroutines take thresholds in ascending order from
+// one sweep under a lock, each positioning its own shell, and peel
+// their trackers concurrently outside the lock. Run with -race it checks
+// that positioned shells share no mutable state with the sweep or with
+// each other.
+func TestSweepShellsConcurrent(t *testing.T) {
+	g, coreness, maxc := sweepFixture(t, 43)
+	sw := NewSweep(g, 1, coreness, 2)
+	var (
+		mu   sync.Mutex
+		next = 1
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var tr *Tracker
+			for {
+				mu.Lock()
+				d := next
+				if d > maxc+1 {
+					mu.Unlock()
+					return
+				}
+				next++
+				tr = sw.TrackerAt(d, tr)
+				mu.Unlock()
+				want := NewTrackerFromCoreness(g, d, coreness, 1)
+				replayRemovals(tr)
+				replayRemovals(want)
+				if diff := trackerDiff(tr, want); diff != "" {
+					t.Errorf("d=%d: concurrently peeled shell: %s", d, diff)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSweepAscendingOnly pins the single-consumer contract: thresholds
@@ -83,14 +157,14 @@ func TestSweepAscendingOnly(t *testing.T) {
 	for i := range coreness {
 		coreness[i] = Coreness(g, i, nil)
 	}
-	sw := NewSweep(g, coreness, 1)
-	sw.TrackerAt(3)
+	sw := NewSweep(g, 1, coreness, 1)
+	sw.TrackerAt(3, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("descending TrackerAt did not panic")
 		}
 	}()
-	sw.TrackerAt(2)
+	sw.TrackerAt(2, nil)
 }
 
 // TestCorenessFullMatchesMasked pins the unmasked fast path of Coreness

@@ -6,10 +6,8 @@
 //
 // The store deliberately knows nothing about Prepared artifacts,
 // caching, or HTTP: it turns a batch of updates into (a) the mutated
-// graph and (b) a DirtySet-shaped summary — which layers changed, which
-// vertices were touched, and the degree bound max min(deg(u), deg(v))
-// over changed edges — and the engine layer decides what that
-// invalidates.
+// graph and (b) the list of edges the batch changed, and core.Derive
+// decides what that invalidates.
 package live
 
 import (
@@ -50,23 +48,26 @@ type Update struct {
 	U, V  int
 }
 
-// BatchResult summarizes one applied batch. DirtyLayers, Touched and
-// MaxDirtyD are exactly the fields core.DirtySet wants; Changed is
-// false when every update was a no-op (the engine skips the version
-// bump and rebuild entirely in that case).
+// BatchResult summarizes one applied batch.
 type BatchResult struct {
 	Inserted int
 	Deleted  int
 	NoOps    int
 
-	DirtyLayers []bool  // per layer: edge set changed
-	Touched     []int32 // sorted, deduped endpoints of changed edges
-	MaxDirtyD   int     // max over changed edges of min endpoint degree, edge included
-	Changed     bool
+	// Edges lists the edge of every effective update, in batch order: an
+	// edge inserted and then deleted within the batch appears twice. It
+	// is what core.Derive reads, and empty when every update was a no-op
+	// (the engine then skips the version bump and rebuild entirely).
+	Edges []multilayer.Edge
 }
 
 // Store serializes all mutation and export of one mutable graph.
 type Store struct {
+	// n and l never change for a live graph. They are cached here
+	// because Validate runs without the lock, while Freeze swaps the
+	// dynamic graph's base that dyn.N and dyn.L read through.
+	n, l int
+
 	mu      sync.Mutex
 	dyn     *dynamic.Graph
 	watches []*Watch // slice, not a map: deterministic fan-out order
@@ -75,20 +76,20 @@ type Store struct {
 // NewStore returns a mutable store whose initial graph is src. src is
 // shared, not copied, and never written.
 func NewStore(src *multilayer.Graph) *Store {
-	return &Store{dyn: dynamic.FromMultilayer(src)}
+	return &Store{n: src.N(), l: src.L(), dyn: dynamic.FromMultilayer(src)}
 }
 
 // N returns the vertex count.
-func (s *Store) N() int { return s.dyn.N() }
+func (s *Store) N() int { return s.n }
 
 // L returns the layer count.
-func (s *Store) L() int { return s.dyn.L() }
+func (s *Store) L() int { return s.l }
 
 // Validate checks a batch against the store's dimensions without
 // applying anything, so callers can reject malformed input before any
 // mutation lands (batches are not transactional once Apply starts).
 func (s *Store) Validate(updates []Update) error {
-	n, l := s.dyn.N(), s.dyn.L()
+	n, l := s.n, s.l
 	for i, up := range updates {
 		if up.Op != OpInsert && up.Op != OpDelete {
 			return fmt.Errorf("update %d: unknown op %d", i, uint8(up.Op))
@@ -106,23 +107,16 @@ func (s *Store) Validate(updates []Update) error {
 	return nil
 }
 
-// Apply applies the batch in order under the store lock and returns the
-// dirty-set summary. Updates must have passed Validate. Mutations always
+// Apply applies the batch in order under the store lock and returns
+// what it changed. Updates must have passed Validate. Mutations always
 // land in full — ctx only bounds the incremental maintenance of any
 // attached watches, which stay in their documented valid-but-truncated
 // state when cut short.
-//
-// The degree bound per changed edge is min(deg(u), deg(v)) on its layer
-// counting the edge itself: post-insert degrees for inserts, pre-delete
-// degrees for deletes. Its batch maximum is the retention threshold
-// core.Derive applies to per-d hierarchies.
 func (s *Store) Apply(ctx context.Context, updates []Update) BatchResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res := BatchResult{DirtyLayers: make([]bool, s.dyn.L())}
-	var touched []int32
+	var res BatchResult
 	for _, up := range updates {
-		bound := 0
 		switch up.Op {
 		case OpInsert:
 			if !s.dyn.AddEdge(up.Layer, up.U, up.V) {
@@ -130,31 +124,21 @@ func (s *Store) Apply(ctx context.Context, updates []Update) BatchResult {
 				continue
 			}
 			res.Inserted++
-			bound = min(s.dyn.Degree(up.Layer, up.U), s.dyn.Degree(up.Layer, up.V))
 			for _, w := range s.watches {
 				w.m.ObserveAdd(ctx, up.Layer, up.U, up.V)
 			}
 		case OpDelete:
-			if !s.dyn.HasEdge(up.Layer, up.U, up.V) {
+			if !s.dyn.RemoveEdge(up.Layer, up.U, up.V) {
 				res.NoOps++
 				continue
 			}
-			bound = min(s.dyn.Degree(up.Layer, up.U), s.dyn.Degree(up.Layer, up.V))
-			s.dyn.RemoveEdge(up.Layer, up.U, up.V)
+			res.Deleted++
 			for _, w := range s.watches {
 				w.m.ObserveRemove(ctx, up.Layer, up.U, up.V)
 			}
-			res.Deleted++
 		}
-		res.DirtyLayers[up.Layer] = true
-		if bound > res.MaxDirtyD {
-			res.MaxDirtyD = bound
-		}
-		touched = append(touched, int32(up.U), int32(up.V))
+		res.Edges = append(res.Edges, multilayer.Edge{Layer: up.Layer, U: up.U, V: up.V})
 	}
-	res.Changed = res.Inserted+res.Deleted > 0
-	slices.Sort(touched)
-	res.Touched = slices.Compact(touched)
 	return res
 }
 

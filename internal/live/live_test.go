@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dynamic"
@@ -38,9 +39,10 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestApplyBookkeeping pins the dirty-set contract on a hand-built
-// graph where every degree is known: bounds count the changed edge
-// itself, post-insert for inserts and pre-delete for deletes.
+// TestApplyBookkeeping pins the changed-edge contract on a hand-built
+// graph: every effective update reports its edge, in batch order and as
+// given; no-ops report nothing; an edge inserted and then deleted within
+// one batch is reported once per update.
 func TestApplyBookkeeping(t *testing.T) {
 	// Layer 0: path 0-1-2; layer 1: empty.
 	dg := dynamic.NewGraph(5, 2)
@@ -49,42 +51,28 @@ func TestApplyBookkeeping(t *testing.T) {
 	s := NewStore(dg.Freeze())
 
 	res := s.Apply(context.Background(), []Update{
-		{Op: OpInsert, Layer: 0, U: 0, V: 2}, // closes the triangle: post-insert degs 2,2 → bound 2
+		{Op: OpInsert, Layer: 0, U: 0, V: 2}, // closes the triangle
 		{Op: OpInsert, Layer: 0, U: 0, V: 2}, // no-op: already present
 		{Op: OpDelete, Layer: 0, U: 3, V: 4}, // no-op: never existed
-		{Op: OpInsert, Layer: 1, U: 3, V: 4}, // fresh edge on empty layer: degs 1,1 → bound 1
+		{Op: OpInsert, Layer: 1, U: 3, V: 4}, // fresh edge on the empty layer
+		{Op: OpDelete, Layer: 1, U: 4, V: 3}, // ...deleted again within the batch
 	})
-	if res.Inserted != 2 || res.Deleted != 0 || res.NoOps != 2 || !res.Changed {
+	if res.Inserted != 2 || res.Deleted != 1 || res.NoOps != 2 {
 		t.Fatalf("counts: %+v", res)
 	}
-	if !res.DirtyLayers[0] || !res.DirtyLayers[1] {
-		t.Fatalf("dirty layers: %v", res.DirtyLayers)
-	}
-	if res.MaxDirtyD != 2 {
-		t.Fatalf("MaxDirtyD = %d, want 2 (triangle insert)", res.MaxDirtyD)
-	}
-	if want := []int32{0, 2, 3, 4}; len(res.Touched) != len(want) {
-		t.Fatalf("Touched = %v, want %v", res.Touched, want)
-	} else {
-		for i := range want {
-			if res.Touched[i] != want[i] {
-				t.Fatalf("Touched = %v, want %v", res.Touched, want)
-			}
-		}
+	want := []multilayer.Edge{{Layer: 0, U: 0, V: 2}, {Layer: 1, U: 3, V: 4}, {Layer: 1, U: 4, V: 3}}
+	if !slices.Equal(res.Edges, want) {
+		t.Fatalf("Edges = %v, want %v", res.Edges, want)
 	}
 
-	// Deleting a triangle edge uses pre-delete degrees: still bound 2.
-	res = s.Apply(context.Background(), []Update{{Op: OpDelete, Layer: 0, U: 0, V: 2}})
-	if res.Deleted != 1 || res.MaxDirtyD != 2 {
-		t.Fatalf("delete bound: %+v", res)
-	}
-	if res.DirtyLayers[1] {
-		t.Fatal("untouched layer marked dirty")
+	res = s.Apply(context.Background(), []Update{{Op: OpDelete, Layer: 0, U: 2, V: 0}})
+	if res.Deleted != 1 || !slices.Equal(res.Edges, []multilayer.Edge{{Layer: 0, U: 2, V: 0}}) {
+		t.Fatalf("delete: %+v", res)
 	}
 
-	// A batch of pure no-ops reports Changed == false.
+	// A batch of pure no-ops reports no edges.
 	res = s.Apply(context.Background(), []Update{{Op: OpDelete, Layer: 0, U: 0, V: 2}})
-	if res.Changed || res.NoOps != 1 || res.MaxDirtyD != 0 {
+	if res.NoOps != 1 || len(res.Edges) != 0 {
 		t.Fatalf("no-op batch: %+v", res)
 	}
 }

@@ -40,6 +40,11 @@ type Graph struct {
 	layers []csrLayer
 }
 
+// Edge is the undirected edge {U, V} on one layer.
+type Edge struct {
+	Layer, U, V int
+}
+
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
 
