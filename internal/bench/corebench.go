@@ -26,8 +26,8 @@ type coreBenchReport struct {
 	DistinctD   int `json:"distinct_d"`
 
 	// Cold: one fresh Prepared handle per threshold, so every build pays
-	// its own per-layer coreness pass and union-adjacency materialization
-	// — the fully independent single-d cost model. Estimated from an
+	// its own per-layer coreness pass — the fully independent single-d
+	// cost model. Estimated from an
 	// evenly spaced sample of ColdSampled thresholds.
 	ColdSampled   int     `json:"cold_sampled"`
 	ColdSingleD   float64 `json:"cold_single_d_secs"`
@@ -64,8 +64,8 @@ func coldSampleDs(dmax, k int) []int {
 // Core benchmarks the preprocessing primitives underneath every query,
 // warming every degree threshold d ∈ [1, maxCoreness+1] three ways:
 // cold (a fresh Prepared handle per threshold — fully independent
-// builds, each paying its own coreness pass and union adjacency;
-// estimated from an evenly spaced sample), warm lazy (one handle, one
+// builds, each paying its own coreness pass; estimated from an evenly
+// spaced sample), warm lazy (one handle, one
 // buildHierarchy per threshold over shared coreness), and the single
 // PrepareAll sweep that derives all trackers incrementally from the
 // nested level sets. The peel itself (kcore.DCC over the full vertex
@@ -169,7 +169,7 @@ func (s *Suite) Core() ([]*Table, *coreBenchReport, error) {
 		Notes: []string{
 			fmt.Sprintf("benchmark graph: n=%d l=%d Σ|E|=%d, max coreness %d",
 				st.N, st.Layers, st.TotalEdges, maxc),
-			fmt.Sprintf("cold = fresh handle per d (independent coreness + union adjacency each time), estimated from %d of %d thresholds",
+			fmt.Sprintf("cold = fresh handle per d (independent coreness each time), estimated from %d of %d thresholds",
 				len(sample), maxc+1),
 			"lazy and sweep share one handle's coreness; both warmed handles verified to serve identical query answers",
 		},

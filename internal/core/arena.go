@@ -8,13 +8,13 @@ import (
 // queryArena bundles the per-query buffers of the compact search space
 // (see newPrep): the survivor list and the original-to-compact index,
 // the compact graph's CSR arrays, the survivor and per-layer reduced-core
-// bitsets, the top-down index view, and the refineU/refineC scratch
-// (state bytes, Rule 2 counters, the l×n′ d⁺ counter block, and the
-// Lemma 8 scope set). Arenas are pooled per Prepared and checked out for
-// the duration of one query. Only index is sized by the graph (n
-// entries); every other buffer is sized by the query's survivor count n′
-// and grows on demand, so a steady query load reaches a fixed point of
-// zero large allocations.
+// bitsets, the top-down index view with its union rows, and the
+// refineU/refineC scratch (state bytes, Rule 2 counters, the l×n′ d⁺
+// counter block, and the Lemma 8 scope set). Arenas are pooled per
+// Prepared and checked out for the duration of one query. Only index is
+// sized by the graph (n entries); every other buffer is sized by the
+// query's survivor count n′ and grows on demand, so a steady query load
+// reaches a fixed point of zero large allocations.
 //
 // Invariants between checkouts: state is all-zero (refineC restores it
 // on every exit path, including aborts); everything else is rebuilt or
@@ -29,9 +29,11 @@ type queryArena struct {
 	cores []*bitset.Set
 
 	// Top-down only: the index view (see indexView), the flat backing of
-	// its union adjacency, and the refine scratch.
+	// its union rows with the stamps that deduplicate them, and the
+	// refine scratch.
 	idx       tdIndex
 	unionNbrs []int32
+	stamp     []int32
 	state     []uint8
 	counts    []int32
 	dplus     [][]int32

@@ -47,12 +47,11 @@ func (pr *Prepared) Version() uint64 { return pr.version.Load() }
 //   - per-layer coreness rows of layers without a changed edge are
 //     shared; the other layers are recomputed (in parallel) from g;
 //   - completed per-d hierarchies with d above the coreness bound
-//     (corenessBound) are kept, re-pointed at a union adjacency whose
-//     rows at changed-edge endpoints were patched from g (Lemma 9's seed
-//     flood must see the new edges); entries at or below the bound — and
-//     entries whose d exceeds the new maxCoreness+1 sentinel clamp — are
-//     dropped and eagerly rebuilt on the new handle, all sharing one
-//     sweep (see rebuildHierarchies).
+//     (corenessBound) are shared by pointer — they reference nothing of
+//     the old graph; entries at or below the bound — and entries whose d
+//     exceeds the new maxCoreness+1 sentinel clamp — are dropped and
+//     eagerly rebuilt on the new handle, all sharing one sweep (see
+//     rebuildHierarchies).
 //
 // pr itself is never mutated: queries running against the old handle
 // keep observing a consistent pre-update state. The returned handle is
@@ -67,13 +66,9 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 	var info DeriveInfo
 	l := g.L()
 	dirty := make([]bool, l)
-	touched := make([]int32, 0, 2*len(changed))
 	for _, e := range changed {
 		dirty[e.Layer] = true
-		touched = append(touched, int32(e.U), int32(e.V))
 	}
-	slices.Sort(touched)
-	touched = slices.Compact(touched)
 
 	coreness := make([][]int, l)
 	dirtyIdx := make([]int, 0, l)
@@ -107,20 +102,15 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 	np.hierarchyBuilds.Store(pr.hierarchyBuilds.Load())
 	bound := corenessBound(changed, old, coreness)
 
-	// Snapshot the completed per-d entries under pr.mu, then decide
-	// retention outside the lock. In-flight builds (done not yet set)
-	// belong to the old graph and are simply not carried.
+	// Decide retention over pr's completed per-d entries under pr.mu.
+	// In-flight builds (done not yet set) belong to the old graph and are
+	// simply not carried.
 	pr.mu.Lock()
 	ds := make([]int, 0, len(pr.byD))
 	for d := range pr.byD {
 		ds = append(ds, d)
 	}
 	slices.Sort(ds)
-	type kept struct {
-		d    int
-		hier *hierarchy
-	}
-	var keep []kept
 	var rebuild []int
 	for _, d := range ds {
 		a := pr.byD[d]
@@ -131,7 +121,12 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 		// update) and the sentinel clamp (still addressable: restore and
 		// hierarchyFor clamp d at maxCoreness+1 of the NEW graph).
 		if d > bound && d <= maxCoreness+1 {
-			keep = append(keep, kept{d: d, hier: a.hier})
+			// Shared by pointer: np is not published yet, and a hierarchy
+			// references nothing of the graph it was built on.
+			kept := &dArtifact{hier: a.hier}
+			kept.done.Store(true)
+			np.byD[d] = kept
+			info.RetainedHierarchies++
 		} else {
 			info.InvalidatedHierarchies++
 			if d > maxCoreness+1 {
@@ -141,40 +136,6 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 		}
 	}
 	pr.mu.Unlock()
-	info.RetainedHierarchies = len(keep)
-
-	// Union adjacency: a vertex's row changes only if it is an endpoint of
-	// a changed edge, so rows of update-touched vertices are re-derived
-	// from g and every other row is shared with pr. The patched array
-	// equals a cold build row for row; installed as np's union adjacency,
-	// it serves the kept hierarchies (whose refineC Lemma 9 flood must see
-	// the new edges — a stale row would be unsound), the eager rebuilds
-	// below and later lazy builds, instead of a rebuild of all n rows.
-	// Patching needs pr's rows: a handle that never built them has no
-	// kept hierarchies referencing them, so np builds lazily from g.
-	var newUA [][]int32
-	if oldUA := pr.builtUnionAdjacency(); oldUA != nil && l <= 64 {
-		newUA = slices.Clone(oldUA)
-		pool.Run(np.workers, len(touched), func(j int) {
-			v := int(touched[j])
-			newUA[v] = g.UnionNeighbors(v)
-		})
-		newUA = np.adoptUnionAdjacency(newUA)
-	}
-	np.mu.Lock()
-	for _, k := range keep {
-		// Shallow-clone the index so the old handle's artifact is never
-		// mutated (queries may still be reading it); everything but the
-		// union-adjacency pointer is shared.
-		idx := *k.hier.idx
-		if idx.unionAdj != nil {
-			idx.unionAdj = newUA
-		}
-		a := &dArtifact{hier: &hierarchy{idx: &idx, coreh: k.hier.coreh}}
-		a.done.Store(true)
-		np.byD[k.d] = a
-	}
-	np.mu.Unlock()
 	info.RebuiltHierarchies = np.rebuildHierarchies(rebuild)
 	return np, info
 }

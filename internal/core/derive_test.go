@@ -5,7 +5,6 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/kcore"
@@ -98,40 +97,6 @@ func TestDeriveMatchesFreshBuild(t *testing.T) {
 				if got.CoverSize != want.CoverSize || !reflect.DeepEqual(got.Cores, want.Cores) {
 					t.Fatalf("seed %d %s %+v: results differ", seed, a.name, o)
 				}
-			}
-		}
-	}
-}
-
-// TestDerivePatchesUnionAdjacency pins the union-adjacency patch: when
-// the old handle had built its union adjacency, the derived handle
-// carries one (whether or not any hierarchy was retained) that equals a
-// cold build row for row and shares every untouched row with the old
-// handle.
-func TestDerivePatchesUnionAdjacency(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := testutil.RandomCorrelatedGraph(rng, 60, 4, 0.25, 0.85, 0.05)
-		pr := NewPrepared(g, 1)
-		old := pr.unionAdjacency()
-		st := live.NewStore(g)
-		res := applyRandom(t, st, rng, 1+rng.Intn(30))
-		g2 := st.Freeze()
-		derived, _ := pr.Derive(g2, res.Edges, 1)
-		got := derived.builtUnionAdjacency()
-		if got == nil {
-			t.Fatalf("seed %d: derived handle has no union adjacency", seed)
-		}
-		want := NewPrepared(g2, 1).unionAdjacency()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: patched union adjacency differs from a cold build", seed)
-		}
-		touched := func(v int) bool {
-			return slices.ContainsFunc(res.Edges, func(e multilayer.Edge) bool { return e.U == v || e.V == v })
-		}
-		for v := range got {
-			if !touched(v) && len(got[v]) > 0 && &got[v][0] != &old[v][0] {
-				t.Fatalf("seed %d: untouched row %d was rebuilt", seed, v)
 			}
 		}
 	}
@@ -366,7 +331,7 @@ func TestDeriveCorenessBoundProperty(t *testing.T) {
 				kept++
 			}
 			want := cold.hierarchyFor(ctx, min(d, maxc2+1))
-			if !sameHierarchy(got.hier, want) || !reflect.DeepEqual(got.hier.idx.unionAdj, want.idx.unionAdj) {
+			if !sameHierarchy(got.hier, want) {
 				t.Fatalf("seed %d d=%d (kept %v): hierarchy differs from a cold build", seed, d, isKept)
 			}
 		}

@@ -32,11 +32,14 @@ import (
 // the batch sequence at thresholds ≥ s is identical to the one an index
 // built on the s-preprocessed graph would produce (see DESIGN.md). Each
 // top-down query searches a view of it restricted to the survivors, in
-// compact ids (queryArena.indexView).
+// compact ids (queryArena.indexView). A hierarchy's index holds h and
+// lmask only; the index edges the flood walks exist only in a view.
 type tdIndex struct {
-	h        []int32   // threshold at which the vertex was removed
-	lmask    []uint64  // L(v) as an original-layer bitmask (l ≤ 64 only)
-	unionAdj [][]int32 // index edges: union adjacency among indexed vertices
+	h     []int32  // threshold at which the vertex was removed
+	lmask []uint64 // L(v) as an original-layer bitmask (l ≤ 64 only)
+	// unionAdj holds the index edges, in a query's view only: per
+	// survivor, the union of its rows on every layer of the compact graph.
+	unionAdj [][]int32
 }
 
 // hierarchy bundles the per-d artifacts one removal-hierarchy sweep over
@@ -59,20 +62,19 @@ type hierarchy struct {
 
 // buildHierarchy constructs the removal hierarchy of g for degree
 // threshold d, seeding the tracker from the caller's (required)
-// per-layer coreness arrays so the initial peel is skipped. unionAdj is
-// the caller's materialized union adjacency, referenced as the index
-// edges; like the lmask field it requires l(g) ≤ 64 and is skipped (nil)
-// beyond that — the top-down algorithm rejects such graphs before
-// touching either. The h and coreh arrays are always populated, which
-// is all the bottom-up and greedy paths consume.
+// per-layer coreness arrays so the initial peel is skipped. The lmask
+// field requires l(g) ≤ 64 and is skipped (nil) beyond that — the
+// top-down algorithm rejects such graphs before touching it. The h and
+// coreh arrays are always populated, which is all the bottom-up and
+// greedy paths consume.
 //
 // The batch loop polls ctx between batches: a partial hierarchy is
 // never a valid artifact (batches after the abort point would be
 // missing), so cancellation returns nil and the caller must not cache
 // the result. A nil ctx runs to completion.
-func buildHierarchy(ctx context.Context, g *multilayer.Graph, d int, coreness [][]int, unionAdj [][]int32, workers int) *hierarchy {
+func buildHierarchy(ctx context.Context, g *multilayer.Graph, d int, coreness [][]int, workers int) *hierarchy {
 	tr := kcore.NewTrackerFromCoreness(g, d, coreness, workers)
-	return runHierarchy(ctx, g, tr, unionAdj, newHierScratch(g))
+	return runHierarchy(ctx, g, tr, newHierScratch(g))
 }
 
 // buildHierarchies builds the removal hierarchies for every threshold in
@@ -97,7 +99,7 @@ func buildHierarchy(ctx context.Context, g *multilayer.Graph, d int, coreness []
 // another threshold and in-flight builds are abandoned, so the function
 // returns ctx.Err() after having emitted only fully completed thresholds
 // — the caller may cache exactly what was emitted.
-func buildHierarchies(ctx context.Context, g *multilayer.Graph, ds []int, coreness [][]int, unionAdj [][]int32, workers int, emit func(d int, hr *hierarchy)) error {
+func buildHierarchies(ctx context.Context, g *multilayer.Graph, ds []int, coreness [][]int, workers int, emit func(d int, hr *hierarchy)) error {
 	sweep := kcore.NewSweep(g, ds[0], coreness, workers)
 	var (
 		mu      sync.Mutex // guards sweep, next and emitted, and serializes emit
@@ -129,7 +131,7 @@ func buildHierarchies(ctx context.Context, g *multilayer.Graph, ds []int, corene
 				next++
 				tr = sweep.TrackerAt(d, tr)
 				mu.Unlock()
-				if hr = runHierarchy(ctx, g, tr, unionAdj, sc); hr == nil {
+				if hr = runHierarchy(ctx, g, tr, sc); hr == nil {
 					return
 				}
 			}
@@ -164,7 +166,7 @@ func newHierScratch(g *multilayer.Graph) *hierScratch {
 // positioned at the full graph (all vertices alive); its listeners are
 // installed here. Cancellation semantics are buildHierarchy's: a nil
 // return means the context was cancelled and nothing may be cached.
-func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, unionAdj [][]int32, sc *hierScratch) *hierarchy {
+func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, sc *hierScratch) *hierarchy {
 	n := g.N()
 	idx := &tdIndex{h: make([]int32, n)}
 	hr := &hierarchy{idx: idx, coreh: make([][]int32, g.L())}
@@ -174,7 +176,6 @@ func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, u
 	wide := g.L() > 64
 	if !wide {
 		idx.lmask = make([]uint64, n)
-		idx.unionAdj = unionAdj
 	}
 
 	// Bucket queue over support counts. Stale entries are tolerated and

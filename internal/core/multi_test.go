@@ -12,8 +12,7 @@ import (
 )
 
 // sameHierarchy reports whether two hierarchies agree array by array on
-// everything the search reads besides the shared union adjacency: h,
-// lmask and coreh.
+// everything the search reads: h, lmask and coreh.
 func sameHierarchy(a, b *hierarchy) bool {
 	return slices.Equal(a.idx.h, b.idx.h) && slices.Equal(a.idx.lmask, b.idx.lmask) && reflect.DeepEqual(a.coreh, b.coreh)
 }
@@ -32,7 +31,6 @@ func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 	if maxc < 2 {
 		t.Fatalf("test graph too sparse: max coreness %d", maxc)
 	}
-	unionAdj := pr.unionAdjacency()
 
 	ds := make([]int, 0, maxc+1)
 	for d := 1; d <= maxc+1; d++ {
@@ -41,7 +39,7 @@ func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		shared := map[int]*hierarchy{}
 		var order []int
-		err := buildHierarchies(context.Background(), g, ds, coreness, unionAdj, workers, func(d int, hr *hierarchy) {
+		err := buildHierarchies(context.Background(), g, ds, coreness, workers, func(d int, hr *hierarchy) {
 			if shared[d] != nil {
 				t.Errorf("workers=%d d=%d: emitted twice", workers, d)
 			}
@@ -59,7 +57,7 @@ func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 			if got == nil {
 				t.Fatalf("workers=%d d=%d: shared pass emitted nothing", workers, d)
 			}
-			want := buildHierarchy(nil, g, d, coreness, unionAdj, 1)
+			want := buildHierarchy(nil, g, d, coreness, 1)
 			if !reflect.DeepEqual(got.coreh, want.coreh) {
 				t.Fatalf("workers=%d d=%d: coreh differs between shared and per-d build", workers, d)
 			}
@@ -229,7 +227,7 @@ func TestPrepareDsCancellationParallel(t *testing.T) {
 		pr := NewPrepared(g, 2)
 		completed := map[int]bool{}
 		ctx := cancelAfterBuilds{Context: context.Background(), pr: pr, n: 1}
-		err := buildHierarchies(ctx, g, ds, pr.layerCoreness(), pr.unionAdjacency(), 2, func(d int, hr *hierarchy) {
+		err := buildHierarchies(ctx, g, ds, pr.layerCoreness(), 2, func(d int, hr *hierarchy) {
 			completed[d] = true
 			pr.install(d, hr)
 		})

@@ -35,10 +35,6 @@ type Prepared struct {
 	coreness     [][]int // per layer: full core decomposition (d-independent)
 	maxCoreness  int     // max over layers and vertices; set with coreness
 
-	unionAdjOnce  sync.Once
-	unionAdj      [][]int32   // union adjacency (d-independent, shared by all hierarchies)
-	unionAdjBuilt atomic.Bool // unionAdj is installed; lets Derive reuse it without forcing a build
-
 	mu  sync.Mutex
 	byD map[int]*dArtifact
 
@@ -134,11 +130,7 @@ func (pr *Prepared) Prepare(d int) {
 // thresholds whose hierarchies were fully completed — the per-d
 // cancellation contract, extended to the batch.
 func (pr *Prepared) PrepareDs(ctx context.Context, ds ...int) error {
-	coreness := pr.layerCoreness() // also resolves maxCoreness
-	var unionAdj [][]int32
-	if pr.g.L() <= 64 {
-		unionAdj = pr.unionAdjacency()
-	}
+	pr.layerCoreness() // resolves maxCoreness
 	want := make([]int, 0, len(ds))
 	seen := make(map[int]bool, len(ds))
 	for _, d := range ds {
@@ -171,7 +163,7 @@ func (pr *Prepared) PrepareDs(ctx context.Context, ds ...int) error {
 		}
 		return nil
 	}
-	return buildHierarchies(ctx, pr.g, pending, coreness, unionAdj, pr.workers, pr.install)
+	return buildHierarchies(ctx, pr.g, pending, pr.coreness, pr.workers, pr.install)
 }
 
 // PrepareAll builds every distinct hierarchy the graph admits — d from 1
@@ -232,54 +224,6 @@ func (pr *Prepared) layerCoreness() [][]int {
 	return pr.coreness
 }
 
-// unionAdjacency returns the d-independent union adjacency consumed by
-// refineC's seed flood, computing it on first use. It is shared by
-// every per-d hierarchy — UnionNeighbors allocates per call, so the
-// lists must be materialized once, never in refineC's inner loops. Only
-// built for graphs within the top-down layer limit, the sole consumer.
-func (pr *Prepared) unionAdjacency() [][]int32 {
-	pr.unionAdjOnce.Do(func() {
-		n := pr.g.N()
-		pr.unionAdj = make([][]int32, n)
-		// Chunked across vertex ranges rather than one pool task per
-		// vertex: the work per row is tiny, so per-vertex dispatch through
-		// the pool's atomic counter would dominate the pass.
-		const chunk = 1024
-		nchunks := (n + chunk - 1) / chunk
-		pool.Run(pr.workers, nchunks, func(c int) {
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			for v := lo; v < hi; v++ {
-				pr.unionAdj[v] = pr.g.UnionNeighbors(v)
-			}
-		})
-		pr.unionAdjBuilt.Store(true)
-	})
-	return pr.unionAdj
-}
-
-// adoptUnionAdjacency installs ua as the union adjacency unless one is
-// installed already, and returns whichever the handle keeps. ua must
-// equal what unionAdjacency would build for pr's graph.
-func (pr *Prepared) adoptUnionAdjacency(ua [][]int32) [][]int32 {
-	pr.unionAdjOnce.Do(func() {
-		pr.unionAdj = ua
-		pr.unionAdjBuilt.Store(true)
-	})
-	return pr.unionAdj
-}
-
-// builtUnionAdjacency returns the union adjacency if it is installed,
-// nil otherwise; it never triggers a build.
-func (pr *Prepared) builtUnionAdjacency() [][]int32 {
-	if !pr.unionAdjBuilt.Load() {
-		return nil
-	}
-	return pr.unionAdj
-}
-
 // hierarchyFor returns the per-d removal hierarchy, building it on first
 // use for that d. The cache key is clamped at maxCoreness+1: for every d
 // beyond the graph's maximum coreness all per-layer d-cores are empty,
@@ -296,15 +240,11 @@ func (pr *Prepared) hierarchyFor(ctx context.Context, d int) *hierarchy {
 	if d > pr.maxCoreness+1 {
 		d = pr.maxCoreness + 1
 	}
-	var unionAdj [][]int32
-	if pr.g.L() <= 64 {
-		unionAdj = pr.unionAdjacency()
-	}
 	a := pr.artifact(d)
 	a.buildMu.Lock()
 	defer a.buildMu.Unlock()
 	if a.hier == nil {
-		hr := buildHierarchy(ctx, pr.g, d, coreness, unionAdj, pr.workers)
+		hr := buildHierarchy(ctx, pr.g, d, coreness, pr.workers)
 		if hr == nil {
 			return nil // cancelled mid-build; slot stays empty
 		}
@@ -326,8 +266,8 @@ func (pr *Prepared) hierarchyFor(ctx context.Context, d int) *hierarchy {
 //     compact ids, and the compact graph keeps only the layer's edges
 //     inside it;
 //   - with index set (the top-down search), the removal-hierarchy index
-//     is restricted to the survivors and the refine scratch is sized for
-//     n′.
+//     is restricted to the survivors, the flood's union rows are built
+//     from the compact graph, and the refine scratch is sized for n′.
 //
 // Every buffer comes from a pooled arena checked out for this query alone
 // (released by prep.release after result assembly), so concurrent
@@ -387,7 +327,7 @@ func (pr *Prepared) newPrep(ctx context.Context, opts Options, index bool) *prep
 	p.cores = a.cores
 	p.g = pr.g.Compact(verts, a.index, a.cores, &a.graph)
 	if index {
-		p.idx = a.indexView(hr)
+		p.idx = a.indexView(hr, p.g)
 	}
 	p.order = make([]int, pr.g.L())
 	for i := range p.order {
@@ -397,36 +337,48 @@ func (pr *Prepared) newPrep(ctx context.Context, opts Options, index bool) *prep
 }
 
 // indexView restricts the removal-hierarchy index to the survivors, in
-// compact ids — h and L(v) per survivor, and the union adjacency among
-// survivors (refineC's flood never leaves its scope, which lies inside
-// the survivors) — and sizes the top-down refine scratch for n′. The
-// view lives in the arena.
-func (a *queryArena) indexView(hr *hierarchy) *tdIndex {
+// compact ids — h and L(v) per survivor — builds the index edges the
+// flood walks from the compact graph g, and sizes the top-down refine
+// scratch for n′. The view lives in the arena.
+//
+// A survivor's index edges are the deduplicated union of its rows on
+// every layer of g, in no particular order. That is all the flood needs:
+// C^d_{L′} lies inside each reduced d-core of L′, so every layer edge
+// among its members is a compact edge (DESIGN.md § RefineC). Rows are
+// deduplicated here, once per query, because planted edges repeat across
+// layers and the flood would otherwise re-test them per layer.
+func (a *queryArena) indexView(hr *hierarchy, g *multilayer.Graph) *tdIndex {
 	n := len(a.verts)
 	x := &a.idx
 	x.h = grow(x.h, n)
 	x.lmask = grow(x.lmask, n)
 	x.unionAdj = grow(x.unionAdj, n)
-	total := 0
-	for _, v := range a.verts {
-		total += len(hr.idx.unionAdj[v])
+	for c, v := range a.verts {
+		x.h[c] = hr.idx.h[v]
+		x.lmask[c] = hr.idx.lmask[v]
 	}
+	total := 2 * g.MTotal()
 	if cap(a.unionNbrs) < total {
 		a.unionNbrs = make([]int32, 0, total)
 	}
 	nbrs := a.unionNbrs[:0] // never reallocates: total bounds every row
-	for c, v := range a.verts {
-		x.h[c] = hr.idx.h[v]
-		x.lmask[c] = hr.idx.lmask[v]
+	// stamp[u] == c+1 marks u as already in row c; clearing on entry
+	// keeps an earlier query's marks from matching.
+	stamp := grow(a.stamp, n)
+	clear(stamp)
+	for c := int32(0); c < int32(n); c++ {
 		start := len(nbrs)
-		for _, u := range hr.idx.unionAdj[v] {
-			if cu := a.index[u]; cu >= 0 {
-				nbrs = append(nbrs, cu)
+		for i := 0; i < g.L(); i++ {
+			for _, u := range g.Neighbors(i, int(c)) {
+				if stamp[u] != c+1 {
+					stamp[u] = c + 1
+					nbrs = append(nbrs, u)
+				}
 			}
 		}
 		x.unionAdj[c] = nbrs[start:len(nbrs):len(nbrs)]
 	}
-	a.unionNbrs = nbrs
+	a.unionNbrs, a.stamp = nbrs, stamp
 
 	// state keeps its all-zero invariant across resizes: refineC resets
 	// every entry it touches.

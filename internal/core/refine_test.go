@@ -105,8 +105,12 @@ func toOriginal(g *multilayer.Graph, p *prep, s *bitset.Set) *bitset.Set {
 // C^d_{L′}(G) whenever C^d_{L′}(G) ⊆ U, the search invariant — on
 // randomized graphs, layer subsets, and supersets U. refineC runs on the
 // compact space; the truth is computed on the original graph and mapped
-// into it.
+// into it. The flood walks union rows of the compact graph, which drop
+// survivor edges outside the reduced cores; the test counts the Lemma 8
+// scope vertices whose row lost such an edge, so the instances are known
+// to exercise the difference.
 func TestRefineCExact(t *testing.T) {
+	shorter := 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := testutil.RandomCorrelatedGraph(rng, 8+rng.Intn(30), 2+rng.Intn(5), 0.3, 0.85, 0.08)
@@ -137,6 +141,21 @@ func TestRefineCExact(t *testing.T) {
 					seed, d, s, lpos, u.Count(), got.Count(), truth.Count())
 				return false
 			}
+			u.ForEach(func(c int) bool {
+				if ts.idx.h[c] < int32(len(lpos)) {
+					return true // outside the Lemma 8 scope
+				}
+				survivorRow := 0
+				for _, w := range g.UnionNeighbors(int(p.verts[c])) {
+					if _, ok := slices.BinarySearch(p.verts, w); ok {
+						survivorRow++
+					}
+				}
+				if len(ts.idx.unionAdj[c]) < survivorRow {
+					shorter++
+				}
+				return true
+			})
 			// Scratch state must be clean for the next call.
 			for v := 0; v < p.g.N(); v++ {
 				if ts.state[v] != stUnexplored {
@@ -149,6 +168,10 @@ func TestRefineCExact(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+	if shorter == 0 {
+		t.Fatal("no scope vertex had a compact union row shorter than its survivor row")
+	}
+	t.Logf("%d scope vertices had a compact union row shorter than their survivor row", shorter)
 }
 
 // TestRefineCSeedThroughHigherLevel is the regression fixture for the

@@ -10,7 +10,7 @@ import (
 	"repro/internal/leio"
 )
 
-// Engine snapshots (.mlgs, version 1) persist a Prepared's cached
+// Engine snapshots (.mlgs, format version 2) persist a Prepared's cached
 // artifacts — the d-independent per-layer coreness and every completed
 // per-d removal hierarchy — so a restarted server answers its first
 // query warm instead of re-deriving minutes of preprocessing. The
@@ -28,9 +28,11 @@ import (
 //	graph version int64 (format v2+; live-graph update counter, 0 for
 //	  immutable engines — v1 snapshots restore as version 0)
 //	coreness: l sections of n int32
-//	union adjacency (d-independent, consumed by top-down refinement):
-//	  total int64 (-1 when absent), then offsets (n+1)×int64 and the
-//	  flat neighbor array total×int32 — CSR, exactly like a .mlgb layer
+//	union adjacency: total int64, always -1 ("absent") from now on.
+//	  Earlier binaries wrote a present section here (total ≥ 0, then
+//	  offsets (n+1)×int64 and total×int32 neighbor ids, CSR like a .mlgb
+//	  layer) and rebuild the table when it is absent; the field is kept
+//	  so they can read these files. Restore skips a present section.
 //	numD int64, then per d (ascending):
 //	  d int64, flags uint32 (bit 0: layer masks present, i.e. l ≤ 64)
 //	  h: n int32        — removal threshold per vertex (tdIndex.h)
@@ -41,15 +43,14 @@ import (
 // The graph fingerprint only ties the snapshot to its graph; the
 // trailing checksum covers the snapshot body itself, so a corrupt or
 // bit-rotted artifact is rejected up front instead of surfacing as a
-// panic (or a silently wrong answer) mid-query. The union-adjacency ids
-// are additionally range-checked on restore — they index per-vertex
-// arrays in the refinement hot path, the one place corrupt content
-// could crash rather than merely mislead.
-//
-// The union adjacency is derivable from the graph, but rebuilding it
-// would dominate restore time, so any snapshot carrying hierarchies
-// (which force its materialization, l ≤ 64 only) embeds it in CSR form
-// and restore becomes pure section loads.
+// panic (or a silently wrong answer) mid-query. The checksum is not a
+// MAC: a body rewritten with a recomputed trailer passes it, so restore
+// also range-checks the one persisted value that sizes an allocation —
+// every coreness entry must lie in [0, maxCoreness], and maxCoreness
+// must be the largest entry (the shared sweep allocates a level table
+// per layer by it) — and requires the layer masks exactly when l ≤ 64.
+// h, coreh and lmask are only ever compared, never used as indices or
+// sizes, so wrong values mislead but cannot crash.
 
 // SnapshotMagic is the 4-byte magic prefix of engine snapshot files.
 const SnapshotMagic = "MLGS"
@@ -98,26 +99,7 @@ func (pr *Prepared) WriteSnapshot(w io.Writer) error {
 		lw.I32s(buf32)
 		lw.Pad8()
 	}
-	if l <= 64 && len(ds) > 0 {
-		// Any persisted hierarchy forced the union adjacency's
-		// materialization already; unionAdjacency only returns the cache.
-		unionAdj := pr.unionAdjacency()
-		offsets := make([]int64, n+1)
-		total := int64(0)
-		for v, nbrs := range unionAdj {
-			offsets[v] = total
-			total += int64(len(nbrs))
-		}
-		offsets[n] = total
-		lw.I64(total)
-		lw.I64s(offsets)
-		for _, nbrs := range unionAdj {
-			lw.I32s(nbrs)
-		}
-		lw.Pad8()
-	} else {
-		lw.I64(-1)
-	}
+	lw.I64(-1) // union adjacency: absent (see the layout above)
 	lw.I64(int64(len(ds)))
 	for _, d := range ds {
 		pr.mu.Lock()
@@ -201,6 +183,7 @@ func (pr *Prepared) RestoreSnapshot(data []byte) error {
 		}
 	}
 	coreness := make([][]int, l)
+	largest := int32(0)
 	for i := 0; i < l; i++ {
 		sec := r.I32s(n)
 		r.Align8()
@@ -209,35 +192,25 @@ func (pr *Prepared) RestoreSnapshot(data []byte) error {
 		}
 		coreness[i] = make([]int, n)
 		for v, c := range sec {
+			if c < 0 || int64(c) > maxCoreness {
+				return fmt.Errorf("core: snapshot coreness %d of vertex %d on layer %d out of range [0,%d]", c, v, i, maxCoreness)
+			}
+			largest = max(largest, c)
 			coreness[i][v] = int(c)
 		}
 	}
+	if int64(largest) != maxCoreness {
+		return fmt.Errorf("core: snapshot max coreness %d, but the largest coreness entry is %d", maxCoreness, largest)
+	}
 
-	var unionAdj [][]int32
+	// A union-adjacency section written by an earlier binary is skipped:
+	// top-down queries build their flood rows from the compact graph.
 	if total := r.I64(); total >= 0 {
-		offsets := r.I64s(r.Count(int64(n)+1, 8))
-		flat := r.I32s(r.Count(total, 4))
+		r.Bytes(r.Count(int64(n)+1, 8) * 8)
+		r.Bytes(r.Count(total, 4) * 4)
 		r.Align8()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		// Union-adjacency ids index per-vertex arrays inside the top-down
-		// refinement; range-check them here so no snapshot content can
-		// turn into an out-of-range access later.
-		for _, u := range flat {
-			if u < 0 || u >= int32(n) {
-				return fmt.Errorf("core: snapshot union adjacency id %d out of range [0,%d)", u, n)
-			}
-		}
-		unionAdj = make([][]int32, n)
-		for v := 0; v < n; v++ {
-			lo, hi := offsets[v], offsets[v+1]
-			if lo < 0 || hi < lo || hi > total {
-				return fmt.Errorf("core: snapshot union adjacency offsets invalid at vertex %d", v)
-			}
-			unionAdj[v] = flat[lo:hi]
-		}
-	} else if r.Err() != nil {
+	}
+	if r.Err() != nil {
 		return r.Err()
 	}
 
@@ -260,8 +233,10 @@ func (pr *Prepared) RestoreSnapshot(data []byte) error {
 		if d < 1 || d > maxCoreness+1 {
 			return fmt.Errorf("core: snapshot degree threshold %d out of range [1,%d]", d, maxCoreness+1)
 		}
-		if flags&1 != 0 && l > 64 {
-			return fmt.Errorf("core: snapshot carries layer masks for an l=%d graph", l)
+		// Masks are written exactly when l ≤ 64; the top-down view reads
+		// them for every survivor, so they must be present then.
+		if masks := flags&1 != 0; masks != (l <= 64) {
+			return fmt.Errorf("core: snapshot layer-mask flag %t does not fit an l=%d graph", masks, l)
 		}
 		idx := &tdIndex{}
 		idx.h = r.I32s(n)
@@ -296,21 +271,11 @@ func (pr *Prepared) RestoreSnapshot(data []byte) error {
 	if uint64(graphVersion) > pr.version.Load() {
 		pr.version.Store(uint64(graphVersion))
 	}
-	if unionAdj != nil {
-		unionAdj = pr.adoptUnionAdjacency(unionAdj)
-	} else if l <= 64 && len(entries) > 0 {
-		// Old artifacts without the embedded section: rebuild from the
-		// graph (one parallel sweep, deterministic).
-		unionAdj = pr.unionAdjacency()
-	}
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	for _, e := range entries {
 		if pr.byD[e.d] != nil {
 			continue // already built (or building) locally; keep it
-		}
-		if e.hier.idx.lmask != nil {
-			e.hier.idx.unionAdj = unionAdj
 		}
 		a := &dArtifact{}
 		a.hier = e.hier

@@ -3,8 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/multilayer"
@@ -195,4 +200,209 @@ func TestSnapshotCorrupt(t *testing.T) {
 			t.Fatalf("byte flip at %d accepted", off)
 		}
 	}
+}
+
+// compatGraph is the graph of testdata/union_v2.mlgs and of the
+// FuzzRestoreSnapshot seed corpus, regenerated from its seed.
+func compatGraph() *multilayer.Graph {
+	return testutil.RandomCorrelatedGraph(rand.New(rand.NewSource(1717)), 40, 4, 0.3, 0.85, 0.05)
+}
+
+// Byte offsets into a snapshot image of this package's test graphs: the
+// header's maxCoreness field, and the first layer-0 coreness entry.
+const (
+	snapMaxCorenessOff = 32
+	snapCorenessOff    = 48
+)
+
+// unionSectionTotal returns the union-adjacency section's total field of
+// a snapshot image of an n-vertex, l-layer graph: -1 when the section is
+// absent.
+func unionSectionTotal(img []byte, n, l int) int64 {
+	off := snapCorenessOff + l*((4*n+7)/8*8)
+	return int64(binary.LittleEndian.Uint64(img[off:]))
+}
+
+// seal appends a snapshot trailer computed over body — what anyone can
+// do, since the trailer is a checksum, not a MAC.
+func seal(body []byte) []byte {
+	h := fnv.New64a()
+	h.Write(body)
+	return binary.LittleEndian.AppendUint64(body, h.Sum64())
+}
+
+// reseal seals the body edit makes of a copy of a snapshot image's body.
+func reseal(img []byte, edit func(body []byte) []byte) []byte {
+	return seal(edit(slices.Clone(img[:len(img)-8])))
+}
+
+// TestSnapshotEarlierWriter restores testdata/union_v2.mlgs: a format-2
+// snapshot written by a build that still persisted the union adjacency,
+// for compatGraph at graph version 5 with the d = 2 and 3 hierarchies.
+// The restored handle skips the section and builds nothing, keeps the
+// version, holds hierarchies equal to cold builds array by array, and
+// answers byte-equal to a cold handle. Written again, the section is
+// absent.
+func TestSnapshotEarlierWriter(t *testing.T) {
+	ctx := context.Background()
+	img, err := os.ReadFile(filepath.Join("testdata", "union_v2.mlgs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := compatGraph()
+	if total := unionSectionTotal(img, g.N(), g.L()); total < 0 {
+		t.Fatalf("fixture carries no union section (total %d)", total)
+	}
+	pr := NewPrepared(g, 1)
+	if err := pr.RestoreSnapshot(img); err != nil {
+		t.Fatal(err)
+	}
+	if v := pr.Version(); v != 5 {
+		t.Fatalf("restored version = %d, want 5", v)
+	}
+	cold := NewPrepared(g, 1)
+	for _, d := range []int{2, 3} {
+		got := pr.artifact(d)
+		if !got.done.Load() {
+			t.Fatalf("d=%d: hierarchy not restored", d)
+		}
+		if !sameHierarchy(got.hier, cold.hierarchyFor(ctx, d)) {
+			t.Fatalf("d=%d: restored hierarchy differs from a cold build", d)
+		}
+	}
+	for _, o := range []Options{
+		{D: 2, S: 2, K: 3, Seed: 1},
+		{D: 3, S: 3, K: 2, Seed: 2},
+		{D: 2, S: 4, K: 4, Seed: 3},
+	} {
+		for _, algo := range []struct {
+			name       string
+			warm, want func(context.Context, Options) (*Result, error)
+		}{
+			{"bottomup", pr.BottomUp, cold.BottomUp},
+			{"topdown", pr.TopDown, cold.TopDown},
+			{"greedy", pr.Greedy, cold.Greedy},
+		} {
+			got, err := algo.warm(ctx, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := algo.want(ctx, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs, ws := got.Stats, want.Stats
+			gs.Elapsed, ws.Elapsed = 0, 0
+			if !reflect.DeepEqual(gs, ws) || got.CoverSize != want.CoverSize || !reflect.DeepEqual(got.Cores, want.Cores) {
+				t.Fatalf("%s %+v: restored handle answers differently from a cold one", algo.name, o)
+			}
+		}
+	}
+	if c := pr.Counters(); c.CorenessBuilds != 0 || c.HierarchyBuilds != 0 {
+		t.Fatalf("restored handle built artifacts: %+v", c)
+	}
+
+	var buf bytes.Buffer
+	if err := pr.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if total := unionSectionTotal(buf.Bytes(), g.N(), g.L()); total != -1 {
+		t.Fatalf("rewritten union section total = %d, want -1 (absent)", total)
+	}
+}
+
+// TestSnapshotResealedRejected pins the content checks that stand in for
+// the checksum when an edited body is resealed, each on content that
+// used to restore and crash later. Coreness is the one persisted value
+// that sizes an allocation: a layer-0 entry of 2^30 ran the next
+// multi-d PrepareDs out of memory allocating the sweep's level table.
+// An l ≤ 64 entry without layer masks made top-down queries index a
+// nil mask array.
+func TestSnapshotResealedRejected(t *testing.T) {
+	g := compatGraph()
+	n, l := g.N(), g.L()
+	builder := NewPrepared(g, 1)
+	builder.Prepare(2)
+	var buf bytes.Buffer
+	if err := builder.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	maxc := binary.LittleEndian.Uint64(valid[snapMaxCorenessOff:])
+	if err := NewPrepared(g, 1).RestoreSnapshot(reseal(valid, func(b []byte) []byte { return b })); err != nil {
+		t.Fatalf("resealed unedited image rejected: %v", err)
+	}
+	// The d = 2 entry follows the coreness sections, the union total and
+	// numD: d, then flags (padded to 8 bytes), h, and the masks.
+	sec := (4*n + 7) / 8 * 8
+	entry := snapCorenessOff + l*sec + 16
+	flagsOff, masksOff := entry+8, entry+16+sec
+	for _, c := range []struct {
+		name string
+		edit func(body []byte) []byte
+	}{
+		{"coreness entry 2^30", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[snapCorenessOff:], 1<<30)
+			return b
+		}},
+		{"negative coreness entry", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[snapCorenessOff+4:], 0xffffffff)
+			return b
+		}},
+		{"max coreness above the largest entry", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[snapMaxCorenessOff:], maxc+1)
+			return b
+		}},
+		{"max coreness below the largest entry", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[snapMaxCorenessOff:], maxc-1)
+			return b
+		}},
+		{"layer masks dropped", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[flagsOff:], 0)
+			return append(b[:masksOff], b[masksOff+8*n:]...)
+		}},
+	} {
+		pr := NewPrepared(g, 1)
+		if err := pr.RestoreSnapshot(reseal(valid, c.edit)); err == nil {
+			t.Fatalf("%s: resealed image accepted", c.name)
+		}
+		// The rejected image left the handle cold and usable.
+		if err := pr.PrepareDs(context.Background(), 2, 3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pr.TopDown(context.Background(), Options{D: 2, S: 3, K: 2, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if c := pr.Counters(); c.CorenessBuilds != 1 || c.HierarchyBuilds != 2 {
+			t.Fatalf("after a rejected restore: %+v, want one coreness and two hierarchy builds", c)
+		}
+	}
+}
+
+// FuzzRestoreSnapshot feeds snapshot bodies for compatGraph through
+// RestoreSnapshot. The harness appends a freshly computed trailer, so
+// mutations get past the checksum and reach content validation. The
+// contract: RestoreSnapshot returns an error or succeeds, never panics;
+// after a successful restore, PrepareAll and one bottom-up and one
+// top-down query complete without a panic. Their answers may differ
+// from a cold handle's: the trailer is a checksum, not a MAC, so a
+// resealed body can carry wrong (in-range) artifacts.
+func FuzzRestoreSnapshot(f *testing.F) {
+	g := compatGraph()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		pr := NewPrepared(g, 1)
+		if pr.RestoreSnapshot(seal(slices.Clip(body))) != nil {
+			return
+		}
+		ctx := context.Background()
+		if err := pr.PrepareAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pr.BottomUp(ctx, Options{D: 2, S: 2, K: 3, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pr.TopDown(ctx, Options{D: 3, S: 3, K: 3, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
