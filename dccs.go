@@ -223,7 +223,12 @@ func Coreness(g *Graph, layer int) ([]int, error) {
 	if layer < 0 || layer >= g.L() {
 		return nil, fmt.Errorf("dccs: layer %d out of range [0,%d)", layer, g.L())
 	}
-	return kcore.Coreness(g, layer, nil), nil
+	cn := kcore.Coreness(g, layer, nil)
+	out := make([]int, len(cn))
+	for v, c := range cn {
+		out[v] = int(c)
+	}
+	return out, nil
 }
 
 // CoherentCoreness computes, for a fixed layer subset, each vertex's

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/leio"
 	"repro/internal/live"
 )
 
@@ -148,8 +148,8 @@ type engineState struct {
 }
 
 // fingerprint returns the state's cache-key fingerprint: the plain graph
-// fingerprint at version 0 (immutable engines keep their historical
-// keys), the FNV-1a mix of (graph fingerprint, version) afterwards. The
+// fingerprint at version 0 (an immutable engine's key is its graph's),
+// the leio.Checksum of (graph fingerprint, version) afterwards. The
 // version is folded in even though a mutated graph already hashes
 // differently, so an update cycle that restores a previous edge set
 // still retires every cache entry of the intermediate versions.
@@ -157,12 +157,12 @@ func (st *engineState) fingerprint() uint64 {
 	st.fpOnce.Do(func() {
 		fp := st.g.Fingerprint()
 		if st.version > 0 {
-			h := fnv.New64a()
+			var sum leio.Checksum
 			var buf [16]byte
 			binary.LittleEndian.PutUint64(buf[:8], fp)
 			binary.LittleEndian.PutUint64(buf[8:], st.version)
-			h.Write(buf[:])
-			fp = h.Sum64()
+			sum.Write(buf[:])
+			fp = sum.Sum64()
 		}
 		st.fp = fp
 	})
@@ -213,16 +213,17 @@ func (e *Engine) Graph() *Graph { return e.View().Graph() }
 // recovered from a version-stamped snapshot.
 func (e *Engine) Version() uint64 { return e.View().Version() }
 
-// Fingerprint returns the engine's graph fingerprint: an FNV-1a hash
-// over the full CSR content (see Graph.Fingerprint). Result caches
-// layered above an Engine key on it so that entries computed for one
-// graph can never answer queries against another — the same gate the
-// .mlgs snapshot format uses. The hash walks every edge, so the engine
-// computes it once (the graph is immutable) and serves it from memory:
-// it sits on the per-request cache-key path. On mutable engines the
-// current graph version is folded into the hash (see
-// engineState.fingerprint), so every update batch retires all previously
-// issued cache keys.
+// Fingerprint returns the engine's graph fingerprint: a 64-bit CRC pair
+// over the graph's canonical .mlgb encoding (see Graph.Fingerprint).
+// Result caches layered above an Engine key on it so that entries
+// computed for one graph can never answer queries against another — the
+// same gate the .mlgs snapshot format uses. The hash reads every edge
+// (about 0.5 ms for a 20,000-vertex, 10-layer graph of 3.5 MB on a
+// 2-vCPU VM), so each generation computes it once and serves it from
+// memory: it sits on the per-request cache-key path. On mutable engines
+// the current graph version is folded into the hash (see
+// engineState.fingerprint), so every update batch retires all
+// previously issued cache keys.
 func (e *Engine) Fingerprint() uint64 { return e.View().Fingerprint() }
 
 // Fingerprint returns the view's cache-key fingerprint; see
@@ -364,13 +365,21 @@ func (e *Engine) WarmAll(ctx context.Context) error {
 // snapshot behind. Snapshotting a live engine is safe; hierarchies still
 // being built are skipped, not awaited. The graph itself is not part of
 // the snapshot — persist it separately (Graph.WriteBinaryFile) and the
-// embedded fingerprint ties the two files together.
-func (e *Engine) SaveSnapshot(path string) error {
+// embedded fingerprint ties the two files together. On a mutable engine,
+// take one View and save both files from it (View.Graph and
+// View.SaveSnapshot): an update landing between two engine-level calls
+// would pair one generation's graph with the next one's artifacts.
+func (e *Engine) SaveSnapshot(path string) error { return e.View().SaveSnapshot(path) }
+
+// SaveSnapshot persists the artifacts of this view's pinned generation;
+// see Engine.SaveSnapshot. The snapshot matches v.Graph() and carries
+// v.Version(), whatever updates land while it is written.
+func (v View) SaveSnapshot(path string) error {
 	f, err := os.CreateTemp(filepath.Dir(path), ".mlgs-tmp-*")
 	if err != nil {
 		return err
 	}
-	if err := e.st.Load().pr.WriteSnapshot(f); err != nil {
+	if err := v.st.pr.WriteSnapshot(f); err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return err
@@ -400,9 +409,11 @@ func (e *Engine) SaveSnapshot(path string) error {
 // first request. The snapshot must have been saved for a graph equal to
 // this engine's; a snapshot of any other graph (or a corrupt file) is
 // rejected with an error and the engine is left unchanged, free to
-// build its artifacts from scratch as usual. Restored artifacts do not
-// count as builds in Metrics. Loading over artifacts the engine already
-// built keeps the built ones (the two are identical by determinism).
+// build its artifacts from scratch as usual. So is a snapshot in a
+// format version written by an earlier release; SaveSnapshot then
+// writes the current format. Restored artifacts do not count as builds
+// in Metrics. Loading over artifacts the engine already built keeps the
+// built ones (the two are identical by determinism).
 func (e *Engine) LoadSnapshot(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -317,3 +317,86 @@ func TestMutableSnapshotLifecycle(t *testing.T) {
 		t.Fatalf("rejected restore advanced the version to %d", stale.Version())
 	}
 }
+
+// TestViewSaveSnapshotPinsGeneration pins the pairing contract of
+// View.SaveSnapshot: a view taken before an update batch saves the
+// artifacts of its own generation, so its graph and its snapshot form a
+// pair that restores warm at the pinned version even though the engine
+// has moved on. The engine-level save of the same moment pairs with the
+// new graph instead, and the fingerprint gate rejects it against the
+// pinned one.
+func TestViewSaveSnapshotPinsGeneration(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(47))
+	g := testutil.RandomCorrelatedGraph(rng, 50, 4, 0.25, 0.85, 0.05)
+	dir := t.TempDir()
+	graphPath := filepath.Join(dir, "live.mlgb")
+	snapPath := filepath.Join(dir, "live.mlgs")
+	q := Query{D: 2, S: 2, K: 3, Seed: 1}
+
+	eng, err := NewMutableEngine(g, EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ApplyUpdates(ctx, randomStream(rng, g, 15)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Warm(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	view := eng.View()
+	want, err := view.Search(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for eng.Version() == view.Version() {
+		if _, err := eng.ApplyUpdates(ctx, randomStream(rng, g, 15)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if view.Graph().Equal(eng.Graph()) {
+		t.Fatal("the second batch left the graph unchanged")
+	}
+	if err := view.Graph().WriteBinaryFile(graphPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := view.SaveSnapshot(snapPath); err != nil {
+		t.Fatal(err)
+	}
+
+	saved, err := ReadGraphFile(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := NewMutableEngine(saved, EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.LoadSnapshot(snapPath); err != nil {
+		t.Fatalf("pinned pair rejected: %v", err)
+	}
+	if v := restarted.Version(); v != view.Version() {
+		t.Fatalf("restarted version = %d, want the pinned %d", v, view.Version())
+	}
+	got, err := restarted.Search(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CoverSize != want.CoverSize || !reflect.DeepEqual(got.Cores, want.Cores) {
+		t.Fatal("restarted engine answers differently from the pinned view")
+	}
+	if m := restarted.Metrics(); m.CorenessBuilds != 0 || m.HierarchyBuilds != 0 {
+		t.Fatalf("restarted engine rebuilt artifacts: %+v", m)
+	}
+
+	if err := eng.SaveSnapshot(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	mixed, err := NewMutableEngine(saved, EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mixed.LoadSnapshot(snapPath); err == nil {
+		t.Fatal("the current generation's snapshot restored against the pinned graph")
+	}
+}

@@ -70,7 +70,7 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 		dirty[e.Layer] = true
 	}
 
-	coreness := make([][]int, l)
+	coreness := make([][]int32, l)
 	dirtyIdx := make([]int, 0, l)
 	for i := 0; i < l; i++ {
 		if dirty[i] {
@@ -83,14 +83,7 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 	pool.Run(np.workers, len(dirtyIdx), func(j int) {
 		coreness[dirtyIdx[j]] = kcore.Coreness(g, dirtyIdx[j], nil)
 	})
-	maxCoreness := 0
-	for _, cn := range coreness {
-		for _, c := range cn {
-			if c > maxCoreness {
-				maxCoreness = c
-			}
-		}
-	}
+	maxCoreness := maxOf(coreness)
 	np.corenessOnce.Do(func() {
 		np.coreness = coreness
 		np.maxCoreness = maxCoreness
@@ -149,13 +142,13 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 // has an endpoint outside layer i's d-core in both graphs, so that
 // d-core and its edge set are the same in both, and the batch loop
 // reads nothing else.
-func corenessBound(changed []multilayer.Edge, old, cur [][]int) int {
-	bound := 0
+func corenessBound(changed []multilayer.Edge, old, cur [][]int32) int {
+	bound := int32(0)
 	for _, e := range changed {
 		o, c := old[e.Layer], cur[e.Layer]
 		bound = max(bound, min(o[e.U], o[e.V]), min(c[e.U], c[e.V]))
 	}
-	return bound
+	return int(bound)
 }
 
 // rebuildHierarchies eagerly re-derives the invalidated thresholds on the

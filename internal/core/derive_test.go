@@ -111,7 +111,7 @@ func corenessBoundOracle(g, g2 *multilayer.Graph, changed []multilayer.Edge) int
 	for _, e := range changed {
 		for _, gr := range []*multilayer.Graph{g, g2} {
 			cn := kcore.Coreness(gr, e.Layer, nil)
-			bound = max(bound, min(cn[e.U], cn[e.V]))
+			bound = max(bound, int(min(cn[e.U], cn[e.V])))
 		}
 	}
 	return bound
@@ -216,7 +216,7 @@ func TestDeriveInvalidatesAtBound(t *testing.T) {
 	best, peer, bestCore := -1, -1, -1
 	for v := 0; v < g.N(); v++ {
 		for _, u := range g.Neighbors(0, v) {
-			if c := min(core0[v], core0[u]); c > bestCore {
+			if c := int(min(core0[v], core0[u])); c > bestCore {
 				best, peer, bestCore = v, int(u), c
 			}
 		}

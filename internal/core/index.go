@@ -72,7 +72,7 @@ type hierarchy struct {
 // never a valid artifact (batches after the abort point would be
 // missing), so cancellation returns nil and the caller must not cache
 // the result. A nil ctx runs to completion.
-func buildHierarchy(ctx context.Context, g *multilayer.Graph, d int, coreness [][]int, workers int) *hierarchy {
+func buildHierarchy(ctx context.Context, g *multilayer.Graph, d int, coreness [][]int32, workers int) *hierarchy {
 	tr := kcore.NewTrackerFromCoreness(g, d, coreness, workers)
 	return runHierarchy(ctx, g, tr, newHierScratch(g))
 }
@@ -99,7 +99,7 @@ func buildHierarchy(ctx context.Context, g *multilayer.Graph, d int, coreness []
 // another threshold and in-flight builds are abandoned, so the function
 // returns ctx.Err() after having emitted only fully completed thresholds
 // — the caller may cache exactly what was emitted.
-func buildHierarchies(ctx context.Context, g *multilayer.Graph, ds []int, coreness [][]int, workers int, emit func(d int, hr *hierarchy)) error {
+func buildHierarchies(ctx context.Context, g *multilayer.Graph, ds []int, coreness [][]int32, workers int, emit func(d int, hr *hierarchy)) error {
 	sweep := kcore.NewSweep(g, ds[0], coreness, workers)
 	var (
 		mu      sync.Mutex // guards sweep, next and emitted, and serializes emit

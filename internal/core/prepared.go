@@ -32,8 +32,8 @@ type Prepared struct {
 	workers int
 
 	corenessOnce sync.Once
-	coreness     [][]int // per layer: full core decomposition (d-independent)
-	maxCoreness  int     // max over layers and vertices; set with coreness
+	coreness     [][]int32 // per layer: full core decomposition (d-independent)
+	maxCoreness  int       // max over layers and vertices; set with coreness
 
 	mu  sync.Mutex
 	byD map[int]*dArtifact
@@ -206,22 +206,28 @@ func (pr *Prepared) install(d int, hr *hierarchy) {
 
 // layerCoreness returns the d-independent per-layer coreness arrays,
 // computing them on first use (sharded across layers).
-func (pr *Prepared) layerCoreness() [][]int {
+func (pr *Prepared) layerCoreness() [][]int32 {
 	pr.corenessOnce.Do(func() {
-		pr.coreness = make([][]int, pr.g.L())
+		pr.coreness = make([][]int32, pr.g.L())
 		pool.Run(pr.workers, pr.g.L(), func(i int) {
 			pr.coreness[i] = kcore.Coreness(pr.g, i, nil)
 		})
-		for _, cn := range pr.coreness {
-			for _, c := range cn {
-				if c > pr.maxCoreness {
-					pr.maxCoreness = c
-				}
-			}
-		}
+		pr.maxCoreness = maxOf(pr.coreness)
 		pr.corenessBuilds.Add(1)
 	})
 	return pr.coreness
+}
+
+// maxOf returns the largest coreness entry over all layers, 0 when there
+// is none.
+func maxOf(coreness [][]int32) int {
+	m := int32(0)
+	for _, cn := range coreness {
+		for _, c := range cn {
+			m = max(m, c)
+		}
+	}
+	return int(m)
 }
 
 // hierarchyFor returns the per-d removal hierarchy, building it on first

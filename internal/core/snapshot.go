@@ -3,14 +3,13 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"slices"
 
 	"repro/internal/leio"
 )
 
-// Engine snapshots (.mlgs, format version 2) persist a Prepared's cached
+// Engine snapshots (.mlgs, format version 3) persist a Prepared's cached
 // artifacts — the d-independent per-layer coreness and every completed
 // per-d removal hierarchy — so a restarted server answers its first
 // query warm instead of re-deriving minutes of preprocessing. The
@@ -25,20 +24,21 @@ import (
 //	magic "MLGS", version uint32
 //	n int64, l int64, graph fingerprint uint64
 //	maxCoreness int64
-//	graph version int64 (format v2+; live-graph update counter, 0 for
-//	  immutable engines — v1 snapshots restore as version 0)
+//	graph version int64 (live-graph update counter, 0 for immutable
+//	  engines)
 //	coreness: l sections of n int32
-//	union adjacency: total int64, always -1 ("absent") from now on.
-//	  Earlier binaries wrote a present section here (total ≥ 0, then
-//	  offsets (n+1)×int64 and total×int32 neighbor ids, CSR like a .mlgb
-//	  layer) and rebuild the table when it is absent; the field is kept
-//	  so they can read these files. Restore skips a present section.
 //	numD int64, then per d (ascending):
 //	  d int64, flags uint32 (bit 0: layer masks present, i.e. l ≤ 64)
 //	  h: n int32        — removal threshold per vertex (tdIndex.h)
 //	  lmask: n uint64   — L(v) layer bitmask (only when flags bit 0)
 //	  coreh: l sections of n int32 — per-layer core-drop thresholds
-//	trailer: FNV-1a checksum (uint64) over everything before it
+//	trailer: leio.Checksum (uint64) over everything before it
+//
+// Every section has its in-memory type, so restore adopts them from the
+// read buffer in place and only validates them. Versions 1 and 2 are
+// rejected: their trailer and fingerprint used an earlier hash, and
+// version 2 carried a union-adjacency field this release no longer has.
+// Callers treat a rejected snapshot as absent and build cold.
 //
 // The graph fingerprint only ties the snapshot to its graph; the
 // trailing checksum covers the snapshot body itself, so a corrupt or
@@ -56,9 +56,9 @@ import (
 const SnapshotMagic = "MLGS"
 
 // snapshotVersion is the current format version. Version 2 added the
-// graph-version stamp so a warm-started mutable engine resumes its
-// update counter; version-1 files are still readable (version 0).
-const snapshotVersion = 2
+// graph-version stamp; version 3 switched the fingerprint and trailer
+// to leio.Checksum and dropped the union-adjacency field.
+const snapshotVersion = 3
 
 // WriteSnapshot serializes the artifacts this Prepared has finished
 // building: the per-layer coreness (built now if the handle is still
@@ -80,10 +80,10 @@ func (pr *Prepared) WriteSnapshot(w io.Writer) error {
 	pr.mu.Unlock()
 	slices.Sort(ds)
 
-	// Everything below the hasher's tee is covered by the trailing
-	// checksum; the checksum itself is written to w alone.
-	hash := fnv.New64a()
-	lw := leio.NewWriter(io.MultiWriter(w, hash))
+	// Everything below the checksum's tee is covered by the trailer; the
+	// trailer itself is written to w alone.
+	var sum leio.Checksum
+	lw := leio.NewWriter(io.MultiWriter(w, &sum))
 	lw.Raw([]byte(SnapshotMagic))
 	lw.U32(snapshotVersion)
 	lw.I64(int64(n))
@@ -91,15 +91,10 @@ func (pr *Prepared) WriteSnapshot(w io.Writer) error {
 	lw.I64(int64(g.Fingerprint()))
 	lw.I64(int64(pr.maxCoreness))
 	lw.I64(int64(pr.version.Load()))
-	buf32 := make([]int32, n)
-	for i := 0; i < l; i++ {
-		for v, c := range coreness[i] {
-			buf32[v] = int32(c)
-		}
-		lw.I32s(buf32)
+	for _, cn := range coreness {
+		lw.I32s(cn)
 		lw.Pad8()
 	}
-	lw.I64(-1) // union adjacency: absent (see the layout above)
 	lw.I64(int64(len(ds)))
 	for _, d := range ds {
 		pr.mu.Lock()
@@ -127,7 +122,7 @@ func (pr *Prepared) WriteSnapshot(w io.Writer) error {
 		return err
 	}
 	tail := leio.NewWriter(w)
-	tail.I64(int64(hash.Sum64()))
+	tail.I64(int64(sum.Sum64()))
 	return tail.Flush()
 }
 
@@ -139,7 +134,10 @@ func (pr *Prepared) WriteSnapshot(w io.Writer) error {
 // equal to this handle's (checked via Fingerprint). Artifacts this
 // handle already built are kept; both derivations are deterministic, so
 // they are identical anyway. Corrupt input yields an error, never a
-// panic, and a failed restore leaves the handle unchanged.
+// panic, and a failed restore leaves the handle unchanged. The restored
+// artifacts alias data where alignment allows (they always do for
+// writer-produced files on little-endian hosts), so the caller must not
+// modify data afterwards.
 func (pr *Prepared) RestoreSnapshot(data []byte) error {
 	g := pr.g
 	n, l := g.N(), g.L()
@@ -147,18 +145,22 @@ func (pr *Prepared) RestoreSnapshot(data []byte) error {
 		return fmt.Errorf("core: snapshot too short (%d bytes)", len(data))
 	}
 	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	hash := fnv.New64a()
-	hash.Write(body)
-	if got := binary.LittleEndian.Uint64(trailer); got != hash.Sum64() {
-		return fmt.Errorf("core: snapshot checksum mismatch (file %#x, content %#x) — corrupt or truncated artifact", got, hash.Sum64())
-	}
+	// The version speaks before the checksum: earlier formats used
+	// another trailer hash, and their error should say so.
 	r := leio.NewReader(body)
 	if magic := r.Bytes(4); r.Err() != nil || string(magic) != SnapshotMagic {
 		return fmt.Errorf("core: not an engine snapshot (missing %q magic)", SnapshotMagic)
 	}
-	fv := r.U32()
-	if r.Err() != nil || fv < 1 || fv > snapshotVersion {
-		return fmt.Errorf("core: unsupported snapshot version %d (want 1..%d)", fv, snapshotVersion)
+	if fv := r.U32(); r.Err() != nil || fv != snapshotVersion {
+		if r.Err() == nil && fv >= 1 && fv < snapshotVersion {
+			return fmt.Errorf("core: snapshot format version %d is from an earlier release (want %d); its artifacts will be rebuilt", fv, snapshotVersion)
+		}
+		return fmt.Errorf("core: unsupported snapshot version %d (want %d)", fv, snapshotVersion)
+	}
+	var sum leio.Checksum
+	sum.Write(body)
+	if got := binary.LittleEndian.Uint64(trailer); got != sum.Sum64() {
+		return fmt.Errorf("core: snapshot checksum mismatch (file %#x, content %#x) — corrupt or truncated artifact", got, sum.Sum64())
 	}
 	sn, sl, fp := r.I64(), r.I64(), uint64(r.I64())
 	if err := r.Err(); err != nil {
@@ -168,50 +170,33 @@ func (pr *Prepared) RestoreSnapshot(data []byte) error {
 		return fmt.Errorf("core: snapshot was built for a different graph (n=%d l=%d fingerprint %#x; have n=%d l=%d fingerprint %#x)",
 			sn, sl, fp, n, l, g.Fingerprint())
 	}
-	maxCoreness := r.I64()
+	maxCoreness, graphVersion := r.I64(), r.I64()
+	if err := r.Err(); err != nil {
+		return err
+	}
 	if maxCoreness < 0 || maxCoreness > int64(n) {
 		return fmt.Errorf("core: snapshot max coreness %d out of range [0,%d]", maxCoreness, n)
 	}
-	graphVersion := int64(0)
-	if fv >= 2 {
-		graphVersion = r.I64()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if graphVersion < 0 {
-			return fmt.Errorf("core: snapshot graph version %d is negative", graphVersion)
-		}
+	if graphVersion < 0 {
+		return fmt.Errorf("core: snapshot graph version %d is negative", graphVersion)
 	}
-	coreness := make([][]int, l)
+	coreness := make([][]int32, l)
 	largest := int32(0)
-	for i := 0; i < l; i++ {
-		sec := r.I32s(n)
+	for i := range coreness {
+		coreness[i] = r.I32s(n)
 		r.Align8()
 		if r.Err() != nil {
 			return r.Err()
 		}
-		coreness[i] = make([]int, n)
-		for v, c := range sec {
+		for v, c := range coreness[i] {
 			if c < 0 || int64(c) > maxCoreness {
 				return fmt.Errorf("core: snapshot coreness %d of vertex %d on layer %d out of range [0,%d]", c, v, i, maxCoreness)
 			}
 			largest = max(largest, c)
-			coreness[i][v] = int(c)
 		}
 	}
 	if int64(largest) != maxCoreness {
 		return fmt.Errorf("core: snapshot max coreness %d, but the largest coreness entry is %d", maxCoreness, largest)
-	}
-
-	// A union-adjacency section written by an earlier binary is skipped:
-	// top-down queries build their flood rows from the compact graph.
-	if total := r.I64(); total >= 0 {
-		r.Bytes(r.Count(int64(n)+1, 8) * 8)
-		r.Bytes(r.Count(total, 4) * 4)
-		r.Align8()
-	}
-	if r.Err() != nil {
-		return r.Err()
 	}
 
 	type entry struct {

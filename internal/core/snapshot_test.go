@@ -4,17 +4,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"hash/fnv"
+	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/leio"
 	"repro/internal/multilayer"
 	"repro/internal/testutil"
 )
+
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite the current-format FuzzRestoreSnapshot seeds in testdata/fuzz from the current snapshot writer")
 
 func snapshotTestGraphs(t *testing.T) (gA, gB *multilayer.Graph) {
 	t.Helper()
@@ -209,26 +215,20 @@ func compatGraph() *multilayer.Graph {
 }
 
 // Byte offsets into a snapshot image of this package's test graphs: the
-// header's maxCoreness field, and the first layer-0 coreness entry.
+// header's version and maxCoreness fields, and the first layer-0
+// coreness entry.
 const (
+	snapVersionOff     = 4
 	snapMaxCorenessOff = 32
 	snapCorenessOff    = 48
 )
 
-// unionSectionTotal returns the union-adjacency section's total field of
-// a snapshot image of an n-vertex, l-layer graph: -1 when the section is
-// absent.
-func unionSectionTotal(img []byte, n, l int) int64 {
-	off := snapCorenessOff + l*((4*n+7)/8*8)
-	return int64(binary.LittleEndian.Uint64(img[off:]))
-}
-
 // seal appends a snapshot trailer computed over body — what anyone can
 // do, since the trailer is a checksum, not a MAC.
 func seal(body []byte) []byte {
-	h := fnv.New64a()
-	h.Write(body)
-	return binary.LittleEndian.AppendUint64(body, h.Sum64())
+	var sum leio.Checksum
+	sum.Write(body)
+	return binary.LittleEndian.AppendUint64(body, sum.Sum64())
 }
 
 // reseal seals the body edit makes of a copy of a snapshot image's body.
@@ -236,78 +236,81 @@ func reseal(img []byte, edit func(body []byte) []byte) []byte {
 	return seal(edit(slices.Clone(img[:len(img)-8])))
 }
 
-// TestSnapshotEarlierWriter restores testdata/union_v2.mlgs: a format-2
-// snapshot written by a build that still persisted the union adjacency,
-// for compatGraph at graph version 5 with the d = 2 and 3 hierarchies.
-// The restored handle skips the section and builds nothing, keeps the
-// version, holds hierarchies equal to cold builds array by array, and
-// answers byte-equal to a cold handle. Written again, the section is
-// absent.
-func TestSnapshotEarlierWriter(t *testing.T) {
+// TestSnapshotRejectsEarlierFormats pins the upgrade path from format
+// versions 1 and 2, whose trailer and graph fingerprint used an earlier
+// hash: restore rejects them with an error naming the version, and the
+// handle stays cold and answers like one. testdata/union_v2.mlgs is a
+// format-2 snapshot for compatGraph at graph version 5 with the d = 2
+// and 3 hierarchies and a union-adjacency section; the version-1 image
+// is a current image with its version field set to 1 and resealed.
+func TestSnapshotRejectsEarlierFormats(t *testing.T) {
 	ctx := context.Background()
-	img, err := os.ReadFile(filepath.Join("testdata", "union_v2.mlgs"))
+	g := compatGraph()
+	v2, err := os.ReadFile(filepath.Join("testdata", "union_v2.mlgs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := compatGraph()
-	if total := unionSectionTotal(img, g.N(), g.L()); total < 0 {
-		t.Fatalf("fixture carries no union section (total %d)", total)
-	}
-	pr := NewPrepared(g, 1)
-	if err := pr.RestoreSnapshot(img); err != nil {
+	builder := NewPrepared(g, 1)
+	if err := builder.PrepareDs(ctx, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if v := pr.Version(); v != 5 {
-		t.Fatalf("restored version = %d, want 5", v)
-	}
-	cold := NewPrepared(g, 1)
-	for _, d := range []int{2, 3} {
-		got := pr.artifact(d)
-		if !got.done.Load() {
-			t.Fatalf("d=%d: hierarchy not restored", d)
-		}
-		if !sameHierarchy(got.hier, cold.hierarchyFor(ctx, d)) {
-			t.Fatalf("d=%d: restored hierarchy differs from a cold build", d)
-		}
-	}
-	for _, o := range []Options{
-		{D: 2, S: 2, K: 3, Seed: 1},
-		{D: 3, S: 3, K: 2, Seed: 2},
-		{D: 2, S: 4, K: 4, Seed: 3},
-	} {
-		for _, algo := range []struct {
-			name       string
-			warm, want func(context.Context, Options) (*Result, error)
-		}{
-			{"bottomup", pr.BottomUp, cold.BottomUp},
-			{"topdown", pr.TopDown, cold.TopDown},
-			{"greedy", pr.Greedy, cold.Greedy},
-		} {
-			got, err := algo.warm(ctx, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := algo.want(ctx, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gs, ws := got.Stats, want.Stats
-			gs.Elapsed, ws.Elapsed = 0, 0
-			if !reflect.DeepEqual(gs, ws) || got.CoverSize != want.CoverSize || !reflect.DeepEqual(got.Cores, want.Cores) {
-				t.Fatalf("%s %+v: restored handle answers differently from a cold one", algo.name, o)
-			}
-		}
-	}
-	if c := pr.Counters(); c.CorenessBuilds != 0 || c.HierarchyBuilds != 0 {
-		t.Fatalf("restored handle built artifacts: %+v", c)
-	}
-
 	var buf bytes.Buffer
-	if err := pr.WriteSnapshot(&buf); err != nil {
+	if err := builder.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if total := unionSectionTotal(buf.Bytes(), g.N(), g.L()); total != -1 {
-		t.Fatalf("rewritten union section total = %d, want -1 (absent)", total)
+	v1 := reseal(buf.Bytes(), func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[snapVersionOff:], 1)
+		return b
+	})
+	for _, c := range []struct {
+		version int
+		img     []byte
+	}{{2, v2}, {1, v1}} {
+		pr := NewPrepared(g, 1)
+		err := pr.RestoreSnapshot(c.img)
+		if err == nil {
+			t.Fatalf("format-%d image restored", c.version)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d ", c.version)) || !strings.Contains(msg, "earlier release") {
+			t.Fatalf("format-%d image: error %q does not name the version and the earlier release", c.version, msg)
+		}
+		if v := pr.Version(); v != 0 {
+			t.Fatalf("format-%d image: rejected restore set version %d", c.version, v)
+		}
+		if c := pr.Counters(); c.CorenessBuilds != 0 || c.HierarchyBuilds != 0 {
+			t.Fatalf("rejected restore left builds behind: %+v", c)
+		}
+		cold := NewPrepared(g, 1)
+		for _, o := range []Options{
+			{D: 2, S: 2, K: 3, Seed: 1},
+			{D: 3, S: 3, K: 2, Seed: 2},
+		} {
+			for _, algo := range []struct {
+				name      string
+				got, want func(context.Context, Options) (*Result, error)
+			}{
+				{"bottomup", pr.BottomUp, cold.BottomUp},
+				{"topdown", pr.TopDown, cold.TopDown},
+			} {
+				got, err := algo.got(ctx, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := algo.want(ctx, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gs, ws := got.Stats, want.Stats
+				gs.Elapsed, ws.Elapsed = 0, 0
+				if !reflect.DeepEqual(gs, ws) || got.CoverSize != want.CoverSize || !reflect.DeepEqual(got.Cores, want.Cores) {
+					t.Fatalf("format-%d image, %s %+v: the handle answers differently from a cold one", c.version, algo.name, o)
+				}
+			}
+		}
+		// The handle built its own artifacts, exactly as a cold one does.
+		if got, want := pr.Counters(), cold.Counters(); got != want {
+			t.Fatalf("format-%d image: builds %+v, a cold handle's %+v", c.version, got, want)
+		}
 	}
 }
 
@@ -332,10 +335,10 @@ func TestSnapshotResealedRejected(t *testing.T) {
 	if err := NewPrepared(g, 1).RestoreSnapshot(reseal(valid, func(b []byte) []byte { return b })); err != nil {
 		t.Fatalf("resealed unedited image rejected: %v", err)
 	}
-	// The d = 2 entry follows the coreness sections, the union total and
-	// numD: d, then flags (padded to 8 bytes), h, and the masks.
+	// The d = 2 entry follows the coreness sections and numD: d, then
+	// flags (padded to 8 bytes), h, and the masks.
 	sec := (4*n + 7) / 8 * 8
-	entry := snapCorenessOff + l*sec + 16
+	entry := snapCorenessOff + l*sec + 8
 	flagsOff, masksOff := entry+8, entry+16+sec
 	for _, c := range []struct {
 		name string
@@ -405,4 +408,106 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// corpusDir holds the FuzzRestoreSnapshot seed corpus.
+var corpusDir = filepath.Join("testdata", "fuzz", "FuzzRestoreSnapshot")
+
+// earlierFormatSeed is the corpus seed written by an earlier format
+// version: a format-2 body with the union-adjacency field absent, as
+// the last format-2 writer produced it. Restore must reject it.
+const earlierFormatSeed = "format-v2"
+
+// corpusSeeds returns the current-format seed bodies for compatGraph,
+// by corpus file name: a cold handle's, a handle with the d = 2 and 3
+// hierarchies, and the same at graph version 7.
+func corpusSeeds(t *testing.T) map[string][]byte {
+	t.Helper()
+	g := compatGraph()
+	body := func(pr *Prepared) []byte {
+		var buf bytes.Buffer
+		if err := pr.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()[:buf.Len()-8]
+	}
+	warm := func() *Prepared {
+		pr := NewPrepared(g, 1)
+		if err := pr.PrepareDs(context.Background(), 2, 3); err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	stamped := warm()
+	stamped.version.Store(7)
+	return map[string][]byte{
+		"cold-handle":     body(NewPrepared(g, 1)),
+		"warm-d2-d3":      body(warm()),
+		"version-stamped": body(stamped),
+	}
+}
+
+// readCorpusFile decodes a one-value []byte fuzz corpus file.
+func readCorpusFile(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	header, value, ok := strings.Cut(string(data), "\n")
+	value = strings.TrimSpace(value)
+	if !ok || header != "go test fuzz v1" || !strings.HasPrefix(value, "[]byte(") || !strings.HasSuffix(value, ")") {
+		return nil, fmt.Errorf("%s: not a one-value []byte corpus file", path)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(value, "[]byte("), ")"))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return []byte(s), nil
+}
+
+// TestRestoreSnapshotCorpus checks that every FuzzRestoreSnapshot seed
+// except the earlier-format one restores: a format bump that forgets
+// to regenerate the corpus fails here, instead of quietly leaving the
+// fuzzer with seeds that never get past the version check. Regenerate
+// the current-format seeds with -update-corpus.
+func TestRestoreSnapshotCorpus(t *testing.T) {
+	if *updateCorpus {
+		for name, body := range corpusSeeds(t) {
+			data := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", body)
+			if err := os.WriteFile(filepath.Join(corpusDir, name), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	entries, err := os.ReadDir(corpusDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := compatGraph()
+	seen := map[string]bool{}
+	for _, e := range entries {
+		seen[e.Name()] = true
+		body, err := readCorpusFile(filepath.Join(corpusDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = NewPrepared(g, 1).RestoreSnapshot(seal(body))
+		if e.Name() == earlierFormatSeed {
+			if err == nil || !strings.Contains(err.Error(), "version 2 ") {
+				t.Fatalf("%s: restore error %v, want a format-version rejection", e.Name(), err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("corpus seed %s does not restore: %v", e.Name(), err)
+		}
+	}
+	for name := range corpusSeeds(t) {
+		if !seen[name] {
+			t.Errorf("corpus seed %s missing", name)
+		}
+	}
+	if !seen[earlierFormatSeed] {
+		t.Errorf("corpus seed %s missing", earlierFormatSeed)
+	}
 }

@@ -20,14 +20,12 @@ func benchGraph(b *testing.B) (*graphFixture, []int) {
 	for i := range layers {
 		layers[i] = i
 	}
-	coreness := make([][]int, g.L())
+	coreness := make([][]int32, g.L())
 	maxc := 0
 	for i := range coreness {
 		coreness[i] = Coreness(g, i, nil)
 		for _, c := range coreness[i] {
-			if c > maxc {
-				maxc = c
-			}
+			maxc = max(maxc, int(c))
 		}
 	}
 	return &graphFixture{g: g, coreness: coreness, maxc: maxc}, layers
@@ -35,7 +33,7 @@ func benchGraph(b *testing.B) (*graphFixture, []int) {
 
 type graphFixture struct {
 	g        *multilayer.Graph
-	coreness [][]int
+	coreness [][]int32
 	maxc     int
 }
 

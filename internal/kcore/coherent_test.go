@@ -45,7 +45,7 @@ func TestCoherentCorenessSingleLayerMatchesBZ(t *testing.T) {
 		a := CoherentCoreness(g, []int{0}, nil)
 		b := Coreness(g, 0, nil)
 		for v := range a {
-			if a[v] != b[v] {
+			if a[v] != int(b[v]) {
 				return false
 			}
 		}

@@ -113,14 +113,15 @@ func DCC(g *multilayer.Graph, S *bitset.Set, layers []int, d int) *bitset.Set {
 // to alive, using the O(m) bin-sort algorithm of Batagelj and Zaversnik.
 // The result maps each vertex to its coreness (the largest d such that the
 // vertex belongs to the d-core); vertices outside alive get -1. Passing
-// alive == nil means all vertices.
-func Coreness(g *multilayer.Graph, layer int, alive *bitset.Set) []int {
+// alive == nil means all vertices. Entries are int32 like vertex ids: a
+// coreness is below n.
+func Coreness(g *multilayer.Graph, layer int, alive *bitset.Set) []int32 {
 	n := g.N()
 	if alive == nil {
 		return corenessFull(g, layer)
 	}
 	offs, nbrs := g.LayerCSR(layer) // hot loop: flat CSR iteration
-	coreness := make([]int, n)
+	coreness := make([]int32, n)
 	for v := range coreness {
 		coreness[v] = -1
 	}
@@ -168,7 +169,7 @@ func Coreness(g *multilayer.Graph, layer int, alive *bitset.Set) []int {
 
 	for i := 0; i < nAlive; i++ {
 		v := int(vert[i])
-		coreness[v] = deg[v]
+		coreness[v] = int32(deg[v])
 		for _, u32 := range nbrs[offs[v]:offs[v+1]] {
 			u := int(u32)
 			if !alive.Contains(u) || deg[u] <= deg[v] {
@@ -194,10 +195,10 @@ func Coreness(g *multilayer.Graph, layer int, alive *bitset.Set) []int {
 // flat arrays in O(n + m). It performs the same vertex and neighbor
 // visits in the same order as the masked path over a full mask, so the
 // output is identical (see TestCorenessFullMatchesMasked).
-func corenessFull(g *multilayer.Graph, layer int) []int {
+func corenessFull(g *multilayer.Graph, layer int) []int32 {
 	n := g.N()
 	offs, nbrs := g.LayerCSR(layer) // hot loop: flat CSR iteration
-	coreness := make([]int, n)
+	coreness := make([]int32, n)
 	deg := make([]int, n)
 	maxDeg := 0
 	for v := 0; v < n; v++ {
@@ -233,7 +234,7 @@ func corenessFull(g *multilayer.Graph, layer int) []int {
 
 	for i := 0; i < n; i++ {
 		v := int(vert[i])
-		coreness[v] = deg[v]
+		coreness[v] = int32(deg[v])
 		for _, u32 := range nbrs[offs[v]:offs[v+1]] {
 			u := int(u32)
 			if deg[u] <= deg[v] {
@@ -254,10 +255,10 @@ func corenessFull(g *multilayer.Graph, layer int) []int {
 }
 
 // CoreFromCoreness converts a coreness array into the d-core vertex set.
-func CoreFromCoreness(coreness []int, d int) *bitset.Set {
+func CoreFromCoreness(coreness []int32, d int) *bitset.Set {
 	s := bitset.New(len(coreness))
 	for v, c := range coreness {
-		if c >= d {
+		if int(c) >= d {
 			s.Add(v)
 		}
 	}

@@ -39,7 +39,7 @@ const sweepChunk = 2048
 // while the sweep positions the next one.
 type Sweep struct {
 	g        *multilayer.Graph
-	coreness [][]int
+	coreness [][]int32
 	workers  int
 
 	d     int           // threshold the base state is positioned at
@@ -60,7 +60,7 @@ type Sweep struct {
 // advance past them. workers bounds the parallelism of the initial
 // degree pass, which is sharded across CSR vertex ranges; ≤ 1 runs
 // serially.
-func NewSweep(g *multilayer.Graph, d int, coreness [][]int, workers int) *Sweep {
+func NewSweep(g *multilayer.Graph, d int, coreness [][]int32, workers int) *Sweep {
 	n, l := g.N(), g.L()
 	if workers < 1 {
 		workers = 1
@@ -82,7 +82,7 @@ func NewSweep(g *multilayer.Graph, d int, coreness [][]int, workers int) *Sweep 
 	pool.Run(workers, l, func(i int) {
 		cn := coreness[i]
 		core := bitset.New(n)
-		maxc := 0
+		maxc := int32(0)
 		for _, c := range cn {
 			if c > maxc {
 				maxc = c
@@ -90,7 +90,7 @@ func NewSweep(g *multilayer.Graph, d int, coreness [][]int, workers int) *Sweep 
 		}
 		levels := make([][]int32, maxc+1)
 		for v, c := range cn {
-			if c >= d {
+			if int(c) >= d {
 				core.Add(v)
 				levels[c] = append(levels[c], int32(v))
 			}
@@ -120,13 +120,13 @@ func NewSweep(g *multilayer.Graph, d int, coreness [][]int, workers int) *Sweep 
 		offs, nbrs := g.LayerCSR(i)
 		di := s.deg[i]
 		for v := lo; v < hi; v++ {
-			if cn[v] < d {
+			if int(cn[v]) < d {
 				di[v] = -1
 				continue
 			}
 			dv := int32(0)
 			for _, u := range nbrs[offs[v]:offs[v+1]] {
-				if cn[u] >= d {
+				if int(cn[u]) >= d {
 					dv++
 				}
 			}
@@ -152,7 +152,7 @@ func (s *Sweep) advance(d int) {
 				core.Remove(v)
 				di[v] = -1
 				for _, u := range nbrs[offs[v]:offs[v+1]] {
-					if cn[u] >= t {
+					if int(cn[u]) >= t {
 						di[u]--
 					}
 				}

@@ -46,16 +46,16 @@ func trackersEqual(t *testing.T, got, want *Tracker, label string) {
 
 // sweepFixture returns a random correlated graph with its per-layer
 // coreness and maximum coreness.
-func sweepFixture(t *testing.T, seed int64) (*multilayer.Graph, [][]int, int) {
+func sweepFixture(t *testing.T, seed int64) (*multilayer.Graph, [][]int32, int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := testutil.RandomCorrelatedGraph(rng, 120, 4, 0.2, 0.85, 0.1)
-	coreness := make([][]int, g.L())
+	coreness := make([][]int32, g.L())
 	maxc := 0
 	for i := range coreness {
 		coreness[i] = Coreness(g, i, nil)
 		for _, c := range coreness[i] {
-			maxc = max(maxc, c)
+			maxc = max(maxc, int(c))
 		}
 	}
 	if maxc < 2 {
@@ -153,7 +153,7 @@ func TestSweepShellsConcurrent(t *testing.T) {
 func TestSweepAscendingOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := testutil.RandomCorrelatedGraph(rng, 40, 3, 0.3, 0.85, 0.1)
-	coreness := make([][]int, g.L())
+	coreness := make([][]int32, g.L())
 	for i := range coreness {
 		coreness[i] = Coreness(g, i, nil)
 	}

@@ -96,7 +96,7 @@ func NewTrackerN(g *multilayer.Graph, d int, alive *bitset.Set, workers int) *Tr
 // prepared-engine path computes them once and seeds every per-d tracker
 // from them. The resulting tracker is identical to NewTrackerN(g, d, nil,
 // workers).
-func NewTrackerFromCoreness(g *multilayer.Graph, d int, coreness [][]int, workers int) *Tracker {
+func NewTrackerFromCoreness(g *multilayer.Graph, d int, coreness [][]int32, workers int) *Tracker {
 	n := g.N()
 	t := &Tracker{
 		g:     g,
@@ -116,14 +116,14 @@ func NewTrackerFromCoreness(g *multilayer.Graph, d int, coreness [][]int, worker
 		core := bitset.New(n)
 		di := make([]int32, n)
 		for v := 0; v < n; v++ {
-			if cn[v] < d {
+			if int(cn[v]) < d {
 				di[v] = -1
 				continue
 			}
 			core.Add(v)
 			dv := int32(0)
 			for _, u := range nbrs[offs[v]:offs[v+1]] {
-				if cn[u] >= d {
+				if int(cn[u]) >= d {
 					dv++
 				}
 			}

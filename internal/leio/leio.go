@@ -36,14 +36,20 @@ var hostLittleEndian = func() bool {
 
 // Writer emits little-endian scalars and sections with a sticky error.
 type Writer struct {
-	w   *bufio.Writer
-	n   int64 // bytes written so far (for alignment padding)
+	w   io.Writer
+	bw  *bufio.Writer // buffers w; nil when w is a Checksum
+	n   int64         // bytes written so far (for alignment padding)
 	err error
 }
 
-// NewWriter returns a Writer emitting to w.
+// NewWriter returns a Writer emitting to w. Output to a *Checksum goes
+// straight to it, so hashing an encoding copies no section.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 1<<16)}
+	if _, ok := w.(*Checksum); ok {
+		return &Writer{w: w}
+	}
+	bw := bufio.NewWriterSize(w, 1<<16)
+	return &Writer{w: bw, bw: bw}
 }
 
 // Count returns the number of bytes written so far.
@@ -128,10 +134,10 @@ func (w *Writer) Pad8() {
 
 // Flush flushes buffered output and returns the sticky error, if any.
 func (w *Writer) Flush() error {
-	if w.err != nil {
+	if w.err != nil || w.bw == nil {
 		return w.err
 	}
-	return w.w.Flush()
+	return w.bw.Flush()
 }
 
 // Reader consumes little-endian scalars and sections from an in-memory

@@ -2,6 +2,7 @@ package leio
 
 import (
 	"bytes"
+	"hash/crc32"
 	"testing"
 )
 
@@ -89,5 +90,30 @@ func TestZeroCopyAliasing(t *testing.T) {
 	r2 := NewReader(data)
 	if got := r2.I64(); got != 99 {
 		t.Fatalf("section not aliased: read back %d", got)
+	}
+}
+
+// TestChecksum pins both halves to the stdlib CRC-32 values of the same
+// bytes, and checks that split writes sum like one write.
+func TestChecksum(t *testing.T) {
+	data := []byte("123456789 the quick brown fox jumps over the lazy dog")
+	var whole, split Checksum
+	whole.Write(data)
+	split.Write(data[:7])
+	split.Write(nil)
+	split.Write(data[7:])
+	want := uint64(crc32.ChecksumIEEE(data))<<32 | uint64(crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)))
+	if whole.Sum64() != want || split.Sum64() != want {
+		t.Fatalf("Sum64 = %#x (split %#x), want %#x", whole.Sum64(), split.Sum64(), want)
+	}
+	// The standard check values of both polynomials over "123456789".
+	var check Checksum
+	check.Write(data[:9])
+	if got := check.Sum64(); got != 0xcbf43926e3069283 {
+		t.Fatalf("check value = %#x, want 0xcbf43926e3069283", got)
+	}
+	var empty Checksum
+	if empty.Sum64() != 0 {
+		t.Fatalf("empty Sum64 = %#x, want 0", empty.Sum64())
 	}
 }

@@ -161,14 +161,50 @@ func TestBinaryMalformed(t *testing.T) {
 
 func TestFingerprintDistinguishesGraphs(t *testing.T) {
 	a := mustGraph(t, 4, [][][2]int{{{0, 1}}, {{2, 3}}})
-	b := mustGraph(t, 4, [][][2]int{{{0, 1}}, {{1, 3}}})
-	c := mustGraph(t, 4, [][][2]int{{{2, 3}}, {{0, 1}}}) // layers swapped
-	if a.Fingerprint() == b.Fingerprint() || a.Fingerprint() == c.Fingerprint() {
-		t.Fatal("distinct graphs share a fingerprint")
-	}
 	a2 := mustGraph(t, 4, [][][2]int{{{1, 0}}, {{3, 2}}}) // same edges, other orientation
 	if a.Fingerprint() != a2.Fingerprint() {
 		t.Fatal("equal graphs disagree on fingerprint")
+	}
+	b := mustGraph(t, 5, [][][2]int{{{0, 1}, {1, 2}}, {{2, 3}}, {{3, 4}}})
+	for _, c := range []struct {
+		name string
+		x, y *Graph
+	}{
+		{"other edge", a, mustGraph(t, 4, [][][2]int{{{0, 1}}, {{1, 3}}})},
+		{"layers swapped", a, mustGraph(t, 4, [][][2]int{{{2, 3}}, {{0, 1}}})},
+		{"edge moved to an empty layer", a, mustGraph(t, 4, [][][2]int{{{0, 1}, {2, 3}}, {}})},
+		{"extra isolated vertex", a, mustGraph(t, 5, [][][2]int{{{0, 1}}, {{2, 3}}})},
+		{"extra empty layer", a, mustGraph(t, 4, [][][2]int{{{0, 1}}, {{2, 3}}, {}})},
+		// These two keep the multiset of edges intact.
+		{"layers 1 and 2 swapped", b, mustGraph(t, 5, [][][2]int{{{0, 1}, {1, 2}}, {{3, 4}}, {{2, 3}}})},
+		{"edge moved from layer 0 to layer 2", b, mustGraph(t, 5, [][][2]int{{{0, 1}}, {{2, 3}}, {{1, 2}, {3, 4}}})},
+	} {
+		if c.x.Fingerprint() == c.y.Fingerprint() {
+			t.Errorf("%s: distinct graphs share fingerprint %016x", c.name, c.x.Fingerprint())
+		}
+	}
+}
+
+// TestFingerprintGolden pins fingerprint values. Engine snapshots embed
+// the fingerprint and restore checks it, so a change to the hash or to
+// the .mlgb encoding orphans every snapshot already saved. If this test
+// fails, that change must also bump the snapshot format version. The
+// values were cross-checked against an independent CRC-32/CRC-32C
+// implementation over hand-built .mlgb bytes.
+func TestFingerprintGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		want uint64
+	}{
+		{"two layers", mustGraph(t, 4, [][][2]int{{{0, 1}, {1, 2}}, {{2, 3}, {0, 3}}}), 0x4fff0f9ed77ad926},
+		{"empty layer", mustGraph(t, 3, [][][2]int{{{0, 1}, {1, 2}, {0, 2}}, {}}), 0xda1e1c58d01bd6b3},
+		{"one vertex, no layers", mustGraph(t, 1, nil), 0xcea1f70a2445c76e},
+		{"n = 0", mustGraph(t, 0, [][][2]int{{}, {}}), 0xe2aac12365476da3},
+	} {
+		if got := c.g.Fingerprint(); got != c.want {
+			t.Errorf("%s: fingerprint %016x, want %016x", c.name, got, c.want)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"repro/internal/bitset"
+	"repro/internal/leio"
 )
 
 // csrLayer is one layer's adjacency in CSR form. offsets has length n+1
@@ -168,41 +169,21 @@ func (g *Graph) Equal(h *Graph) bool {
 	return true
 }
 
-// Fingerprint returns an FNV-1a hash over the graph's full CSR content
-// (dimensions, offsets and neighbor arrays of every layer). Engine
-// snapshots embed it so that artifacts computed for one graph are never
-// restored against another; two graphs compare Equal iff they hash the
-// same (modulo the usual 64-bit collision odds, which a corrupted or
-// mismatched snapshot file does not get to exploit meaningfully).
+// Fingerprint returns the leio.Checksum of the graph's canonical .mlgb
+// encoding (see EncodeBinary): the dimensions, then every layer's
+// offsets and neighbor arrays as little-endian bytes. The encoding is a
+// function of the arrays alone, so two graphs compare Equal iff their
+// encodings match: equal graphs share a fingerprint, and distinct ones
+// collide only with 64-bit checksum odds. The value does not depend on
+// how the arrays were loaded or on the host, so a mapped graph and a
+// heap decode of the same file agree. Engine snapshots embed it so that
+// artifacts computed for one graph are never restored against another,
+// and the engine's cache keys start with it. The sections stream
+// through the hash in place, without a copy.
 func (g *Graph) Fingerprint() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix64 := func(x uint64) {
-		for i := 0; i < 64; i += 8 {
-			h ^= uint64(byte(x >> i))
-			h *= prime
-		}
-	}
-	mix64(uint64(g.n))
-	mix64(uint64(g.L()))
-	for i := range g.layers {
-		la := &g.layers[i]
-		mix64(uint64(len(la.neighbors)))
-		for _, o := range la.offsets {
-			mix64(uint64(o))
-		}
-		for _, u := range la.neighbors {
-			h ^= uint64(byte(u))
-			h *= prime
-			h ^= uint64(byte(u >> 8))
-			h *= prime
-			h ^= uint64(byte(u >> 16))
-			h *= prime
-			h ^= uint64(byte(u >> 24))
-			h *= prime
-		}
-	}
-	return h
+	var c leio.Checksum
+	_ = g.EncodeBinary(&c) // writing to a Checksum cannot fail
+	return c.Sum64()
 }
 
 // Stats summarizes a multi-layer graph in the format of the paper's

@@ -296,13 +296,18 @@ func (s *Server) saveSnapshots() error {
 	var errs []error
 	for _, name := range s.names {
 		h := s.graphs[name]
-		if h.eng.Mutable() && h.eng.Version() > 0 {
+		// Both files come from one pinned generation: an update landing
+		// between the graph write and the snapshot would otherwise pair
+		// this generation's graph with the next one's artifacts, which the
+		// next boot rejects at the fingerprint gate.
+		view := h.eng.View()
+		if h.eng.Mutable() && view.Version() > 0 {
 			// Persist the mutated edge set first: an artifact snapshot
 			// without its graph is unloadable (fingerprint gate). The write
 			// is atomic (temp + rename), like SaveSnapshot's.
 			path := s.liveGraphPath(name)
 			tmp := path + ".tmp"
-			if err := h.eng.Graph().WriteBinaryFile(tmp); err != nil {
+			if err := view.Graph().WriteBinaryFile(tmp); err != nil {
 				s.cfg.Logf("server: %s: live graph save: %v", name, err)
 				errs = append(errs, fmt.Errorf("%s: live graph save: %w", name, err))
 				continue
@@ -315,7 +320,7 @@ func (s *Server) saveSnapshots() error {
 			}
 		}
 		path := s.snapshotPath(name)
-		if err := h.eng.SaveSnapshot(path); err != nil {
+		if err := view.SaveSnapshot(path); err != nil {
 			s.cfg.Logf("server: %s: snapshot save: %v", name, err)
 			errs = append(errs, fmt.Errorf("%s: snapshot save: %w", name, err))
 			continue

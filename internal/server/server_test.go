@@ -3,10 +3,15 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -459,6 +464,93 @@ func TestSnapshotWarmStart(t *testing.T) {
 	}
 	if out.CoverSize == 0 {
 		t.Fatal("warm-started answer empty")
+	}
+}
+
+// TestSnapshotUpgradeFromEarlierFormat drives the upgrade path of a
+// snapshot written by an earlier release: internal/core's
+// testdata/union_v2.mlgs is a format-2 snapshot of the graph below. The
+// server logs that it ignores the file, serves cold, and its next save
+// writes the current format, from which a second server starts warm.
+func TestSnapshotUpgradeFromEarlierFormat(t *testing.T) {
+	dir := t.TempDir()
+	old, err := os.ReadFile(filepath.Join("..", "core", "testdata", "union_v2.mlgs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "compat.mlgs"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g := testutil.RandomCorrelatedGraph(rand.New(rand.NewSource(1717)), 40, 4, 0.3, 0.85, 0.05)
+	var mu sync.Mutex
+	var logs []string
+	cfg := Config{SnapshotDir: dir, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}}
+	logged := func(parts ...string) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, line := range logs {
+			all := true
+			for _, p := range parts {
+				all = all && strings.Contains(line, p)
+			}
+			if all {
+				return true
+			}
+		}
+		return false
+	}
+	req := SearchRequest{D: 2, S: 2, K: 3}
+
+	s1, err := New(cfg, GraphSpec{Name: "compat", Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !logged("compat: ignoring snapshot", "version 2") {
+		t.Fatalf("no ignoring-snapshot line naming format version 2 in %q", logs)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	resp, want := postSearch(t, ts1.URL, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if eng, _ := s1.Engine("compat"); eng.Metrics().CorenessBuilds != 1 {
+		t.Fatalf("server over an ignored snapshot did not build cold: %+v", eng.Metrics())
+	}
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+
+	saved, err := os.ReadFile(filepath.Join(dir, "compat.mlgs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(saved) < 8 || binary.LittleEndian.Uint32(saved[4:]) != 3 {
+		t.Fatal("the save after an ignored snapshot did not write format version 3")
+	}
+	s2, err := New(cfg, GraphSpec{Name: "compat", Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown(context.Background())
+	if !logged("compat: warm-started from") {
+		t.Fatalf("no warm-start line in %q", logs)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	resp, got := postSearch(t, ts2.URL, req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if eng, _ := s2.Engine("compat"); eng.Metrics().CorenessBuilds != 0 || eng.Metrics().HierarchyBuilds != 0 {
+		t.Fatalf("server over the re-saved snapshot rebuilt artifacts: %+v", eng.Metrics())
+	}
+	if got.CoverSize != want.CoverSize || !reflect.DeepEqual(got.Cores, want.Cores) {
+		t.Fatal("warm-started server answers differently")
 	}
 }
 

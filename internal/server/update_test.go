@@ -436,3 +436,89 @@ func TestConcurrentUpdateQueryStress(t *testing.T) {
 		t.Fatal("post-stress engine differs from cold rebuild")
 	}
 }
+
+// TestSaveSnapshotsRacingUpdates races edge updates against the
+// snapshot loop's save of a mutable graph. Every saved pair — the live
+// graph file and the artifact snapshot — must restore: both files come
+// from one pinned generation, so an update landing between the two
+// writes cannot pair one generation's graph with the next one's
+// artifacts, which the next boot would reject and build cold with its
+// version counter reset.
+func TestSaveSnapshotsRacingUpdates(t *testing.T) {
+	dir := t.TempDir()
+	const n = 3000
+	g := datasets.Generate(datasets.Config{
+		Name: "race", N: n, Layers: 6, Seed: 5,
+		AvgDegree: 3, Gamma: 2.3, Correlation: 0.5,
+		Communities: n / 500, MinSize: 12, MaxSize: 30,
+		MinSupport: 3, MaxSupport: 6, PIn: 0.6,
+		Persistent: 4, CrossLayerNoise: 0.05,
+	}).Graph
+	s, err := New(Config{SnapshotDir: dir}, GraphSpec{Name: "live", Graph: g, Mutable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	eng, _ := s.Engine("live")
+	u, v := 0, 1
+	for g.HasEdge(0, u, v) {
+		v++
+	}
+	toggle := []dccs.EdgeUpdate{{Op: dccs.EdgeInsert, Layer: 0, U: u, V: v}}
+	if _, err := eng.ApplyUpdates(context.Background(), toggle); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if toggle[0].Op == dccs.EdgeInsert {
+				toggle[0].Op = dccs.EdgeDelete
+			} else {
+				toggle[0].Op = dccs.EdgeInsert
+			}
+			if _, err := eng.ApplyUpdates(context.Background(), toggle); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	for i := 0; i < 40; i++ {
+		if err := s.saveSnapshots(); err != nil {
+			t.Fatal(err)
+		}
+		saved, err := dccs.ReadGraphFile(s.liveGraphPath("live"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := dccs.NewMutableEngine(saved, dccs.EngineConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.LoadSnapshot(s.snapshotPath("live")); err != nil {
+			t.Fatalf("save %d: the saved pair does not restore: %v", i, err)
+		}
+		if restored.Version() == 0 {
+			t.Fatalf("save %d: restored version 0, want the saved generation's", i)
+		}
+	}
+}
