@@ -1,256 +1,169 @@
-// Command benchdiff compares two runs of the repo's JSON bench
-// artifacts (BENCH_engine.json, BENCH_format.json, BENCH_serve.json)
-// and fails when a timing regressed beyond a tolerance factor — the CI
-// bench-regression gate.
+// Command benchdiff compares two BENCH_scale.json artifacts written by
+// dccs-bench -gauntlet and fails when a gated value regressed beyond
+// its tolerance: the CI and nightly bench-regression gate.
 //
 // Usage:
 //
-//	benchdiff -old prev/ -new bench-out/              # compare directories
-//	benchdiff -old prev/BENCH_serve.json -new bench-out/BENCH_serve.json
-//	benchdiff -factor 2 -floor-ms 5 -old prev -new out
+//	benchdiff -old bench-prev/BENCH_scale.json -new bench-out/BENCH_scale.json
 //
-// Metrics are classified by field name: latency-like fields ("*_secs",
-// "*_ms", "p50*", "p99*"; lower is better) regress when
-// new > factor × old, throughput-like fields ("*qps*", "*speedup*";
-// higher is better) regress when new < old ⁄ factor. Other numerics
-// (counts, sizes) are informational. Values below the noise floor are
-// never flagged: quick-scale CI timings jitter wildly at the
-// single-millisecond level, and a 3 ms query that became 7 ms is not a
-// regression worth a red build. Arrays (per-query samples) are skipped
-// for the same reason — the totals already aggregate them.
+// An artifact lists its gated values under "metrics", one row per
+// dataset and name, and each row states its unit and whether lower or
+// higher is better. Rows are paired by (dataset, name):
 //
-// A missing baseline — first run, expired artifact — is not an error:
-// the tool reports what it skipped and exits 0, so the CI gate
-// self-heals. Exit codes: 0 ok, 1 regression found, 2 usage error.
+//   - a lower-is-better row regresses when new > 2 × old. Rows in ms are
+//     first clamped up to a 5 ms noise floor on both sides: quick-scale
+//     CI timings jitter at the single-millisecond level, while a blow-up
+//     from a sub-floor baseline (3 ms → 500 ms) still trips the gate;
+//   - a higher-is-better row regresses when new × 4 < old. Ratios have
+//     no absolute floor (they may be the quotient of two sub-floor
+//     timings), so they are gated at the factor squared as a backstop.
+//
+// The new artifact's unit and direction decide. A row present on only
+// one side is skipped with a note. A missing baseline, or one without
+// metric rows (written before rows carried their direction), passes
+// with a note, so the gate heals itself after an expired artifact or a
+// schema change. Exit codes: 0 ok, 1 regression found, 2 usage or read
+// error.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"io"
+	"io/fs"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 )
-
-func main() {
-	oldPath := flag.String("old", "", "baseline artifact file or directory")
-	newPath := flag.String("new", "", "fresh artifact file or directory")
-	factor := flag.Float64("factor", 2.0, "tolerated slowdown factor")
-	floorMS := flag.Float64("floor-ms", 5.0, "noise floor: timings are clamped up to this many ms before comparison, so sub-floor jitter never flags")
-	flag.Parse()
-	if *oldPath == "" || *newPath == "" || *factor <= 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff -old <file|dir> -new <file|dir> [-factor 2] [-floor-ms 5]")
-		os.Exit(2)
-	}
-
-	pairs, skipped, err := resolvePairs(*oldPath, *newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
-	}
-	for _, s := range skipped {
-		fmt.Printf("skip: %s\n", s)
-	}
-	if len(pairs) == 0 {
-		fmt.Println("benchdiff: no baseline artifacts to compare; passing")
-		return
-	}
-
-	regressions := 0
-	for _, p := range pairs {
-		n, err := comparePair(p, *factor, *floorMS)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-			os.Exit(2)
-		}
-		regressions += n
-	}
-	if regressions > 0 {
-		fmt.Printf("\nbenchdiff: %d regression(s) beyond %.1fx\n", regressions, *factor)
-		os.Exit(1)
-	}
-	fmt.Println("\nbenchdiff: no regressions")
-}
-
-type pair struct{ name, oldFile, newFile string }
-
-// resolvePairs expands the -old/-new arguments into comparable file
-// pairs: directly for file arguments, by matching BENCH_*.json base
-// names for directories. New artifacts without a baseline (and vice
-// versa) are skipped, not failed — artifact sets grow over time.
-func resolvePairs(oldPath, newPath string) ([]pair, []string, error) {
-	oldInfo, err := os.Stat(oldPath)
-	if os.IsNotExist(err) {
-		return nil, []string{fmt.Sprintf("baseline %s does not exist", oldPath)}, nil
-	} else if err != nil {
-		return nil, nil, err
-	}
-	newInfo, err := os.Stat(newPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !oldInfo.IsDir() && !newInfo.IsDir() {
-		return []pair{{filepath.Base(newPath), oldPath, newPath}}, nil, nil
-	}
-	if !oldInfo.IsDir() || !newInfo.IsDir() {
-		return nil, nil, fmt.Errorf("-old and -new must both be files or both directories")
-	}
-	fresh, err := filepath.Glob(filepath.Join(newPath, "BENCH_*.json"))
-	if err != nil {
-		return nil, nil, err
-	}
-	var pairs []pair
-	var skipped []string
-	for _, nf := range fresh {
-		base := filepath.Base(nf)
-		of := filepath.Join(oldPath, base)
-		if _, err := os.Stat(of); os.IsNotExist(err) {
-			skipped = append(skipped, fmt.Sprintf("%s has no baseline", base))
-			continue
-		} else if err != nil {
-			return nil, nil, err
-		}
-		pairs = append(pairs, pair{base, of, nf})
-	}
-	return pairs, skipped, nil
-}
-
-// comparePair prints the metric-by-metric comparison of one artifact
-// and returns the number of regressions.
-func comparePair(p pair, factor, floorMS float64) (int, error) {
-	oldM, err := loadFlat(p.oldFile)
-	if err != nil {
-		return 0, err
-	}
-	newM, err := loadFlat(p.newFile)
-	if err != nil {
-		return 0, err
-	}
-	keys := make([]string, 0, len(newM))
-	for k := range newM {
-		if _, ok := oldM[k]; ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-
-	fmt.Printf("== %s ==\n", p.name)
-	regressions := 0
-	for _, k := range keys {
-		ov, nv := oldM[k], newM[k]
-		verdict := ""
-		switch classify(k) {
-		case classLatency:
-			// Clamp both sides up to the noise floor before comparing: a
-			// sub-floor baseline that jitters above the floor (3 ms → 7 ms
-			// at a 5 ms floor) stays within tolerance, while a genuine
-			// blow-up from a sub-floor baseline (3 ms → 500 ms) still
-			// trips the gate.
-			co, cn := clampFloor(k, ov, floorMS), clampFloor(k, nv, floorMS)
-			if co == cn && ov != nv {
-				verdict = "noise"
-			} else if cn > co*factor {
-				verdict = fmt.Sprintf("REGRESSION %.2fx slower", safeRatio(nv, ov))
-				regressions++
-			} else {
-				verdict = fmt.Sprintf("ok (%.2fx)", safeRatio(nv, ov))
-			}
-		case classThroughput:
-			// Throughput ratios have no absolute noise floor to test
-			// against (a speedup of 300 may be the quotient of two
-			// sub-floor timings), so they gate at factor² as a backstop:
-			// timer jitter moves a cache-hit-derived speedup by 2–3x, a
-			// genuinely broken cache moves it by orders of magnitude,
-			// and the phase latencies above the floor carry the primary
-			// factor-gated check.
-			if nv*factor*factor < ov {
-				verdict = fmt.Sprintf("REGRESSION %.2fx lower", safeRatio(ov, nv))
-				regressions++
-			} else {
-				verdict = fmt.Sprintf("ok (%.2fx)", safeRatio(nv, ov))
-			}
-		default:
-			continue // counts, sizes: informational, not gated
-		}
-		fmt.Printf("  %-28s %14.6g -> %14.6g  %s\n", k, ov, nv, verdict)
-	}
-	return regressions, nil
-}
-
-type metricClass int
 
 const (
-	classOther metricClass = iota
-	classLatency
-	classThroughput
+	factor  = 2.0 // tolerated slowdown of a lower-is-better row
+	floorMS = 5.0 // ms rows are clamped up to this before comparison
 )
 
-// classify maps a flattened field name to its comparison direction.
-// Throughput wins ties ("load_speedup" contains no latency marker, but
-// be explicit about precedence for future fields).
-func classify(key string) metricClass {
-	k := strings.ToLower(key)
-	if strings.Contains(k, "qps") || strings.Contains(k, "speedup") {
-		return classThroughput
+// row is one gated value of a BENCH_scale.json artifact.
+type row struct {
+	Dataset string  `json:"dataset"`
+	Name    string  `json:"name"`
+	Unit    string  `json:"unit"`
+	Better  string  `json:"better"`
+	Value   float64 `json:"value"`
+}
+
+func main() {
+	oldPath := flag.String("old", "", "baseline BENCH_scale.json")
+	newPath := flag.String("new", "", "fresh BENCH_scale.json")
+	flag.Parse()
+	if *oldPath == "" || *newPath == "" || flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff -old <BENCH_scale.json> -new <BENCH_scale.json>")
+		os.Exit(2)
 	}
-	for _, marker := range []string{"_secs", "_ms", "p50", "p99"} {
-		if strings.Contains(k, marker) {
-			return classLatency
+	os.Exit(run(*oldPath, *newPath, os.Stdout, os.Stderr))
+}
+
+// run compares the artifacts at oldPath and newPath, prints one line
+// per row, and returns the exit code.
+func run(oldPath, newPath string, stdout, stderr io.Writer) int {
+	fresh, err := load(newPath)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 2
+	}
+	if len(fresh) == 0 {
+		fmt.Fprintf(stderr, "benchdiff: %s has no metric rows\n", newPath)
+		return 2
+	}
+	base, err := load(oldPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		fmt.Fprintf(stdout, "benchdiff: no baseline at %s; passing\n", oldPath)
+		return 0
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
+		return 2
+	}
+	if len(base) == 0 {
+		fmt.Fprintf(stdout, "benchdiff: baseline %s has no metric rows (older schema); passing\n", oldPath)
+		return 0
+	}
+
+	type key struct{ dataset, name string }
+	byKey := make(map[key]row, len(base))
+	for _, r := range base {
+		byKey[key{r.Dataset, r.Name}] = r
+	}
+	regressions := 0
+	for _, nr := range fresh {
+		k := key{nr.Dataset, nr.Name}
+		or, ok := byKey[k]
+		if !ok {
+			fmt.Fprintf(stdout, "skip: %s %s has no baseline\n", nr.Dataset, nr.Name)
+			continue
+		}
+		delete(byKey, k)
+		verdict, regressed, err := compare(or.Value, nr)
+		if err != nil {
+			fmt.Fprintf(stderr, "benchdiff: %s: %v\n", newPath, err)
+			return 2
+		}
+		if regressed {
+			regressions++
+		}
+		fmt.Fprintf(stdout, "  %-10s %-14s %14.6g -> %14.6g  %s\n", nr.Dataset, nr.Name, or.Value, nr.Value, verdict)
+	}
+	for _, r := range base {
+		if _, ok := byKey[key{r.Dataset, r.Name}]; ok {
+			fmt.Fprintf(stdout, "skip: %s %s is missing from the new artifact\n", r.Dataset, r.Name)
 		}
 	}
-	return classOther
-}
-
-// clampFloor raises a latency value to the noise floor, interpreting
-// the unit from the field name, so sub-floor timings compare as "at the
-// floor" rather than as precise measurements.
-func clampFloor(key string, v, floorMS float64) float64 {
-	floor := floorMS
-	if strings.Contains(strings.ToLower(key), "_secs") {
-		floor = floorMS / 1000
+	if regressions > 0 {
+		fmt.Fprintf(stdout, "\nbenchdiff: %d regression(s)\n", regressions)
+		return 1
 	}
-	return math.Max(v, floor)
+	fmt.Fprintln(stdout, "\nbenchdiff: no regressions")
+	return 0
 }
 
-func safeRatio(a, b float64) float64 {
+// compare judges the new row against its baseline value in the
+// direction the row states.
+func compare(old float64, nr row) (verdict string, regressed bool, err error) {
+	switch nr.Better {
+	case "lower":
+		o, n := old, nr.Value
+		if nr.Unit == "ms" {
+			o, n = max(o, floorMS), max(n, floorMS)
+		}
+		if n > o*factor {
+			return fmt.Sprintf("REGRESSION %.2fx higher", ratio(nr.Value, old)), true, nil
+		}
+	case "higher":
+		if nr.Value*factor*factor < old {
+			return fmt.Sprintf("REGRESSION %.2fx lower", ratio(old, nr.Value)), true, nil
+		}
+	default:
+		return "", false, fmt.Errorf("%s %s: better = %q, want \"lower\" or \"higher\"", nr.Dataset, nr.Name, nr.Better)
+	}
+	return fmt.Sprintf("ok (%.2fx)", ratio(nr.Value, old)), false, nil
+}
+
+func ratio(a, b float64) float64 {
 	if b == 0 {
 		return 0
 	}
 	return a / b
 }
 
-// loadFlat parses a JSON artifact into dotted-path scalar metrics,
-// recursing through objects and skipping arrays (per-sample noise).
-func loadFlat(path string) (map[string]float64, error) {
+// load reads the metric rows of the artifact at path.
+func load(path string) ([]row, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var root any
-	if err := json.Unmarshal(blob, &root); err != nil {
+	var a struct {
+		Metrics []row `json:"metrics"`
+	}
+	if err := json.Unmarshal(blob, &a); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	out := map[string]float64{}
-	flatten("", root, out)
-	return out, nil
-}
-
-func flatten(prefix string, v any, out map[string]float64) {
-	switch x := v.(type) {
-	case map[string]any:
-		for k, child := range x {
-			key := k
-			if prefix != "" {
-				key = prefix + "." + k
-			}
-			flatten(key, child, out)
-		}
-	case float64:
-		if prefix != "" {
-			out[prefix] = x
-		}
-	}
+	return a.Metrics, nil
 }

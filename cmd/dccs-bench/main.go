@@ -1,5 +1,6 @@
 // Command dccs-bench regenerates the tables and figures of the paper's
-// evaluation section (§VI) on the synthetic stand-in datasets.
+// evaluation section (§VI) on the synthetic stand-in datasets, and runs
+// the scale gauntlet that gates DCCS against MiMAG.
 //
 // Usage:
 //
@@ -9,20 +10,6 @@
 //	dccs-bench -quick              # trimmed grids + small datasets (smoke run)
 //	dccs-bench -out ./out          # directory for artifacts (Fig 31 DOT file)
 //	dccs-bench -parallel           # serial vs parallel engine speedup table
-//	dccs-bench -engine -out ./out  # cold vs Engine-amortized query latency
-//	                               # (writes BENCH_engine.json)
-//	dccs-bench -format -out ./out  # text parse vs .mlgb binary load vs
-//	                               # engine snapshot (writes BENCH_format.json)
-//	dccs-bench -serve -out ./out   # closed-loop HTTP serving latency: cold vs
-//	                               # cache-hit vs coalesced (BENCH_serve.json)
-//	dccs-bench -dynamic -out ./out # live-graph update throughput and post-update
-//	                               # query latency vs cold rebuild (BENCH_dynamic.json)
-//	dccs-bench -core -out ./out    # preprocessing primitives: shared multi-d
-//	                               # hierarchy sweep vs per-d builds, flat-peel
-//	                               # latency and allocs (BENCH_core.json)
-//	dccs-bench -batch -out ./out   # one /v1/search/batch vs N sequential cold
-//	                               # searches; mmap vs heap .mlgb open
-//	                               # (writes BENCH_batch.json)
 //	dccs-bench -gauntlet -out ./out        # scale gauntlet: streamed planted-
 //	dccs-bench -gauntlet -quick -out ./out # community graphs, DCCS vs MiMAG
 //	                                       # under matched budgets, scored
@@ -30,9 +17,10 @@
 //	                                       # DCCS wins F1 and p50 on every
 //	                                       # dataset (writes BENCH_scale.json)
 //
-// The mode flags (-parallel, -engine, -format, -serve, -dynamic, -core,
-// -batch, -gauntlet) are mutually exclusive; setting more than one is a
-// usage error.
+// The mode flags (-parallel, -gauntlet) are mutually exclusive; setting
+// both is a usage error. Timings of the library, the server and the
+// storage formats live in the Go benchmarks (go test -bench) and in the
+// repository benchmark (bash benchmark/run.sh).
 package main
 
 import (
@@ -51,30 +39,11 @@ func main() {
 	quick := flag.Bool("quick", false, "trimmed parameter grids and small datasets")
 	out := flag.String("out", "", "directory for artifact files (empty = no artifacts)")
 	parallel := flag.Bool("parallel", false, "run the serial-vs-parallel engine comparison instead of a figure")
-	engine := flag.Bool("engine", false, "run the cold-vs-amortized prepared-engine comparison instead of a figure")
-	format := flag.Bool("format", false, "run the text-vs-binary-vs-snapshot storage comparison instead of a figure")
-	serve := flag.Bool("serve", false, "run the closed-loop HTTP serving benchmark instead of a figure")
-	dynamic := flag.Bool("dynamic", false, "run the live-graph update benchmark instead of a figure")
-	coreb := flag.Bool("core", false, "run the core-primitive benchmark (shared multi-d sweep, flat peel) instead of a figure")
-	batch := flag.Bool("batch", false, "run the batch-search and mmap-open benchmark instead of a figure")
 	gauntlet := flag.Bool("gauntlet", false, "run the scale gauntlet (DCCS vs MiMAG on streamed planted graphs) instead of a figure")
 	flag.Parse()
 
-	modes := 0
-	for _, m := range []struct {
-		name string
-		set  bool
-	}{
-		{"-parallel", *parallel}, {"-engine", *engine}, {"-format", *format},
-		{"-serve", *serve}, {"-dynamic", *dynamic}, {"-core", *coreb},
-		{"-batch", *batch}, {"-gauntlet", *gauntlet},
-	} {
-		if m.set {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "dccs-bench: at most one of -parallel, -engine, -format, -serve, -dynamic, -core, -batch, -gauntlet may be set")
+	if *parallel && *gauntlet {
+		fmt.Fprintln(os.Stderr, "dccs-bench: at most one of -parallel, -gauntlet may be set")
 		os.Exit(2)
 	}
 
@@ -82,18 +51,6 @@ func main() {
 	var err error
 	if *gauntlet {
 		err = s.RunGauntlet()
-	} else if *batch {
-		err = s.RunBatch()
-	} else if *coreb {
-		err = s.RunCore()
-	} else if *dynamic {
-		err = s.RunDynamic()
-	} else if *serve {
-		err = s.RunServe()
-	} else if *format {
-		err = s.RunFormat()
-	} else if *engine {
-		err = s.RunEngine()
 	} else if *parallel {
 		err = s.RunParallel()
 	} else if *fig == "all" {

@@ -108,8 +108,8 @@ func ReadGraph(r io.Reader) (*Graph, error) { return multilayer.Decode(r) }
 // sniffing the magic bytes: .mlgb binary images (Graph.WriteBinaryFile)
 // load by slurping the CSR sections directly — no per-edge parsing —
 // and anything else parses as the text edge-list format. Binary loading
-// is the serving-path choice: see BENCH_format.json for the measured
-// gap.
+// is the serving-path choice: BenchmarkReadGraph in internal/multilayer
+// measures the gap.
 func ReadGraphFile(path string) (*Graph, error) { return multilayer.OpenFile(path) }
 
 // MappedGraph is a Graph whose CSR arrays alias a read-only memory

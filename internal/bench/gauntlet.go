@@ -89,10 +89,9 @@ const (
 	gauntletMinJaccard = 0.5
 )
 
-// gauntletEntry is the per-dataset record of BENCH_scale.json. The
-// latency fields end in _ms so benchdiff gates them as latencies;
-// p50_speedup carries the cross-algorithm ratio as a throughput-class
-// field (higher is better, factor² tolerance).
+// gauntletEntry is the per-dataset record of BENCH_scale.json. Field
+// names carry no meaning for the regression gate: the values benchdiff
+// compares are listed, with their direction, in gauntletReport.Metrics.
 type gauntletEntry struct {
 	N           int   `json:"n"`
 	Layers      int   `json:"layers"`
@@ -120,11 +119,47 @@ type gauntletEntry struct {
 	BudgetMS       int64 `json:"budget_ms"`
 }
 
-// gauntletReport is the BENCH_scale.json artifact. Datasets is a map so
-// benchdiff's flattener gates every per-dataset metric individually.
+// gauntletReport is the BENCH_scale.json artifact. Datasets holds the
+// full per-dataset records; Metrics repeats the gated values as rows
+// that state their own unit and direction, which is all benchdiff reads.
 type gauntletReport struct {
 	Mode     string                   `json:"mode"`
 	Datasets map[string]gauntletEntry `json:"datasets"`
+	Metrics  []metricRow              `json:"metrics"`
+}
+
+// metricRow is one gated value of BENCH_scale.json, named and directed
+// in the words of the repository benchmark: better is "lower" or
+// "higher".
+type metricRow struct {
+	Dataset string  `json:"dataset"`
+	Name    string  `json:"name"`
+	Unit    string  `json:"unit"`
+	Better  string  `json:"better"`
+	Value   float64 `json:"value"`
+}
+
+// gauntletMetrics derives the gated rows from the per-dataset entries,
+// ordered by dataset name: the four latency percentiles (lower is
+// better) and the MiMAG-over-DCCS p50 ratio (higher is better).
+func gauntletMetrics(datasets map[string]gauntletEntry) []metricRow {
+	names := make([]string, 0, len(datasets))
+	for name := range datasets {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var rows []metricRow
+	for _, name := range names {
+		e := datasets[name]
+		rows = append(rows,
+			metricRow{name, "dccs_p50_ms", "ms", "lower", e.DCCSP50MS},
+			metricRow{name, "dccs_p99_ms", "ms", "lower", e.DCCSP99MS},
+			metricRow{name, "mimag_p50_ms", "ms", "lower", e.MimagP50MS},
+			metricRow{name, "mimag_p99_ms", "ms", "lower", e.MimagP99MS},
+			metricRow{name, "p50_speedup", "ratio", "higher", e.P50Speedup},
+		)
+	}
+	return rows
 }
 
 // splitOnLayers splits one algorithm output (a DCCS core or a MiMAG
@@ -388,6 +423,7 @@ func (s *Suite) RunGauntlet() error {
 			return err
 		}
 		path := filepath.Join(s.OutDir, "BENCH_scale.json")
+		report.Metrics = gauntletMetrics(report.Datasets)
 		blob, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			return err

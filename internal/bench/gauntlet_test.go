@@ -85,3 +85,29 @@ func TestGauntletGate(t *testing.T) {
 		t.Errorf("gate error names a passing dataset: %v", err)
 	}
 }
+
+// TestGauntletMetricsRows: BENCH_scale.json lists the five gated values
+// of every dataset, in dataset order, each stating its unit and
+// direction; the budget constant is not gated.
+func TestGauntletMetricsRows(t *testing.T) {
+	rows := gauntletMetrics(map[string]gauntletEntry{
+		"b": {DCCSP50MS: 1, DCCSP99MS: 2, MimagP50MS: 30, MimagP99MS: 40, P50Speedup: 30, BudgetMS: 2000},
+		"a": {DCCSP50MS: 5},
+	})
+	if len(rows) != 10 {
+		t.Fatalf("%d rows, want 5 per dataset: %+v", len(rows), rows)
+	}
+	want := []metricRow{
+		{"b", "dccs_p50_ms", "ms", "lower", 1},
+		{"b", "dccs_p99_ms", "ms", "lower", 2},
+		{"b", "mimag_p50_ms", "ms", "lower", 30},
+		{"b", "mimag_p99_ms", "ms", "lower", 40},
+		{"b", "p50_speedup", "ratio", "higher", 30},
+	}
+	if rows[0] != (metricRow{"a", "dccs_p50_ms", "ms", "lower", 5}) {
+		t.Errorf("first row %+v, want dataset a's dccs_p50_ms", rows[0])
+	}
+	if !reflect.DeepEqual(rows[5:], want) {
+		t.Errorf("dataset b rows = %+v, want %+v", rows[5:], want)
+	}
+}

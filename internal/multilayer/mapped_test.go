@@ -46,6 +46,9 @@ func TestOpenMappedEquivalence(t *testing.T) {
 	}
 	defer mg.Close()
 
+	if mg.ZeroCopy() != wantZeroCopy {
+		t.Fatalf("ZeroCopy() = %v, want %v on this build", mg.ZeroCopy(), wantZeroCopy)
+	}
 	if !mg.Equal(heap) {
 		t.Fatal("mapped graph differs from heap decode")
 	}

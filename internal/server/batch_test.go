@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -129,6 +130,96 @@ func TestBatchMixedSources(t *testing.T) {
 	}
 	if out.Graph != "fig1" {
 		t.Errorf("graph %q, want fig1", out.Graph)
+	}
+}
+
+// answerKey is what a search answer must share between the batch and
+// the single-search paths: the cores, the cover and the search Stats,
+// without the wall-clock engine_secs.
+func answerKey(t *testing.T, cores []SearchCC, cover int, truncated bool, stats SearchStats) string {
+	t.Helper()
+	stats.EngineSecs = 0
+	blob, err := json.Marshal(struct {
+		Cores     []SearchCC  `json:"cores"`
+		CoverSize int         `json:"cover_size"`
+		Truncated bool        `json:"truncated"`
+		Stats     SearchStats `json:"stats"`
+	}{cores, cover, truncated, stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(blob)
+}
+
+// TestBatchMatchesSingles: one batch of n distinct-d queries on a fresh
+// server answers every item byte-equal to the same query sent as a
+// single search to its own fresh server, while building the per-layer
+// coreness once and one hierarchy per d in one shared sweep.
+func TestBatchMatchesSingles(t *testing.T) {
+	const n = 8
+	// Planted communities of 6..20 vertices on 2..4 of 4 layers, so the
+	// d-CCs shrink as d grows; s alternates between 1 (bottom-up) and 3
+	// (top-down). Every query's cover differs.
+	g := datasets.Generate(datasets.Config{
+		Name: "nested", N: 300, Layers: 4, Seed: 3,
+		AvgDegree: 3, Gamma: 2.5, Correlation: 0.3,
+		Communities: 10, MinSize: 6, MaxSize: 20, MinSupport: 2, MaxSupport: 4,
+		PIn: 0.9, Persistent: 1, CrossLayerNoise: 0.05,
+	}).Graph
+	queries := make([]BatchQuery, n)
+	for i := range queries {
+		queries[i] = BatchQuery{D: i + 1, S: 1 + 2*(i%2), K: 3, Seed: int64(i + 1)}
+	}
+
+	newServer := func() (*Server, *httptest.Server) {
+		s, err := New(Config{}, GraphSpec{Name: "nested", Graph: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, newHTTPServer(t, s)
+	}
+
+	singles := make([]string, n)
+	covers := map[int]bool{}
+	for i, q := range queries {
+		_, ts := newServer()
+		resp, out := postSearch(t, ts.URL, SearchRequest{D: q.D, S: q.S, K: q.K, Seed: q.Seed})
+		if resp.StatusCode != http.StatusOK || out.Source != "engine" {
+			t.Fatalf("single d=%d: status %d source %q, want 200 from the engine", q.D, resp.StatusCode, out.Source)
+		}
+		singles[i] = answerKey(t, out.Cores, out.CoverSize, out.Truncated, out.Stats)
+		covers[out.CoverSize] = true
+	}
+	if len(covers) != n {
+		t.Fatalf("%d distinct covers over %d queries; the graph must separate every d", len(covers), n)
+	}
+
+	s, ts := newServer()
+	resp, out := postBatch(t, ts.URL, BatchRequest{Queries: queries})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	if out.EngineRuns != n || out.Errors != 0 || len(out.Items) != n {
+		t.Fatalf("engine_runs %d, errors %d, %d items; want %d, 0, %d", out.EngineRuns, out.Errors, len(out.Items), n, n)
+	}
+	wantDs := make([]int, n)
+	for i := range wantDs {
+		wantDs[i] = i + 1
+	}
+	if !reflect.DeepEqual(out.WarmedDs, wantDs) {
+		t.Fatalf("warmed_ds %v, want %v", out.WarmedDs, wantDs)
+	}
+	for i, it := range out.Items {
+		if it.Stats == nil {
+			t.Fatalf("item %d has no stats", i)
+		}
+		if got := answerKey(t, it.Cores, it.CoverSize, it.Truncated, *it.Stats); got != singles[i] {
+			t.Errorf("item %d (d=%d) differs from its single search:\n batch  %s\n single %s", i, queries[i].D, got, singles[i])
+		}
+	}
+	eng, _ := s.Engine("nested")
+	if m := eng.Metrics(); m.CorenessBuilds != 1 || m.HierarchyBuilds != n {
+		t.Fatalf("batch engine metrics %+v, want one coreness build and %d hierarchy builds", m, n)
 	}
 }
 

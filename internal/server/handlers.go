@@ -169,6 +169,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.writeError(w, http.StatusRequestEntityTooLarge, "search body exceeds %d bytes", tooLarge.Limit)
+			return
+		}
 		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

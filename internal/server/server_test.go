@@ -119,6 +119,7 @@ func TestSearchRejectsBadRequests(t *testing.T) {
 		{"negative budget", `{"d":3,"s":2,"k":2,"max_tree_nodes":-1}`, http.StatusBadRequest},
 		{"negative timeout", `{"d":3,"s":2,"k":2,"timeout_ms":-5}`, http.StatusBadRequest},
 		{"unknown graph", `{"graph":"nope","d":3,"s":2,"k":2}`, http.StatusNotFound},
+		{"body over 1 MiB", `{"d":3,"s":2,"k":2,"graph":"` + strings.Repeat("x", 1<<20) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
