@@ -222,6 +222,42 @@ func BenchmarkEngineSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineSearchNoReuse times the four cold-search query shapes
+// of BenchmarkEngineSearch with nothing to reuse between queries: each
+// iteration builds a fresh engine and warms d = 3 and 4 with the timer
+// stopped, then runs bottom-up at s = 3 and top-down at s = l−2 at both
+// d once each, so no query shares its (d, s) with another. Next to
+// BenchmarkEngineSearch it tells the d-CC memo's reuse across queries
+// apart from a faster kernel.
+func BenchmarkEngineSearchNoReuse(b *testing.B) {
+	g := serveGraph()
+	var shapes []dccs.Query
+	for _, d := range []int{3, 4} {
+		shapes = append(shapes,
+			dccs.Query{D: d, S: 3, K: 10, Algorithm: dccs.AlgoBottomUp},
+			dccs.Query{D: d, S: g.L() - 2, K: 10, Algorithm: dccs.AlgoTopDown})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e, err := dccs.NewEngine(g, dccs.EngineConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Warm(3, 4); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, q := range shapes {
+			q.Seed = int64(i + 1)
+			if _, err := e.Search(context.Background(), q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkEngineFirstSearch times a fresh engine's first query on the
 // serve-shaped graph, the cold-start workload's query (d = 4, s = 3,
 // k = 10): per-layer coreness, the d = 4 hierarchy and the search. Only

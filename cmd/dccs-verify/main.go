@@ -1,7 +1,8 @@
 // Command dccs-verify checks a DCCS result against its graph: every core
-// must be exactly the d-CC of its layer set, layer sets must be distinct
-// and of size s, and the reported cover size must match. Results are the
-// JSON produced by `dccs -json`.
+// must be exactly the d-CC of its layer set, layers and vertices must be
+// strictly increasing, layer sets must be distinct and of size s, and
+// the reported cover size must match. Results are the JSON produced by
+// `dccs -json`.
 //
 // The graph may be in the text edge-list format or the .mlgb binary
 // format; the magic bytes are sniffed, as in the dccs command.

@@ -187,8 +187,9 @@ func Search(g *Graph, opts Options) (*Result, error) {
 func Exact(g *Graph, opts Options) (*Result, error) { return core.ExactDCCS(g, opts) }
 
 // Validate checks that a Result is consistent with the graph and options:
-// every core is exactly the d-CC of its size-s layer set, layer sets are
-// distinct, and CoverSize matches the union of the cores.
+// every core is exactly the d-CC of its size-s layer set, layers and
+// vertices are strictly increasing, layer sets are distinct, and
+// CoverSize matches the union of the cores.
 func Validate(g *Graph, opts Options, res *Result) error {
 	return core.ValidateResult(g, opts, res)
 }

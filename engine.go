@@ -94,10 +94,19 @@ type Query struct {
 // it served and how often each artifact tier was actually (re)built. A
 // healthy engine shows CorenessBuilds ≤ 1 and HierarchyBuilds equal to
 // the number of distinct D values queried, independent of Queries.
+//
+// MemoHits and MemoMisses count the lookups of the d-CC memo, which
+// reuses exact coherent cores across queries sharing (D, S); they are
+// lifetime counters like the build counters. MemoBytes is what the
+// current generation's memo holds, bounded by a budget the size of the
+// graph's per-layer coreness arrays (at least 64 KiB).
 type EngineMetrics struct {
 	Queries         int64
 	CorenessBuilds  int64
 	HierarchyBuilds int64
+	MemoHits        int64
+	MemoMisses      int64
+	MemoBytes       int64
 }
 
 // Engine is a long-lived, context-aware handle on one immutable Graph
@@ -299,14 +308,18 @@ func (v View) CacheKey(q Query) string {
 }
 
 // Metrics returns the engine's lifetime counters. On mutable engines
-// the build counters carry across update generations (Derive inherits
-// them), so they keep measuring amortization over the engine's life.
+// the build and memo counters carry across update generations (Derive
+// inherits them), so they keep measuring amortization over the engine's
+// life; MemoBytes restarts at 0 with every generation.
 func (e *Engine) Metrics() EngineMetrics {
 	c := e.st.Load().pr.Counters()
 	return EngineMetrics{
 		Queries:         e.queries.Load(),
 		CorenessBuilds:  c.CorenessBuilds,
 		HierarchyBuilds: c.HierarchyBuilds,
+		MemoHits:        c.MemoHits,
+		MemoMisses:      c.MemoMisses,
+		MemoBytes:       c.MemoBytes,
 	}
 }
 

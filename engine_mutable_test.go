@@ -170,6 +170,44 @@ func TestApplyUpdatesVersionAndCacheKey(t *testing.T) {
 	}
 }
 
+// TestMemoMetricsAcrossUpdates pins the d-CC memo counters across live
+// generations: hits and misses carry over like the build counters,
+// while the new generation's memo starts empty and fills again.
+func TestMemoMetricsAcrossUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g := testutil.RandomCorrelatedGraph(rng, 60, 4, 0.2, 0.85, 0.05)
+	eng, err := NewMutableEngine(g, EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		if _, err := eng.Search(context.Background(), Query{D: 2, S: 2, K: 3, Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := eng.Metrics()
+	if before.MemoHits == 0 || before.MemoMisses == 0 || before.MemoBytes == 0 {
+		t.Fatalf("two queries at one (d, s) left %+v, want hits, misses and bytes", before)
+	}
+	u, v := 0, 1
+	for g.HasEdge(0, u, v) {
+		v++
+	}
+	if _, err := eng.ApplyUpdates(context.Background(), []EdgeUpdate{{Op: EdgeInsert, Layer: 0, U: u, V: v}}); err != nil {
+		t.Fatal(err)
+	}
+	after := eng.Metrics()
+	if after.MemoHits != before.MemoHits || after.MemoMisses != before.MemoMisses || after.MemoBytes != 0 {
+		t.Fatalf("after an update: %+v, want the counters of %+v and no bytes", after, before)
+	}
+	if _, err := eng.Search(context.Background(), Query{D: 2, S: 2, K: 3, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if m := eng.Metrics(); m.MemoMisses == after.MemoMisses || m.MemoBytes == 0 {
+		t.Fatalf("the new generation did not refill its memo: %+v", m)
+	}
+}
+
 // TestApplyUpdatesValidates pins batch atomicity: one invalid update
 // rejects the whole batch before anything lands.
 func TestApplyUpdatesValidates(t *testing.T) {

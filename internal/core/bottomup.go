@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/coverage"
-	"repro/internal/kcore"
 	"repro/internal/multilayer"
 	"repro/internal/pool"
 )
@@ -85,7 +84,7 @@ func (b *buSearch) posCore(pos int) *bitset.Set {
 // a MaxTreeNodes budget, which the workers share and race for.
 func (b *buSearch) genParallel(workers int) *coverage.TopK {
 	p := b.prep
-	g, d, s := p.g, p.opts.D, p.opts.S
+	g, s := p.g, p.opts.S
 	l := g.L()
 	if !p.admitNode() {
 		return b.topk
@@ -96,8 +95,7 @@ func (b *buSearch) genParallel(workers int) *coverage.TopK {
 	children := make([]*bitset.Set, l)
 	pool.Run(workers, l, func(j int) {
 		seed := p.alive.Intersection(b.posCore(j)) // Lemma 1 scope
-		p.stats.dccCalls.Add(1)
-		children[j] = kcore.DCC(g, seed, p.layersOf([]int{j}), d)
+		children[j] = p.dcc(seed, p.layersOf([]int{j}))
 	})
 
 	if s == 1 {
@@ -149,7 +147,7 @@ func (b *buSearch) genParallel(workers int) *coverage.TopK {
 // ancestors of this node.
 func (b *buSearch) gen(L []int, cL *bitset.Set, lq uint64) {
 	p := b.prep
-	g, d, s := p.g, p.opts.D, p.opts.S
+	g, s := p.g, p.opts.S
 	l := g.L()
 	if !p.admitNode() {
 		return
@@ -172,8 +170,7 @@ func (b *buSearch) gen(L []int, cL *bitset.Set, lq uint64) {
 	}
 	computeChild := func(j int) *bitset.Set {
 		seed := cL.Intersection(b.posCore(j)) // Lemma 1 scope
-		p.stats.dccCalls.Add(1)
-		return kcore.DCC(g, seed, childLayers(j), d)
+		return p.dcc(seed, childLayers(j))
 	}
 
 	var lr []int

@@ -56,8 +56,9 @@ func (pr *Prepared) Version() uint64 { return pr.version.Load() }
 // pr itself is never mutated: queries running against the old handle
 // keep observing a consistent pre-update state. The returned handle is
 // stamped with version and inherits pr's build counters (plus one
-// coreness build when any layer was dirty), so the amortization
-// counters stay meaningful across updates.
+// coreness build when any layer was dirty) and memo hit and miss
+// counters, so the amortization counters stay meaningful across
+// updates. Its d-CC memos start empty, retained hierarchies included.
 func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, version uint64) (*Prepared, DeriveInfo) {
 	old := pr.layerCoreness() // resolves pr.coreness and pr.maxCoreness
 	np := NewPrepared(g, pr.workers)
@@ -93,6 +94,8 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 		np.corenessBuilds.Add(1)
 	}
 	np.hierarchyBuilds.Store(pr.hierarchyBuilds.Load())
+	np.memoHits.Store(pr.memoHits.Load())
+	np.memoMisses.Store(pr.memoMisses.Load())
 	bound := corenessBound(changed, old, coreness)
 
 	// Decide retention over pr's completed per-d entries under pr.mu.

@@ -58,8 +58,7 @@ func (pr *Prepared) Exact(ctx context.Context, opts Options) (*Result, error) {
 		}
 		if idx == opts.S {
 			layers := append([]int(nil), comb...)
-			cc := kcore.DCC(g, p.alive, layers, opts.D)
-			p.stats.dccCalls.Add(1)
+			cc := p.dcc(p.alive, layers)
 			p.stats.candidates.Add(1)
 			if cc.Empty() {
 				return
@@ -142,9 +141,10 @@ func (pr *Prepared) Exact(ctx context.Context, opts Options) (*Result, error) {
 
 // ValidateResult checks that a Result is well-formed for the given graph
 // and options: every core's layer set has size s with in-range layers,
-// every core is exactly the d-CC of its layer set, no layer set repeats,
-// and CoverSize equals the union of the cores. It returns nil when the
-// result is consistent.
+// layers and vertices are strictly increasing (CC documents both as
+// sorted sets), every core is exactly the d-CC of its layer set, no
+// layer set repeats, and CoverSize equals the union of the cores. It
+// returns nil when the result is consistent.
 func ValidateResult(g *multilayer.Graph, opts Options, res *Result) error {
 	if res == nil {
 		return fmt.Errorf("dccs: nil result")
@@ -159,9 +159,12 @@ func ValidateResult(g *multilayer.Graph, opts Options, res *Result) error {
 		if len(c.Layers) != opts.S {
 			return fmt.Errorf("dccs: core %d has %d layers, want s=%d", i, len(c.Layers), opts.S)
 		}
-		for _, layer := range c.Layers {
+		for j, layer := range c.Layers {
 			if layer < 0 || layer >= g.L() {
 				return fmt.Errorf("dccs: core %d references layer %d outside [0,%d)", i, layer, g.L())
+			}
+			if j > 0 && layer <= c.Layers[j-1] {
+				return fmt.Errorf("dccs: core %d layers %v are not strictly increasing", i, c.Layers)
 			}
 		}
 		key := fmt.Sprint(c.Layers)
@@ -171,9 +174,12 @@ func ValidateResult(g *multilayer.Graph, opts Options, res *Result) error {
 		seen[key] = true
 		want := kcore.DCC(g, full, c.Layers, opts.D)
 		got := bitset.New(g.N())
-		for _, v := range c.Vertices {
+		for j, v := range c.Vertices {
 			if int(v) < 0 || int(v) >= g.N() {
 				return fmt.Errorf("dccs: core %d contains out-of-range vertex %d", i, v)
+			}
+			if j > 0 && v <= c.Vertices[j-1] {
+				return fmt.Errorf("dccs: core %d vertices are not strictly increasing at index %d", i, j)
 			}
 			got.Add(int(v))
 		}

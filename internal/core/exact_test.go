@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bitset"
+	"repro/internal/kcore"
 	"repro/internal/multilayer"
 	"repro/internal/testutil"
 )
@@ -136,6 +139,21 @@ func TestValidateResultRejectsCorruption(t *testing.T) {
 		"layer range":     corrupt(func(r *Result) { r.Cores[0].Layers[0] = 99 }),
 		"duplicate set":   corrupt(func(r *Result) { r.Cores[1].Layers = append([]int(nil), r.Cores[0].Layers...) }),
 		"vertex range":    corrupt(func(r *Result) { r.Cores[0].Vertices[0] = 99 }),
+		// A repeated layer set [i i] whose vertices are the d-CC of [i]
+		// alone: the peel sees the same layer set, so only the order check
+		// catches it.
+		"repeated layer": corrupt(func(r *Result) {
+			ly := r.Cores[0].Layers[1]
+			vs := kcore.DCC(g, bitset.NewFull(g.N()), []int{ly}, opts.D).Slice32()
+			r.Cores = []CC{{Layers: []int{ly, ly}, Vertices: vs}}
+			r.CoverSize = len(vs)
+		}),
+		"layers out of order": corrupt(func(r *Result) { slices.Reverse(r.Cores[0].Layers) }),
+		"repeated vertex": corrupt(func(r *Result) {
+			vs := r.Cores[0].Vertices
+			r.Cores[0].Vertices = append(vs, vs[len(vs)-1])
+		}),
+		"vertices out of order": corrupt(func(r *Result) { slices.Reverse(r.Cores[0].Vertices) }),
 	}
 	for name, bad := range cases {
 		if err := ValidateResult(g, opts, bad); err == nil {

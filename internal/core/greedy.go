@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/bitset"
-	"repro/internal/kcore"
 	"repro/internal/multilayer"
 	"repro/internal/pool"
 )
@@ -163,8 +162,7 @@ func (p *prep) enumerate(comb []int, idx, next int, inter *bitset.Set, out *[]ca
 		p.stats.treeNodes.Add(1)
 		layers := make([]int, s)
 		copy(layers, comb)
-		cc := kcore.DCC(g, inter, layers, p.opts.D)
-		p.stats.dccCalls.Add(1)
+		cc := p.dcc(inter, layers)
 		p.stats.candidates.Add(1)
 		*out = append(*out, candidate{layers: layers, vertices: cc.Slice32()})
 		return

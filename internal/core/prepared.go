@@ -41,6 +41,13 @@ type Prepared struct {
 	corenessBuilds  atomic.Int64
 	hierarchyBuilds atomic.Int64
 
+	// The d-CC memos of the per-d slots share one byte budget, derived
+	// from the graph (memoBudget). Hits and misses are lifetime counters
+	// that Derive carries; memoBytes covers this handle's entries only.
+	memoBytes  atomic.Int64
+	memoHits   atomic.Int64
+	memoMisses atomic.Int64
+
 	// arena pools per-query scratch (see queryArena); its original-to-
 	// compact index is sized for g, making the Prepared itself the
 	// natural pool key.
@@ -61,20 +68,30 @@ type Prepared struct {
 // for that d retries, rather than caching a partial hierarchy behind a
 // spent sync.Once. done flips after a successful build, letting the
 // snapshot writer enumerate finished entries without blocking on (or
-// triggering) in-flight builds.
+// triggering) in-flight builds. memo holds the exact d-CCs queries
+// computed on hier; it lives and dies with the slot, so a hierarchy
+// shared across live generations never carries it, and snapshots skip
+// it.
 type dArtifact struct {
 	buildMu sync.Mutex
 	hier    *hierarchy
 	done    atomic.Bool
+	memo    dccMemo
 }
 
 // PreparedCounters reports how often each artifact tier was actually
 // built — the observable half of the amortization contract: after any
 // number of queries, CorenessBuilds is at most 1 and HierarchyBuilds is
-// at most the number of distinct d values queried.
+// at most the number of distinct d values queried. MemoHits and
+// MemoMisses count d-CC memo lookups over the handle's lineage (Derive
+// carries them like the build counters); MemoBytes is what this handle's
+// memo entries are charged against its budget.
 type PreparedCounters struct {
 	CorenessBuilds  int64
 	HierarchyBuilds int64
+	MemoHits        int64
+	MemoMisses      int64
+	MemoBytes       int64
 }
 
 // NewPrepared returns a prepared handle on g. workers bounds the
@@ -95,6 +112,9 @@ func (pr *Prepared) Counters() PreparedCounters {
 	return PreparedCounters{
 		CorenessBuilds:  pr.corenessBuilds.Load(),
 		HierarchyBuilds: pr.hierarchyBuilds.Load(),
+		MemoHits:        pr.memoHits.Load(),
+		MemoMisses:      pr.memoMisses.Load(),
+		MemoBytes:       pr.memoBytes.Load(),
 	}
 }
 
@@ -242,6 +262,15 @@ func maxOf(coreness [][]int32) int {
 // slot — the next query for the same d simply rebuilds under its own
 // context.
 func (pr *Prepared) hierarchyFor(ctx context.Context, d int) *hierarchy {
+	if a := pr.builtArtifact(ctx, d); a != nil {
+		return a.hier
+	}
+	return nil
+}
+
+// builtArtifact returns the cache slot for d with its hierarchy built,
+// or nil when ctx cancelled the build; see hierarchyFor.
+func (pr *Prepared) builtArtifact(ctx context.Context, d int) *dArtifact {
 	coreness := pr.layerCoreness() // also resolves maxCoreness
 	if d > pr.maxCoreness+1 {
 		d = pr.maxCoreness + 1
@@ -258,7 +287,7 @@ func (pr *Prepared) hierarchyFor(ctx context.Context, d int) *hierarchy {
 		pr.hierarchyBuilds.Add(1)
 		a.done.Store(true)
 	}
-	return a.hier
+	return a
 }
 
 // newPrep derives the query's compact search space from the cached
@@ -280,9 +309,15 @@ func (pr *Prepared) hierarchyFor(ctx context.Context, d int) *hierarchy {
 // queries never share mutable state; the hierarchy is shared read-only.
 // A hierarchy build cancelled by ctx leaves no survivors: the search
 // space is empty (n′ = 0), and every algorithm drains it at once with
-// the truncated flags set.
+// the truncated flags set. Such a query gets no d-CC memo — its empty
+// cores must never be stored — and neither do graphs beyond the 64-layer
+// bitmask key.
 func (pr *Prepared) newPrep(ctx context.Context, opts Options, index bool) *prep {
-	hr := pr.hierarchyFor(ctx, opts.D)
+	var hr *hierarchy
+	slot := pr.builtArtifact(ctx, opts.D)
+	if slot != nil {
+		hr = slot.hier
+	}
 	a := pr.getArena()
 	p := &prep{
 		opts:  opts,
@@ -334,6 +369,9 @@ func (pr *Prepared) newPrep(ctx context.Context, opts Options, index bool) *prep
 	p.g = pr.g.Compact(verts, a.index, a.cores, &a.graph)
 	if index {
 		p.idx = a.indexView(hr, p.g)
+	}
+	if hr != nil && pr.g.L() <= 64 {
+		p.memo = &slot.memo
 	}
 	p.order = make([]int, pr.g.L())
 	for i := range p.order {

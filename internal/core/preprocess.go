@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/coverage"
-	"repro/internal/kcore"
 	"repro/internal/multilayer"
 )
 
@@ -42,6 +41,9 @@ type prep struct {
 	// never aliases arena memory — is assembled.
 	owner *Prepared
 	arena *queryArena
+	// memo is the d-CC memo of the hierarchy's slot, nil when the query
+	// must not use one (see newPrep and coherentCore).
+	memo *dccMemo
 }
 
 // interrupted reports whether the query's context has been cancelled or
@@ -130,7 +132,7 @@ func (p *prep) initTopK(topk *coverage.TopK) {
 	if p.opts.NoInitResult {
 		return
 	}
-	g, d, s, k := p.g, p.opts.D, p.opts.S, p.opts.K
+	g, s, k := p.g, p.opts.S, p.opts.K
 	for pass := 0; pass < k; pass++ {
 		if p.interrupted() {
 			return
@@ -164,8 +166,7 @@ func (p *prep) initTopK(topk *coverage.TopK) {
 			C.And(p.cores[bestJ])
 		}
 		slices.Sort(L)
-		cc := kcore.DCC(g, C, L, d)
-		p.stats.dccCalls.Add(1)
+		cc := p.dcc(C, L)
 		if vs := cc.Slice32(); topk.Update(vs, L) {
 			p.stats.updates.Add(1)
 			p.notify(vs, L)

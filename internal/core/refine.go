@@ -95,6 +95,14 @@ func removablePos(lpos []int, l int) []int {
 	return out
 }
 
+// childCC returns C^d_{L′} for the search-tree child lpos through the
+// d-CC memo, running refineC on a miss. u must be the child's potential
+// set, which contains C^d_{L′} (DESIGN.md § d-CC memo); callers with
+// arbitrary sets use refineC itself.
+func (t *tdSearch) childCC(u *bitset.Set, lpos []int) *bitset.Set {
+	return t.prep.coherentCore(t.prep.layersOf(lpos), func() *bitset.Set { return t.refineC(u, lpos) })
+}
+
 // refineC computes the exact C^d_{L′} inside the potential set U (Fig 10).
 //
 // The search scope is narrowed to Z = U ∩ ∪_{h ≥ |L′|} I_h (Lemma 8) and

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/coverage"
-	"repro/internal/kcore"
 	"repro/internal/multilayer"
 	"repro/internal/pool"
 )
@@ -59,8 +58,7 @@ func (pr *Prepared) TopDown(ctx context.Context, opts Options) (*Result, error) 
 	for i := range full {
 		full[i] = i
 	}
-	p.stats.dccCalls.Add(1)
-	rootC := kcore.DCC(g, p.alive, p.layersOf(full), opts.D)
+	rootC := p.dcc(p.alive, p.layersOf(full))
 	p.stats.treeNodes.Add(1)
 	if opts.S == g.L() {
 		p.stats.candidates.Add(1)
@@ -174,7 +172,7 @@ func (t *tdSearch) genParallel(workers int, L []int, cL *bitset.Set) *coverage.T
 		childU := sub.refineU(p.alive, lchild)
 		switch {
 		case len(lchild) == s:
-			cc := sub.refineC(childU, lchild)
+			cc := sub.childCC(childU, lchild)
 			p.stats.candidates.Add(1)
 			vs, layers := cc.Slice32(), p.layersOf(lchild)
 			if sub.topk.Update(vs, layers) {
@@ -184,7 +182,7 @@ func (t *tdSearch) genParallel(workers int, L []int, cL *bitset.Set) *coverage.T
 		case childU.Empty() && !p.opts.NoEq1Pruning:
 			p.stats.pruned.Add(1) // empty-subtree cut (see gen)
 		default:
-			cc := sub.refineC(childU, lchild)
+			cc := sub.childCC(childU, lchild)
 			sub.gen(lchild, cc, childU)
 		}
 		locals[i] = sub.topk.Entries()
@@ -228,7 +226,7 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 		for _, j := range lr {
 			lchild := removePos(L, j)
 			if len(lchild) == s {
-				cc := t.refineC(childU[j], lchild)
+				cc := t.childCC(childU[j], lchild)
 				p.stats.candidates.Add(1)
 				vs, layers := cc.Slice32(), p.layersOf(lchild)
 				if t.topk.Update(vs, layers) {
@@ -241,7 +239,7 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 				// of empty candidates (see the matching cut in BU-Gen).
 				p.stats.pruned.Add(1)
 			} else {
-				cc := t.refineC(childU[j], lchild)
+				cc := t.childCC(childU[j], lchild)
 				t.gen(lchild, cc, childU[j])
 			}
 		}
@@ -264,7 +262,7 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 		}
 		lchild := removePos(L, j)
 		if len(lchild) == s {
-			cc := t.refineC(childU[j], lchild)
+			cc := t.childCC(childU[j], lchild)
 			p.stats.candidates.Add(1)
 			vs, layers := cc.Slice32(), p.layersOf(lchild)
 			if t.topk.Update(vs, layers) {
@@ -283,7 +281,7 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 			p.stats.pruned.Add(1)
 			continue
 		}
-		cc := t.refineC(childU[j], lchild)
+		cc := t.childCC(childU[j], lchild)
 		// Lemma 7: when the child's own d-CC already satisfies Eq. (1)
 		// — so every size-s descendant (a superset) does too — and the
 		// potential set is small enough (Eq. (2)), a single random
@@ -291,8 +289,7 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 		if !p.opts.NoPotentialPruning &&
 			t.topk.SatisfiesEq1(cc.Slice32()) && t.topk.SatisfiesEq2(childU[j].Count()) {
 			if sub := t.randomDescendant(lchild); sub != nil {
-				p.stats.dccCalls.Add(1)
-				csub := kcore.DCC(p.g, childU[j], p.layersOf(sub), p.opts.D)
+				csub := p.dcc(childU[j], p.layersOf(sub))
 				p.stats.candidates.Add(1)
 				vs, layers := csub.Slice32(), p.layersOf(sub)
 				if t.topk.Update(vs, layers) {

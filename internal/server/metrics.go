@@ -258,6 +258,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		em := s.graphs[name].eng.Metrics()
 		p.counter("dccs_engine_hierarchy_builds_total", promLabel("graph", name), em.HierarchyBuilds)
 	}
+	p.typ("dccs_engine_memo_hits_total", "counter")
+	for _, name := range s.names {
+		em := s.graphs[name].eng.Metrics()
+		p.counter("dccs_engine_memo_hits_total", promLabel("graph", name), em.MemoHits)
+	}
+	p.typ("dccs_engine_memo_misses_total", "counter")
+	for _, name := range s.names {
+		em := s.graphs[name].eng.Metrics()
+		p.counter("dccs_engine_memo_misses_total", promLabel("graph", name), em.MemoMisses)
+	}
+	p.typ("dccs_engine_memo_bytes", "gauge")
+	for _, name := range s.names {
+		em := s.graphs[name].eng.Metrics()
+		p.gauge("dccs_engine_memo_bytes", promLabel("graph", name), float64(em.MemoBytes))
+	}
 	if p.err != nil {
 		s.cfg.Logf("server: metrics write: %v", p.err)
 	}

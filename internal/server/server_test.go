@@ -404,16 +404,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	postSearch(t, ts.URL, SearchRequest{D: 3, S: 2, K: 2})
 	postSearch(t, ts.URL, SearchRequest{D: 3, S: 2, K: 2})
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.String()
+	body := scrape()
 	for _, want := range []string{
 		`dccs_search_requests_total{source="engine"} 1`,
 		`dccs_search_requests_total{source="cache"} 1`,
@@ -426,6 +430,33 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+
+	// The same search past the result cache runs the engine again, and
+	// its coherent cores come out of the d-CC memo the first run filled.
+	postSearch(t, ts.URL, SearchRequest{D: 3, S: 2, K: 2, NoCache: true})
+	postSearch(t, ts.URL, SearchRequest{D: 3, S: 2, K: 2, NoCache: true})
+	body = scrape()
+	for _, want := range []string{
+		"# TYPE dccs_engine_memo_hits_total counter",
+		"# TYPE dccs_engine_memo_misses_total counter",
+		"# TYPE dccs_engine_memo_bytes gauge",
+		`dccs_engine_memo_bytes{graph="fig1"} `,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	var hits int64
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, `dccs_engine_memo_hits_total{graph="fig1"} `); ok {
+			if _, err := fmt.Sscan(v, &hits); err != nil {
+				t.Fatalf("memo hits line %q: %v", line, err)
+			}
+		}
+	}
+	if hits <= 0 {
+		t.Errorf("memo hits = %d after a repeated no_cache search, want > 0", hits)
 	}
 }
 
