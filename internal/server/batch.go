@@ -1,15 +1,8 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
-	"sort"
 	"time"
-
-	dccs "repro"
-	"repro/internal/pool"
 )
 
 // BatchQuery is one query of a POST /v1/search/batch body: the same
@@ -18,8 +11,7 @@ import (
 // budget — the item's effective deadline is the earlier of the two; on
 // expiry the item carries a valid truncated partial result, not an
 // error. NoCache skips the cache lookup for this item only (the fresh
-// result still fills the cache, and in-batch duplicate coalescing
-// applies regardless).
+// result still fills the cache, and coalescing applies regardless).
 type BatchQuery struct {
 	D            int    `json:"d"`
 	S            int    `json:"s"`
@@ -47,8 +39,9 @@ type BatchRequest struct {
 // failed item carries Error and nothing else; a successful item carries
 // the SearchResponse fields with Source recording how it was answered —
 // "engine" (this item ran a computation), "cache" (LRU hit), or "dup"
-// (coalesced onto an identical item earlier in the batch). Truncated
-// items are successes: valid partial answers whose deadline expired.
+// (shared an identical computation already in flight, started by this
+// batch or by another request). Truncated items are successes: valid
+// partial answers whose deadline expired.
 type BatchItem struct {
 	Index     int          `json:"index"`
 	Error     string       `json:"error,omitempty"`
@@ -76,36 +69,23 @@ type BatchResponse struct {
 	ElapsedMS  float64     `json:"elapsed_ms"`
 }
 
-// batchMiss is the bookkeeping for one batch item that has to run an
-// engine computation, plus the later in-batch duplicates coalesced onto
-// it.
-type batchMiss struct {
-	index   int
-	q       dccs.Query
-	key     string
-	timeout time.Duration // per-item bound, 0 = batch budget only
-	dups    []int
-	res     *dccs.Result
-	err     error
-	elapsed time.Duration
-}
-
-// HandleSearchBatch answers POST /v1/search/batch. The pipeline turns N
-// queries into far less than N times the single-query work:
+// HandleSearchBatch answers POST /v1/search/batch: up to
+// MaxBatchQueries queries through the same resolve stage a single
+// search takes, so N queries cost far less than N times the single-query
+// work:
 //
 //  1. Validate every item; an invalid item fails alone (its BatchItem
 //     carries the error) — only a malformed body, an unknown graph, or
 //     an oversized batch fails the whole request.
-//  2. Canonicalize each remaining item via the engine's CacheKey and
-//     partition: LRU cache hits answer instantly, later duplicates of
-//     an identical in-batch item coalesce onto it, and only the distinct
-//     remainder are misses.
-//  3. Charge the misses against the admission semaphore as one weighted
-//     unit (min(misses, MaxInflight) tokens; 429 + Retry-After when the
-//     queue cannot fit the batch).
-//  4. Warm every distinct degree threshold the misses need in ONE
-//     shared hierarchy sweep (the d-cores are nested level sets — see
-//     DESIGN.md § Batch serving), then fan the searches out over an
+//  2. Resolve the rest together: cache hits answer at once, an item
+//     whose identical computation is already in flight — started by
+//     this batch or by another request — shares it ("dup"), and the
+//     remaining leaders are admitted as one weight of
+//     min(leaders, MaxInflight) tokens (429 + Retry-After when the queue
+//     is full).
+//  3. The leaders' distinct degree thresholds are warmed in ONE shared
+//     hierarchy sweep (the d-cores are nested level sets — see DESIGN.md
+//     § Batch serving), then their searches fan out over an
 //     internal/pool worker set bounded by the admitted weight.
 //
 // Per-item deadlines are the batch budget intersected with the item's
@@ -114,34 +94,16 @@ type batchMiss struct {
 // still-running items the same way. The response is 200 whenever the
 // batch itself was processable, regardless of per-item outcomes.
 //
-// Exported as an errpanic root: like OpenMapped and the decoders, it
-// parses untrusted input and must fail with errors, never panics.
+// Handler registers it behind the method check and the drain
+// accounting. Exported as an errpanic root: like OpenMapped and the
+// decoders, it parses untrusted input and must fail with errors, never
+// panics.
 func (s *Server) HandleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if !s.beginRequest() {
-		s.metrics.rejectedDraining.Add(1)
-		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	defer s.inflightWG.Done()
-
 	start := time.Now()
 	var req BatchRequest
 	// Batch bodies share the update-batch bound: both are materialized
 	// before validation, so both need the same heap lever.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUpdateBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decode(w, r, s.cfg.MaxUpdateBytes, "batch body", &req) {
 		return
 	}
 	h, code, err := s.resolveGraph(req.Graph)
@@ -161,199 +123,58 @@ func (s *Server) HandleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "timeout_ms = %d, want ≥ 0", req.TimeoutMS)
 		return
 	}
-	budget := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		budget = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if budget > s.cfg.MaxTimeout {
-		budget = s.cfg.MaxTimeout
-	}
-
-	// Pin one engine generation for the whole batch: every item's cache
-	// key, the shared warm sweep, and every search answer against the
-	// same state even if updates land mid-batch.
-	view := h.eng.View()
 	s.metrics.batchRequests.Add(1)
 
+	budget := s.effectiveTimeout(req.TimeoutMS)
 	items := make([]BatchItem, len(req.Queries))
-	var misses []*batchMiss
-	leader := make(map[string]*batchMiss, len(req.Queries))
-	cacheHits := 0
-	coalesced := 0
+	tasks := make([]task, len(req.Queries))
+	valid := make([]*task, 0, len(req.Queries))
 	for i := range req.Queries {
-		bq := &req.Queries[i]
 		items[i].Index = i
-		sr := SearchRequest{
-			D: bq.D, S: bq.S, K: bq.K, Seed: bq.Seed,
-			Algorithm: bq.Algorithm, MaxTreeNodes: bq.MaxTreeNodes,
-			Workers: bq.Workers, TimeoutMS: bq.TimeoutMS,
-		}
-		if err := validate(&sr, h.g); err != nil {
+		if err := validate(&req.Queries[i], h.g); err != nil {
 			items[i].Error = err.Error()
 			continue
 		}
-		q := dccs.Query{
-			D: bq.D, S: bq.S, K: bq.K, Seed: bq.Seed,
-			Algorithm:    dccs.Algorithm(bq.Algorithm),
-			MaxTreeNodes: bq.MaxTreeNodes,
-			Workers:      bq.Workers,
-		}
-		key := view.CacheKey(q)
-		if !bq.NoCache {
-			if res := s.cache.Get(key); res != nil {
-				s.fillBatchItem(&items[i], res, "cache", 0)
-				cacheHits++
-				continue
-			}
-		}
-		if m := leader[key]; m != nil {
-			m.dups = append(m.dups, i)
-			coalesced++
-			continue
-		}
-		m := &batchMiss{index: i, q: q, key: key}
-		if bq.TimeoutMS > 0 {
-			m.timeout = time.Duration(bq.TimeoutMS) * time.Millisecond
-			if m.timeout > s.cfg.MaxTimeout {
-				m.timeout = s.cfg.MaxTimeout
-			}
-		}
-		leader[key] = m
-		misses = append(misses, m)
+		tasks[i] = s.newTask(&req.Queries[i], budget)
+		valid = append(valid, &tasks[i])
 	}
-
-	var warmed []int
-	if len(misses) > 0 {
-		ctx, cancel := context.WithTimeout(s.queryCtx, budget)
-		defer cancel()
-		// Admission weight: the batch's true parallelism. More tokens
-		// than MaxInflight could never be collected; more than the miss
-		// count would be dead weight.
-		weight := len(misses)
-		if weight > s.cfg.MaxInflight {
-			weight = s.cfg.MaxInflight
-		}
-		if err := s.acquireN(ctx, weight); err != nil {
-			switch {
-			case errors.Is(err, errBusy):
-				w.Header().Set("Retry-After", "1")
-				s.writeError(w, http.StatusTooManyRequests, "%v", err)
-			case errors.Is(err, errDraining):
-				s.writeError(w, http.StatusServiceUnavailable, "%v", err)
-			default:
-				s.writeError(w, http.StatusServiceUnavailable, "batch expired before admission: %v", err)
-			}
-			return
-		}
-		// One shared sweep for every distinct degree threshold the misses
-		// need: N hierarchies derive from a single pass because the
-		// d-cores are nested level sets. Collect canonical thresholds (the
-		// sentinel clamp already applied) in slice order — no map
-		// iteration — then sort for a deterministic sweep and response.
-		seen := make(map[int]bool, len(misses))
-		for _, m := range misses {
-			d := view.CanonicalQuery(m.q).D
-			if !seen[d] {
-				seen[d] = true
-				warmed = append(warmed, d)
-			}
-		}
-		sort.Ints(warmed)
-		s.metrics.batchWarmedDs.Add(int64(len(warmed)))
-		if err := view.Warm(ctx, warmed...); err != nil {
-			// A cancelled sweep keeps the hierarchies it completed; the
-			// remaining items still run and return truncated partials under
-			// the same expired context. Not a batch failure.
-			s.cfg.Logf("server: batch warm: %v", err)
-		}
-		pool.Run(weight, len(misses), func(i int) {
-			m := misses[i]
-			t0 := time.Now()
-			ictx := ctx
-			if m.timeout > 0 {
-				var icancel context.CancelFunc
-				ictx, icancel = context.WithTimeout(ctx, m.timeout)
-				defer icancel()
-			}
-			m.res, m.err = view.Search(ictx, m.q)
-			m.elapsed = time.Since(t0)
-			// Deadline- or drain-truncated results depend on wall-clock
-			// timing, not the query; never cache them (same rule as the
-			// single-query path).
-			if m.err == nil && !m.res.Stats.Interrupted {
-				s.cache.Put(m.key, m.res)
-			}
-		})
-		s.releaseN(weight)
+	// One pinned engine generation for the whole batch: every item's
+	// cache key, the shared warm sweep, and every search answer against
+	// the same state even if updates land mid-batch.
+	warmed, err := s.resolve(r.Context(), h.eng.View(), budget, valid)
+	if err != nil {
+		s.writeFailure(w, err)
+		return
 	}
-
-	for _, m := range misses {
-		if m.err != nil {
-			items[m.index].Error = m.err.Error()
-			for _, di := range m.dups {
-				items[di].Error = m.err.Error()
-			}
-			continue
-		}
-		s.fillBatchItem(&items[m.index], m.res, "engine", m.elapsed)
-		for _, di := range m.dups {
-			s.fillBatchItem(&items[di], m.res, "dup", 0)
-		}
-	}
-
-	// Recount outcomes from the final items rather than the partition:
-	// a leader's error propagates to its dups, moving them from
-	// "coalesced" to "errors", and the documented invariant cache_hits +
-	// coalesced + engine_runs + errors = len(items) must survive that.
-	cacheHits, coalesced = 0, 0
-	engineRuns := 0
-	errCount := 0
-	for i := range items {
+	s.metrics.batchWarmedDs.Add(int64(len(warmed)))
+	for i := range tasks {
+		t, it := &tasks[i], &items[i]
 		switch {
-		case items[i].Error != "":
-			errCount++
-		case items[i].Source == "cache":
-			cacheHits++
-		case items[i].Source == "dup":
-			coalesced++
+		case it.Error != "": // failed validation
+		case t.err != nil:
+			it.Error = t.err.Error()
 		default:
-			engineRuns++
+			var stats SearchStats
+			it.Cores, stats = wireResult(t.res)
+			it.Stats = &stats
+			it.CoverSize = t.res.CoverSize
+			it.Truncated = t.res.Stats.Truncated
+			it.Source = t.source
+			if it.Source == "coalesced" {
+				it.Source = "dup"
+			}
+			it.ElapsedMS = float64(t.elapsed) / float64(time.Millisecond)
 		}
 	}
 
 	elapsed := time.Since(start)
-	s.metrics.countBatch(items, elapsed)
+	resp := BatchResponse{
+		Graph:     h.name,
+		Items:     items,
+		WarmedDs:  warmed,
+		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
+	}
+	resp.CacheHits, resp.Coalesced, resp.EngineRuns, resp.Errors = s.metrics.countBatch(items, elapsed)
 	s.metrics.countStatus(http.StatusOK)
-	s.writeJSON(w, http.StatusOK, BatchResponse{
-		Graph:      h.name,
-		Items:      items,
-		CacheHits:  cacheHits,
-		Coalesced:  coalesced,
-		EngineRuns: engineRuns,
-		Errors:     errCount,
-		WarmedDs:   warmed,
-		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
-	})
-}
-
-// fillBatchItem renders one successful batch item from a result.
-func (s *Server) fillBatchItem(it *BatchItem, res *dccs.Result, source string, elapsed time.Duration) {
-	it.Cores = make([]SearchCC, len(res.Cores))
-	for i, c := range res.Cores {
-		it.Cores[i] = SearchCC{Layers: c.Layers, Vertices: c.Vertices}
-	}
-	it.CoverSize = res.CoverSize
-	it.Truncated = res.Stats.Truncated
-	it.Source = source
-	it.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	it.Stats = &SearchStats{
-		Algorithm:         res.Stats.Algorithm,
-		PreprocessRemoved: res.Stats.PreprocessRemoved,
-		TreeNodes:         res.Stats.TreeNodes,
-		Candidates:        res.Stats.Candidates,
-		DCCCalls:          res.Stats.DCCCalls,
-		Updates:           res.Stats.Updates,
-		Pruned:            res.Stats.Pruned,
-		EngineSecs:        res.Stats.Elapsed.Seconds(),
-	}
+	s.writeJSON(w, http.StatusOK, resp)
 }

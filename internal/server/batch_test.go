@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	dccs "repro"
 	"repro/internal/datasets"
 )
 
@@ -341,8 +343,8 @@ func TestBatchItemTimeout(t *testing.T) {
 }
 
 // TestBatchWeightClamp sends more distinct misses than MaxInflight: the
-// admission weight must clamp (otherwise acquireN could never collect)
-// and the batch must still answer every item.
+// admission weight must clamp (otherwise the semaphore could never grant
+// it) and the batch must still answer every item.
 func TestBatchWeightClamp(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInflight: 2})
 	qs := make([]BatchQuery, 6)
@@ -509,4 +511,173 @@ func TestShutdownReportsSnapshotError(t *testing.T) {
 	if !strings.Contains(err.Error(), "snapshot") {
 		t.Fatalf("Shutdown error %q does not mention the snapshot failure", err)
 	}
+}
+
+// TestBatchDupHonorsItemTimeout: an item shares only a computation run
+// under its own deadline. In [{q, timeout_ms: 1}, {q}] under a 5 s
+// budget, item 1 must not inherit item 0's 1 ms partial.
+func TestBatchDupHonorsItemTimeout(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	q := BatchQuery{D: 3, S: 2, K: 2}
+	tight := q
+	tight.TimeoutMS = 1
+	resp, out := postBatch(t, ts.URL, BatchRequest{Queries: []BatchQuery{tight, q}, TimeoutMS: 5000})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if it := out.Items[1]; it.Error != "" || it.Source == "dup" || it.Truncated {
+		t.Fatalf("item 1 = %+v, want an untruncated answer of its own", it)
+	}
+	checkBatchInvariant(t, out)
+}
+
+// TestBatchCoalescesWithSingles wedges the only admission slot with a
+// slow blocker, queues a request behind it, then sends the same query
+// through the other endpoint: whichever endpoint came first, the second
+// request joins the first one's flight instead of computing again.
+func TestBatchCoalescesWithSingles(t *testing.T) {
+	single := SearchRequest{D: 2, S: 2, K: 3, Seed: 42}
+	batch := BatchRequest{Queries: []BatchQuery{{D: 2, S: 2, K: 3, Seed: 42}}}
+	for _, singleFirst := range []bool{true, false} {
+		name := "batch first"
+		if singleFirst {
+			name = "single first"
+		}
+		t.Run(name, func(t *testing.T) {
+			s, err := New(Config{MaxInflight: 1, QueueDepth: 16}, GraphSpec{Name: "slow", Graph: slowGraph()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := newHTTPServer(t, s)
+
+			blockerDone := make(chan struct{})
+			go func() {
+				defer close(blockerDone)
+				if resp, _ := postSearch(t, ts.URL, slowQuery(1000)); resp.StatusCode != http.StatusOK {
+					t.Errorf("blocker status %d", resp.StatusCode)
+				}
+			}()
+			waitFor(t, func() bool { return s.metrics.inflight.Load() == 1 })
+
+			var singleOut SearchResponse
+			var batchOut BatchResponse
+			sendSingle := func() {
+				resp, out := postSearch(t, ts.URL, single)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("single status %d", resp.StatusCode)
+				}
+				singleOut = out
+			}
+			sendBatch := func() {
+				resp, out := postBatch(t, ts.URL, batch)
+				if resp.StatusCode != http.StatusOK || len(out.Items) != 1 {
+					t.Errorf("batch status %d with %d items", resp.StatusCode, len(out.Items))
+				}
+				batchOut = out
+			}
+			first, second := sendBatch, sendSingle
+			if singleFirst {
+				first, second = sendSingle, sendBatch
+			}
+			firstDone := make(chan struct{})
+			go func() {
+				defer close(firstDone)
+				first()
+			}()
+			waitFor(t, func() bool { return s.queued.Load() == 1 })
+			second()
+			<-firstDone
+			<-blockerDone
+			if t.Failed() {
+				return
+			}
+
+			wantSingle, wantItem := "coalesced", "engine"
+			if singleFirst {
+				wantSingle, wantItem = "engine", "dup"
+			}
+			if got := batchOut.Items[0].Source; got != wantItem {
+				t.Errorf("batch item source %q, want %q", got, wantItem)
+			}
+			if singleOut.Source != wantSingle {
+				t.Errorf("single source %q, want %q", singleOut.Source, wantSingle)
+			}
+			checkBatchInvariant(t, batchOut)
+			eng, _ := s.Engine("slow")
+			if q := eng.Metrics().Queries; q != 2 {
+				t.Fatalf("engine served %d queries, want 2 (blocker + one shared computation)", q)
+			}
+		})
+	}
+}
+
+// exactLimitGraph has one planted edge per 3-subset of its 10 layers,
+// between a pair of vertices of its own and present in exactly those
+// layers, so at d = 1 and s = 3 every layer subset has a distinct
+// coherent core: 120 candidates, above the exact solver's limit of 64.
+func exactLimitGraph() *dccs.Graph {
+	const layers = 10
+	b := dccs.NewBuilder(2*120, layers)
+	v := 0
+	for i := 0; i < layers; i++ {
+		for j := i + 1; j < layers; j++ {
+			for k := j + 1; k < layers; k++ {
+				for _, l := range []int{i, j, k} {
+					b.MustAddEdge(l, v, v+1)
+				}
+				v += 2
+			}
+		}
+	}
+	return b.Build()
+}
+
+// TestBatchItemBounds checks the query bounds item by item: a k above
+// maxK and an exact query the solver refuses fail alone, and timeout_ms
+// at the int64 limit is capped at MaxTimeout instead of overflowing into
+// an already-expired deadline.
+func TestBatchItemBounds(t *testing.T) {
+	g, _ := datasets.FourLayerExample()
+	s, err := New(Config{}, GraphSpec{Name: "fig1", Graph: g}, GraphSpec{Name: "wide", Graph: exactLimitGraph()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, s)
+
+	resp, out := postBatch(t, ts.URL, BatchRequest{Graph: "fig1", TimeoutMS: math.MaxInt64, Queries: []BatchQuery{
+		{D: 3, S: 2, K: maxK + 1},                             // 0: k over the bound
+		{D: 3, S: 2, K: 1099511627776},                        // 1: k that would exhaust the heap
+		{D: 3, S: 2, K: maxK, Seed: 1},                        // 2: k at the bound
+		{D: 3, S: 2, K: 2, Seed: 2, TimeoutMS: math.MaxInt64}, // 3: timeout capped, not overflowed
+		{D: 3, S: 2, K: 2, Seed: 3},                           // 4: the batch budget capped, not overflowed
+	}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	for _, i := range []int{0, 1} {
+		if !strings.Contains(out.Items[i].Error, "result count k") {
+			t.Errorf("item %d error %q, want the k bound", i, out.Items[i].Error)
+		}
+	}
+	for _, i := range []int{2, 3, 4} {
+		if it := out.Items[i]; it.Error != "" || it.Truncated || it.CoverSize == 0 {
+			t.Errorf("item %d = %+v, want a full answer", i, it)
+		}
+	}
+	checkBatchInvariant(t, out)
+
+	resp, out = postBatch(t, ts.URL, BatchRequest{Graph: "wide", Queries: []BatchQuery{
+		{D: 1, S: 3, K: 2, Algorithm: "exact"}, // the solver refuses 120 candidates
+		{D: 1, S: 3, K: 2},
+	}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if !strings.Contains(out.Items[0].Error, "exact solver") {
+		t.Errorf("item 0 error %q, want the exact solver's limit", out.Items[0].Error)
+	}
+	if it := out.Items[1]; it.Error != "" || it.CoverSize == 0 {
+		t.Errorf("item 1 = %+v, want an answer beside its failed batchmate", it)
+	}
+	checkBatchInvariant(t, out)
 }

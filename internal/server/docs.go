@@ -13,11 +13,6 @@ import (
 // surface it serves — no version skew between a deployed binary and a
 // docs site.
 func (s *Server) handleDocs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	s.metrics.countStatus(http.StatusOK)
 	w.Header().Set("Content-Type", "text/markdown; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

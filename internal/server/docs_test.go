@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"regexp"
@@ -58,7 +60,9 @@ func TestRoutesMatchAPIDoc(t *testing.T) {
 
 // TestRoutesAreLive probes every route in Routes() against a running
 // server and checks none of them falls through to the mux's plain-text
-// 404 — i.e. Routes() describes patterns Handler actually registers.
+// 404 — i.e. Routes() describes patterns Handler actually registers —
+// and that each answers the wrong method with a JSON 405 whose Allow
+// header names the right one.
 func TestRoutesAreLive(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, route := range Routes() {
@@ -84,6 +88,41 @@ func TestRoutesAreLive(t *testing.T) {
 		if resp.StatusCode == http.StatusNotFound && strings.HasPrefix(ct, "text/plain") {
 			t.Errorf("%s: fell through to the mux 404 — route not registered", route)
 		}
+
+		wrong := http.MethodPost
+		if method == http.MethodPost {
+			wrong = http.MethodGet
+		}
+		req, err = http.NewRequest(wrong, ts.URL+path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || err != nil || out.Error == "" {
+			t.Errorf("%s %s: status %d, body decode %v, want a JSON 405", wrong, path, resp.StatusCode, err)
+		}
+		if allow := resp.Header.Get("Allow"); allow != method {
+			t.Errorf("%s %s: Allow %q, want %q", wrong, path, allow, method)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	metrics, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`dccs_http_responses_total{code="405"} %d`, len(Routes())); !strings.Contains(string(metrics), want) {
+		t.Errorf("metrics missing %q: every 405 must be counted", want)
 	}
 }
 

@@ -2,25 +2,29 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
 	dccs "repro"
 )
 
+// errLeaderFailed is what followers receive when the request leading
+// their flight ended without finishing it.
+var errLeaderFailed = errors.New("server: the coalesced computation failed")
+
 // flightGroup coalesces concurrent identical queries: the first request
-// for a key becomes the leader and runs the computation; requests that
-// arrive for the same key while it is in flight become followers and
-// share the leader's result. This is sound because equal keys guarantee
-// interchangeable results (Engine.CacheKey) and results are immutable —
-// see DESIGN.md. A homegrown ~60-line singleflight keeps the module
-// dependency-free.
+// to join a key leads the flight and runs the computation; requests that
+// join the key while it is open follow and share the leader's result.
+// This is sound because equal keys guarantee interchangeable results
+// (Engine.CacheKey) and results are immutable — see DESIGN.md. A
+// homegrown singleflight keeps the module dependency-free.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall
 }
 
-// flightCall is one in-flight computation. done is closed exactly once,
+// flightCall is one open computation. done is closed exactly once,
 // after val and err are final; followers only read them after <-done.
 type flightCall struct {
 	done chan struct{}
@@ -32,44 +36,41 @@ func newFlightGroup() *flightGroup {
 	return &flightGroup{m: map[string]*flightCall{}}
 }
 
-// Do returns the result of fn for key, running fn exactly once per
-// in-flight key: the leader executes it, followers wait and share. The
-// third return reports whether this caller was a follower. A follower
-// whose ctx expires before the leader finishes gives up and returns
-// ctx.Err() (the leader's computation continues; its deadline is the
-// leader's own).
-func (g *flightGroup) Do(ctx context.Context, key string, fn func() (*dccs.Result, error)) (*dccs.Result, error, bool) {
+// join returns the open flight for key, opening it when there is none;
+// lead reports that the caller opened it and so must finish it.
+func (g *flightGroup) join(key string) (c *flightCall, lead bool) {
 	g.mu.Lock()
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.val, c.err, true
-		case <-ctx.Done():
-			return nil, ctx.Err(), true
-		}
+	defer g.mu.Unlock()
+	if c := g.m[key]; c != nil {
+		return c, false
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c = &flightCall{done: make(chan struct{})}
 	g.m[key] = c
-	g.mu.Unlock()
+	return c, true
+}
 
-	// The cleanup must survive a panicking fn: net/http recovers the
-	// leader's goroutine, and without the defer the stale call would sit
-	// in the map forever, wedging every future request for this key
-	// behind a done channel that never closes. Followers get an error
-	// rather than a nil result; the panic itself is re-raised for the
-	// leader's recover layer to report.
-	defer func() {
-		g.mu.Lock()
-		delete(g.m, key)
-		g.mu.Unlock()
-		if r := recover(); r != nil {
-			c.err = fmt.Errorf("server: query computation panicked: %v", r)
-			close(c.done)
-			panic(r)
-		}
-		close(c.done)
-	}()
-	c.val, c.err = fn()
-	return c.val, c.err, false
+// finish publishes the leader's outcome to the followers of c and
+// closes the flight, so the next request for key leads a new one. Only
+// the first finish of a flight counts, which lets a leader's deferred
+// cleanup finish every flight it opened unconditionally.
+func (g *flightGroup) finish(key string, c *flightCall, val *dccs.Result, err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.m[key] != c {
+		return
+	}
+	delete(g.m, key)
+	c.val, c.err = val, err
+	close(c.done)
+}
+
+// wait returns the flight's outcome, or gives up when ctx ends first
+// (the leader's computation continues under its own deadline).
+func (c *flightCall) wait(ctx context.Context) (*dccs.Result, error) {
+	select {
+	case <-c.done:
+		return c.val, c.err
+	case <-ctx.Done():
+		return nil, fmt.Errorf("request expired before computation finished: %w", ctx.Err())
+	}
 }

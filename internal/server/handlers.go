@@ -1,14 +1,11 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
-
-	dccs "repro"
 )
 
 // SearchRequest is the body of POST /v1/search. Graph may be omitted
@@ -84,6 +81,26 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 	s.writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// decode reads a JSON body of at most limit bytes into v, rejecting
+// unknown fields; when it cannot, it answers 413 or 400 itself and
+// returns false. Bodies are bounded before the decoder buffers them,
+// since decoding runs ahead of admission control.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.writeError(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, tooLarge.Limit)
+	default:
+		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // resolveGraph picks the handle a request addresses: its named graph,
 // or the server's only graph when the name is omitted.
 func (s *Server) resolveGraph(name string) (*graphHandle, int, error) {
@@ -100,81 +117,15 @@ func (s *Server) resolveGraph(name string) (*graphHandle, int, error) {
 	return h, 0, nil
 }
 
-// validAlgorithms gates request algorithm strings before they reach the
-// engine, so typos come back as 400s, not 500s.
-var validAlgorithms = map[dccs.Algorithm]bool{
-	"":            true,
-	dccs.AlgoAuto: true, dccs.AlgoGreedy: true,
-	dccs.AlgoBottomUp: true, dccs.AlgoTopDown: true, dccs.AlgoExact: true,
-}
-
-// validate checks the request parameters against the target graph,
-// mirroring the engine's own validation so failures map to 400.
-func validate(req *SearchRequest, g *dccs.Graph) error {
-	if req.D < 1 {
-		return fmt.Errorf("degree threshold d = %d, want ≥ 1", req.D)
-	}
-	if req.S < 1 || req.S > g.L() {
-		return fmt.Errorf("support threshold s = %d, want 1 ≤ s ≤ %d", req.S, g.L())
-	}
-	if req.K < 1 {
-		return fmt.Errorf("result count k = %d, want ≥ 1", req.K)
-	}
-	if !validAlgorithms[dccs.Algorithm(req.Algorithm)] {
-		return fmt.Errorf("unknown algorithm %q (want auto, greedy, bu, td, exact)", req.Algorithm)
-	}
-	if req.MaxTreeNodes < 0 {
-		return fmt.Errorf("max_tree_nodes = %d, want ≥ 0", req.MaxTreeNodes)
-	}
-	if req.TimeoutMS < 0 {
-		return fmt.Errorf("timeout_ms = %d, want ≥ 0", req.TimeoutMS)
-	}
-	return nil
-}
-
-// effectiveTimeout resolves the request's computation deadline.
-func (s *Server) effectiveTimeout(req *SearchRequest) time.Duration {
-	t := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		t = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if t > s.cfg.MaxTimeout {
-		t = s.cfg.MaxTimeout
-	}
-	return t
-}
-
-// handleSearch answers POST /v1/search: decode and validate, then
-// cache lookup → singleflight coalescing → bounded admission → engine
-// computation, in that order, so a saturated server still answers
-// cached and coalesced queries instantly.
+// handleSearch answers POST /v1/search as a batch of one: decode and
+// validate, then the shared resolve stage — cache lookup, coalescing,
+// bounded admission, engine computation, in that order, so a saturated
+// server still answers cached and coalesced queries instantly.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if !s.beginRequest() {
-		s.metrics.rejectedDraining.Add(1)
-		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	defer s.inflightWG.Done()
-
 	start := time.Now()
 	var req SearchRequest
-	// A valid request is a few hundred bytes; bound the body before the
-	// decoder buffers it, since this path runs ahead of admission
-	// control and would otherwise allocate unboundedly.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "search body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	// A valid request is a few hundred bytes.
+	if !s.decode(w, r, 1<<20, "search body", &req) {
 		return
 	}
 	h, code, err := s.resolveGraph(req.Graph)
@@ -182,118 +133,45 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, code, "%v", err)
 		return
 	}
-	if err := validate(&req, h.g); err != nil {
+	q := BatchQuery{
+		D: req.D, S: req.S, K: req.K, Seed: req.Seed,
+		Algorithm: req.Algorithm, MaxTreeNodes: req.MaxTreeNodes,
+		Workers: req.Workers, TimeoutMS: req.TimeoutMS, NoCache: req.NoCache,
+	}
+	if err := validate(&q, h.g); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	q := dccs.Query{
-		D: req.D, S: req.S, K: req.K, Seed: req.Seed,
-		Algorithm:    dccs.Algorithm(req.Algorithm),
-		MaxTreeNodes: req.MaxTreeNodes,
-		Workers:      req.Workers,
-	}
-	// Pin one engine generation for the whole request: on a mutable
+	budget := s.effectiveTimeout(req.TimeoutMS)
+	t := s.newTask(&q, budget)
+	// One pinned engine generation for the whole request: on a mutable
 	// graph the cache key and the search must come from the same state,
 	// or an update landing between the two could file a post-update
 	// result under a pre-update key.
-	view := h.eng.View()
-	key := view.CacheKey(q)
-	timeout := s.effectiveTimeout(&req)
-
-	if !req.NoCache {
-		if res := s.cache.Get(key); res != nil {
-			s.respond(w, h, res, "cache", start)
-			return
-		}
-	}
-
-	// The coalescing key extends the cache key with the computation
-	// deadline: a deadline can truncate the shared result, so only
-	// requests with equal budgets may share a leader — otherwise a
-	// 1 ms-timeout leader could hand its near-empty partial to a
-	// follower that asked for a full minute (see DESIGN.md).
-	flightKey := fmt.Sprintf("%s|t%d", key, timeout.Milliseconds())
-	res, err, shared := s.flight.Do(r.Context(), flightKey, func() (*dccs.Result, error) {
-		// Everything in the leader runs under the computation context —
-		// server lifetime + request deadline, detached from the leader's
-		// own connection — so a disconnecting leader cannot poison the
-		// followers coalesced behind it, in the queue or in the search.
-		ctx, cancel := context.WithTimeout(s.queryCtx, timeout)
-		defer cancel()
-		if err := s.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer s.release()
-		// A just-finished leader may have filled the cache between our
-		// lookup and taking leadership; don't recompute what it stored.
-		if !req.NoCache {
-			if res := s.cache.Get(key); res != nil {
-				return res, nil
-			}
-		}
-		res, err := view.Search(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		// Deadline- or drain-truncated results depend on wall-clock
-		// timing, not on the query; caching one would freeze an
-		// arbitrarily small partial answer for future clients.
-		if !res.Stats.Interrupted {
-			s.cache.Put(key, res)
-		}
-		return res, nil
-	})
-	if err != nil {
-		switch {
-		case errors.Is(err, errBusy):
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusTooManyRequests, "%v", err)
-		case errors.Is(err, errDraining):
-			s.writeError(w, http.StatusServiceUnavailable, "%v", err)
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			// The request's own context expired while queued or while
-			// waiting on a coalesced leader.
-			s.writeError(w, http.StatusServiceUnavailable, "request expired before computation finished: %v", err)
-		default:
-			s.writeError(w, http.StatusInternalServerError, "%v", err)
-		}
+	if _, err := s.resolve(r.Context(), h.eng.View(), budget, []*task{&t}); err != nil {
+		s.writeFailure(w, err)
 		return
 	}
-	source := "engine"
-	if shared {
-		source = "coalesced"
+	if t.err != nil {
+		s.writeFailure(w, t.err)
+		return
+	}
+	if t.source == "coalesced" {
 		s.metrics.coalesced.Add(1)
 	}
-	s.respond(w, h, res, source, start)
-}
-
-// respond renders a successful search result and accounts it.
-func (s *Server) respond(w http.ResponseWriter, h *graphHandle, res *dccs.Result, source string, start time.Time) {
 	elapsed := time.Since(start)
-	s.metrics.countSearch(source, elapsed)
+	s.metrics.countSearch(t.source, elapsed)
 	s.metrics.countStatus(http.StatusOK)
-	resp := SearchResponse{
+	cores, stats := wireResult(t.res)
+	s.writeJSON(w, http.StatusOK, SearchResponse{
 		Graph:     h.name,
-		Cores:     make([]SearchCC, len(res.Cores)),
-		CoverSize: res.CoverSize,
-		Truncated: res.Stats.Truncated,
-		Source:    source,
+		Cores:     cores,
+		CoverSize: t.res.CoverSize,
+		Truncated: t.res.Stats.Truncated,
+		Source:    t.source,
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		Stats: SearchStats{
-			Algorithm:         res.Stats.Algorithm,
-			PreprocessRemoved: res.Stats.PreprocessRemoved,
-			TreeNodes:         res.Stats.TreeNodes,
-			Candidates:        res.Stats.Candidates,
-			DCCCalls:          res.Stats.DCCCalls,
-			Updates:           res.Stats.Updates,
-			Pruned:            res.Stats.Pruned,
-			EngineSecs:        res.Stats.Elapsed.Seconds(),
-		},
-	}
-	for i, c := range res.Cores {
-		resp.Cores[i] = SearchCC{Layers: c.Layers, Vertices: c.Vertices}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+		Stats:     stats,
+	})
 }
 
 // GraphInfo is one entry of GET /v1/graphs. Mutable graphs additionally
@@ -313,11 +191,6 @@ type GraphInfo struct {
 }
 
 func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	out := make([]GraphInfo, 0, len(s.names))
 	for _, name := range s.names {
 		h := s.graphs[name]

@@ -24,7 +24,7 @@ type serverMetrics struct {
 
 	coalesced atomic.Int64 // requests that shared another's computation
 
-	inflight            atomic.Int64 // admitted engine computations
+	inflight            atomic.Int64 // admission tokens held
 	rejectedQueueFull   atomic.Int64
 	rejectedDraining    atomic.Int64
 	rejectedWaitTimeout atomic.Int64
@@ -63,23 +63,30 @@ func (m *serverMetrics) countUpdate(stats *dccs.UpdateStats) {
 	m.updateRebuildNS.Add(int64(stats.RebuildElapsed))
 }
 
-// countBatch accounts one completed batch: the handler latency plus
-// every item by outcome. batchRequests is counted at admission time by
-// the handler (so rejected batches still show up in the request count).
-func (m *serverMetrics) countBatch(items []BatchItem, elapsed time.Duration) {
-	m.batchNS.Add(int64(elapsed))
+// countBatch accounts one completed batch — the handler latency plus
+// every item by outcome — and returns the outcome counts, which
+// partition the items: hits + dups + runs + errs = len(items).
+// batchRequests is counted by the handler before resolving (so rejected
+// batches still show up in the request count).
+func (m *serverMetrics) countBatch(items []BatchItem, elapsed time.Duration) (hits, dups, runs, errs int) {
 	for i := range items {
 		switch {
 		case items[i].Error != "":
-			m.batchItemsErr.Add(1)
+			errs++
 		case items[i].Source == "cache":
-			m.batchItemsHit.Add(1)
+			hits++
 		case items[i].Source == "dup":
-			m.batchItemsDup.Add(1)
+			dups++
 		default:
-			m.batchItemsEng.Add(1)
+			runs++
 		}
 	}
+	m.batchNS.Add(int64(elapsed))
+	m.batchItemsHit.Add(int64(hits))
+	m.batchItemsDup.Add(int64(dups))
+	m.batchItemsEng.Add(int64(runs))
+	m.batchItemsErr.Add(int64(errs))
+	return hits, dups, runs, errs
 }
 
 func (m *serverMetrics) countSearch(source string, elapsed time.Duration) {
@@ -150,11 +157,6 @@ func (p *promWriter) sample(name, labels, v string) {
 // handleMetrics renders GET /metrics. The catalog is documented in
 // README.md; keep the two in sync.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	m := &s.metrics
 	// Count the scrape before rendering so dccs_http_responses_total
 	// includes it — the catalog promises responses by status for every

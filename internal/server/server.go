@@ -132,14 +132,10 @@ type Server struct {
 	cache  *resultCache
 	flight *flightGroup
 
-	// Admission: sem holds MaxInflight tokens; queued counts requests
-	// waiting for one, bounded by QueueDepth. bulk (capacity 1) admits
-	// at most one multi-token acquirer into the token-collection loop at
-	// a time, which is what makes weighted batch admission deadlock-free
-	// (see acquireN).
-	sem    chan struct{}
-	queued atomic.Int64
-	bulk   chan struct{}
+	// admission grants MaxInflight tokens in arrival order; queued
+	// gauges the requests waiting for them, at most QueueDepth.
+	admission *semaphore
+	queued    atomic.Int64
 
 	// queryCtx parents every computation context; Shutdown cancels it,
 	// draining in-flight searches via the engines' cancellation support.
@@ -180,12 +176,11 @@ func New(cfg Config, specs ...GraphSpec) (*Server, error) {
 		graphs:      map[string]*graphHandle{},
 		cache:       newResultCache(cfg.CacheEntries),
 		flight:      newFlightGroup(),
-		sem:         make(chan struct{}, cfg.MaxInflight),
-		bulk:        make(chan struct{}, 1),
 		queryCtx:    ctx,
 		cancelQuery: cancel,
 		snapStop:    make(chan struct{}),
 	}
+	s.admission = newSemaphore(cfg.MaxInflight, cfg.QueueDepth, &s.metrics.inflight, &s.queued)
 	for _, spec := range specs {
 		if spec.Name == "" || spec.Graph == nil {
 			cancel()
@@ -367,7 +362,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// beginRequest registers a search handler with the drain accounting,
+// beginRequest registers a search or update handler with the drain accounting,
 // returning false when the server is shutting down. The registration
 // happens under drainMu so it is atomic with respect to Shutdown's
 // drain flip: either the handler is counted before the flip (and
@@ -382,177 +377,59 @@ func (s *Server) beginRequest() bool {
 	return true
 }
 
-// errBusy signals admission rejection; the handler maps it to 429.
-var errBusy = errors.New("server: saturated: admission queue is full")
-
-// errDraining signals shutdown rejection; the handler maps it to 503.
-var errDraining = errors.New("server: shutting down")
-
-// acquire admits one computation: immediately when an inflight slot is
-// free, after queueing (bounded by QueueDepth) otherwise. ctx is the
-// computation context (server lifetime + request deadline, never a
-// client connection): it returns errBusy when the queue is full,
-// errDraining when the server shut down while waiting, or ctx.Err()
-// when the computation deadline expired in the queue.
-func (s *Server) acquire(ctx context.Context) error {
-	select {
-	case s.sem <- struct{}{}:
-		s.metrics.inflight.Add(1)
-		return nil
-	default:
-	}
-	// All slots busy: join the bounded queue. The increment is optimistic
-	// — two racing requests may both see the last queue seat — which can
-	// momentarily overshoot QueueDepth by the number of racers, never
-	// lose a rejection.
-	if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
-		s.queued.Add(-1)
-		s.metrics.rejectedQueueFull.Add(1)
-		return errBusy
-	}
-	defer s.queued.Add(-1)
-	select {
-	case s.sem <- struct{}{}:
-		s.metrics.inflight.Add(1)
-		return nil
-	case <-ctx.Done():
-		return s.admissionErr(ctx)
-	}
+// route is one endpoint of Handler. drained marks the handlers that
+// register with the drain accounting, so Shutdown waits for them.
+type route struct {
+	method, path string
+	handle       func(*Server, http.ResponseWriter, *http.Request)
+	drained      bool
 }
 
-// release returns an admission slot.
-func (s *Server) release() {
-	s.metrics.inflight.Add(-1)
-	<-s.sem
-}
-
-// acquireN admits n computations as one unit — the weighted-admission
-// path for batch requests, which charge their engine fan-out against
-// the same semaphore as single queries instead of bypassing it. Callers
-// must clamp n to MaxInflight (HandleSearchBatch does), or the loop
-// could never finish collecting.
-//
-// Deadlock-freedom: a multi-token acquirer holds the tokens it has
-// while waiting for more — exactly the hold-and-wait a counting
-// semaphore cannot allow from many sides at once. Two guarantees break
-// the cycle: the bulk channel (capacity 1) admits at most one collector
-// at a time, and single-token acquirers never hold-and-wait. So every
-// token the collector is missing is held either free in sem or by a
-// running computation that will release it; no one is waiting on the
-// collector.
-//
-// Queue accounting: a collecting batch occupies one QueueDepth seat
-// regardless of weight, the same unit a waiting single query occupies.
-// When the queue is full (or QueueDepth is 0) a batch that cannot take
-// all n tokens immediately is rejected with errBusy → 429.
-func (s *Server) acquireN(ctx context.Context, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	select {
-	case s.bulk <- struct{}{}:
-	case <-ctx.Done():
-		return s.admissionErr(ctx)
-	}
-	defer func() { <-s.bulk }()
-	got := 0
-	for got < n {
-		select {
-		case s.sem <- struct{}{}:
-			got++
-			continue
-		default:
-		}
-		break
-	}
-	if got == n {
-		s.metrics.inflight.Add(int64(n))
-		return nil
-	}
-	// Some slots are busy: join the bounded queue as one waiter.
-	if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
-		s.queued.Add(-1)
-		s.drainTokens(got)
-		s.metrics.rejectedQueueFull.Add(1)
-		return errBusy
-	}
-	defer s.queued.Add(-1)
-	for got < n {
-		select {
-		case s.sem <- struct{}{}:
-			got++
-		case <-ctx.Done():
-			s.drainTokens(got)
-			return s.admissionErr(ctx)
-		}
-	}
-	s.metrics.inflight.Add(int64(n))
-	return nil
-}
-
-// admissionErr maps an expired admission wait to the right rejection:
-// ctx parents from the server lifetime context, so its Done covers both
-// shutdown and the computation deadline.
-func (s *Server) admissionErr(ctx context.Context) error {
-	if s.queryCtx.Err() != nil {
-		s.metrics.rejectedDraining.Add(1)
-		return errDraining
-	}
-	s.metrics.rejectedWaitTimeout.Add(1)
-	return ctx.Err()
-}
-
-// drainTokens returns n raw semaphore tokens (not yet counted inflight).
-func (s *Server) drainTokens(n int) {
-	for i := 0; i < n; i++ {
-		<-s.sem
-	}
-}
-
-// releaseN returns the n admission slots acquireN granted.
-func (s *Server) releaseN(n int) {
-	if n <= 0 {
-		return
-	}
-	s.metrics.inflight.Add(int64(-n))
-	s.drainTokens(n)
+// routes is the server's one route table; Routes and Handler both read
+// it, and API.md documents exactly this list (the route-diff test in
+// docs_test.go keeps the three in lockstep).
+var routes = []route{
+	{http.MethodPost, "/v1/search", (*Server).handleSearch, true},                    // answer one DCCS query
+	{http.MethodPost, "/v1/search/batch", (*Server).HandleSearchBatch, true},         // up to MaxBatchQueries queries in one request
+	{http.MethodGet, "/v1/graphs", (*Server).handleGraphs, false},                    // served graphs with stats and engine metrics
+	{http.MethodPost, "/v1/graphs/{graph}/edges", (*Server).handleUpdateEdges, true}, // an edge-update batch (mutable graphs)
+	{http.MethodGet, "/v1/docs", (*Server).handleDocs, false},                        // the API contract (API.md) as markdown
+	{http.MethodGet, "/healthz", (*Server).handleHealthz, false},                     // liveness (503 while draining) + per-graph status
+	{http.MethodGet, "/metrics", (*Server).handleMetrics, false},                     // Prometheus text-format counters
 }
 
 // Routes lists every route Handler serves, one "METHOD /path" line per
-// endpoint. API.md documents exactly this list — the route-diff test in
-// docs_test.go keeps the contract and the mux in lockstep, so a new
-// endpoint that skips the documentation fails CI.
+// endpoint.
 func Routes() []string {
-	return []string{
-		"POST /v1/search",
-		"POST /v1/search/batch",
-		"GET /v1/graphs",
-		"POST /v1/graphs/{graph}/edges",
-		"GET /v1/docs",
-		"GET /healthz",
-		"GET /metrics",
+	out := make([]string, len(routes))
+	for i, rt := range routes {
+		out[i] = rt.method + " " + rt.path
 	}
+	return out
 }
 
-// Handler returns the server's HTTP routes:
-//
-//	POST /v1/search              answer one DCCS query (JSON in, JSON out)
-//	POST /v1/search/batch        answer up to MaxBatchQueries queries in one request
-//	GET  /v1/graphs              list served graphs with stats and engine metrics
-//	POST /v1/graphs/{id}/edges   apply an edge-update batch (mutable graphs)
-//	GET  /v1/docs                the API contract (API.md) as markdown text
-//	GET  /healthz                liveness (503 while draining) + per-graph status
-//	GET  /metrics                Prometheus text-format counters
-//
-// Keep this list in sync with Routes and API.md.
+// Handler returns the server's HTTP routes. Each answers any other
+// method with a JSON 405 naming the right one in Allow; the search and
+// update routes answer 503 once Shutdown has begun.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/search", s.handleSearch)
-	mux.HandleFunc("/v1/search/batch", s.HandleSearchBatch)
-	mux.HandleFunc("/v1/graphs", s.handleGraphs)
-	mux.HandleFunc("POST /v1/graphs/{graph}/edges", s.handleUpdateEdges)
-	mux.HandleFunc("/v1/docs", s.handleDocs)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	for _, rt := range routes {
+		mux.HandleFunc(rt.path, func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != rt.method {
+				w.Header().Set("Allow", rt.method)
+				s.writeError(w, http.StatusMethodNotAllowed, "use %s", rt.method)
+				return
+			}
+			if rt.drained {
+				if !s.beginRequest() {
+					s.metrics.rejectedDraining.Add(1)
+					s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+					return
+				}
+				defer s.inflightWG.Done()
+			}
+			rt.handle(s, w, r)
+		})
+	}
 	return mux
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -115,6 +116,8 @@ func TestSearchRejectsBadRequests(t *testing.T) {
 		{"s zero", `{"d":3,"s":0,"k":2}`, http.StatusBadRequest},
 		{"s beyond layers", `{"d":3,"s":5,"k":2}`, http.StatusBadRequest},
 		{"k zero", `{"d":3,"s":2,"k":0}`, http.StatusBadRequest},
+		{"k over the bound", `{"d":3,"s":2,"k":1025}`, http.StatusBadRequest},
+		{"k exhausting the heap", `{"d":3,"s":2,"k":1099511627776}`, http.StatusBadRequest},
 		{"bad algorithm", `{"d":3,"s":2,"k":2,"algorithm":"dijkstra"}`, http.StatusBadRequest},
 		{"negative budget", `{"d":3,"s":2,"k":2,"max_tree_nodes":-1}`, http.StatusBadRequest},
 		{"negative timeout", `{"d":3,"s":2,"k":2,"timeout_ms":-5}`, http.StatusBadRequest},
@@ -150,6 +153,41 @@ func TestSearchRejectsBadRequests(t *testing.T) {
 			t.Fatalf("status %d, want 405", resp.StatusCode)
 		}
 	})
+	// The engine refusing a query is the client's error, not the
+	// server's: 400 with the engine's reason, never 500.
+	t.Run("exact over its candidate limit", func(t *testing.T) {
+		s, err := New(Config{}, GraphSpec{Name: "wide", Graph: exactLimitGraph()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := newHTTPServer(t, s)
+		resp, err := http.Post(ts.URL+"/v1/search", "application/json", strings.NewReader(`{"d":1,"s":3,"k":2,"algorithm":"exact"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, "exact solver") {
+			t.Fatalf("status %d (%s), want 400 naming the exact solver's limit", resp.StatusCode, out.Error)
+		}
+	})
+}
+
+// TestSearchTimeoutCappedNotOverflowed: timeout_ms at the int64 limit
+// must be capped at MaxTimeout, not overflow the conversion to a
+// Duration into an already-expired deadline.
+func TestSearchTimeoutCappedNotOverflowed(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, out := postSearch(t, ts.URL, SearchRequest{D: 3, S: 2, K: 2, TimeoutMS: math.MaxInt64})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if out.Truncated || out.CoverSize == 0 || out.Source != "engine" {
+		t.Fatalf("answer truncated=%v cover %d source %q, want a full engine answer", out.Truncated, out.CoverSize, out.Source)
+	}
 }
 
 func TestSearchCacheHit(t *testing.T) {
@@ -638,16 +676,37 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		workers = 16
 		perW    = 25
 	)
+	query := func(w, i int) SearchRequest {
+		return SearchRequest{
+			D: 2 + (i+w)%2, S: 1 + (i+w)%3, K: 1 + i%4,
+			Seed: int64(i % 12), // small space → constant churn on 8 entries
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				req := SearchRequest{
-					D: 2 + (i+w)%2, S: 1 + (i+w)%3, K: 1 + i%4,
-					Seed: int64(i % 12), // small space → constant churn on 8 entries
+				if w%2 == 1 {
+					// Every other worker posts batches over the same query
+					// space: the six (d, s) shapes of its step, so each batch
+					// shares keys with the singles of that step, plus an
+					// in-batch duplicate.
+					var qs []BatchQuery
+					for _, v := range []int{0, 1, 2, 3, 4, 5, 0} {
+						r := query(w+v, i)
+						qs = append(qs, BatchQuery{D: r.D, S: r.S, K: r.K, Seed: r.Seed})
+					}
+					resp, out := postBatch(t, ts.URL, BatchRequest{Queries: qs})
+					if resp.StatusCode != http.StatusOK || out.Errors != 0 {
+						t.Errorf("worker %d: batch status %d with %d errors", w, resp.StatusCode, out.Errors)
+						return
+					}
+					checkBatchInvariant(t, out)
+					continue
 				}
+				req := query(w, i)
 				resp, out := postSearch(t, ts.URL, req)
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("worker %d: status %d", w, resp.StatusCode)
@@ -669,5 +728,11 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 	if s.metrics.searchEngine.Load() == 0 {
 		t.Fatal("no engine computations recorded")
+	}
+	// Every answer labelled "engine" ran the engine once, and no
+	// computation went unlabelled.
+	eng, _ := s.Engine("fig1")
+	if q, engine := eng.Metrics().Queries, s.metrics.searchEngine.Load()+s.metrics.batchItemsEng.Load(); q != engine {
+		t.Fatalf("engine served %d queries, but %d answers are engine-sourced", q, engine)
 	}
 }

@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
 	"time"
 
@@ -47,17 +45,10 @@ type UpdateResponse struct {
 
 // handleUpdateEdges answers POST /v1/graphs/{graph}/edges: decode and
 // validate, then apply the batch through the engine under the same
-// bounded admission as searches — an update occupies an inflight slot,
+// bounded admission as searches — an update takes one admission token,
 // so a flood of updates cannot starve queries past the configured
 // concurrency, and vice versa.
 func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
-	if !s.beginRequest() {
-		s.metrics.rejectedDraining.Add(1)
-		s.writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	defer s.inflightWG.Done()
-
 	name := r.PathValue("graph")
 	h, ok := s.graphs[name]
 	if !ok {
@@ -68,17 +59,8 @@ func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusConflict, "graph %q is immutable; serve it as mutable to accept edge updates", name)
 		return
 	}
-
 	var req UpdateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUpdateBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "update batch exceeds %d bytes", s.cfg.MaxUpdateBytes)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !s.decode(w, r, s.cfg.MaxUpdateBytes, "update batch", &req) {
 		return
 	}
 	if len(req.Updates) == 0 {
@@ -101,32 +83,20 @@ func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 
 	// Updates run under the server's default computation budget; the
 	// context only bounds incremental watch maintenance and the wait for
-	// an admission slot — an admitted batch always lands in full.
+	// an admission token — an admitted batch always lands in full.
 	ctx, cancel := context.WithTimeout(s.queryCtx, s.cfg.DefaultTimeout)
 	defer cancel()
-	if err := s.acquire(ctx); err != nil {
-		switch {
-		case errors.Is(err, errBusy):
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusTooManyRequests, "%v", err)
-		case errors.Is(err, errDraining):
-			s.writeError(w, http.StatusServiceUnavailable, "%v", err)
-		default:
-			s.writeError(w, http.StatusServiceUnavailable, "update expired before admission: %v", err)
-		}
+	if err := s.admit(ctx, 1); err != nil {
+		s.writeFailure(w, err)
 		return
 	}
-	defer s.release()
+	defer s.admission.release(1)
 
+	// ApplyUpdates pre-validates the whole batch; an error other than
+	// its context expiring is the client's input (400).
 	stats, err := h.eng.ApplyUpdates(ctx, ups)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.writeError(w, http.StatusServiceUnavailable, "update expired before application: %v", err)
-			return
-		}
-		// ApplyUpdates pre-validates the whole batch; any remaining error
-		// is the client's input.
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		s.writeFailure(w, err)
 		return
 	}
 	s.metrics.countUpdate(stats)
