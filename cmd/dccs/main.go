@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	dccs "repro"
 )
@@ -155,7 +156,13 @@ func truncationCause(st dccs.Stats, ctx context.Context) string {
 	}
 }
 
+// fail prints err and exits 1. Library errors already carry the "dccs: "
+// prefix; others get it here, so every message carries it once.
 func fail(err error) {
-	fmt.Fprintf(os.Stderr, "dccs: %v\n", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "dccs: ") {
+		msg = "dccs: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

@@ -100,6 +100,13 @@ type Query struct {
 // lifetime counters like the build counters. MemoBytes is what the
 // current generation's memo holds, bounded by a budget the size of the
 // graph's per-layer coreness arrays (at least 64 KiB).
+//
+// SpaceBuilds and SpaceReuses count the queries that built their compact
+// search space and those that reused the space an earlier query sharing
+// (D, S) left pooled; they are lifetime counters too. Every query that
+// searches counts in exactly one of them; one answered as trivially
+// empty (S above the layer count, or D beyond the maximum coreness)
+// searches no space.
 type EngineMetrics struct {
 	Queries         int64
 	CorenessBuilds  int64
@@ -107,6 +114,8 @@ type EngineMetrics struct {
 	MemoHits        int64
 	MemoMisses      int64
 	MemoBytes       int64
+	SpaceBuilds     int64
+	SpaceReuses     int64
 }
 
 // Engine is a long-lived, context-aware handle on one immutable Graph
@@ -320,6 +329,8 @@ func (e *Engine) Metrics() EngineMetrics {
 		MemoHits:        c.MemoHits,
 		MemoMisses:      c.MemoMisses,
 		MemoBytes:       c.MemoBytes,
+		SpaceBuilds:     c.SpaceBuilds,
+		SpaceReuses:     c.SpaceReuses,
 	}
 }
 

@@ -170,9 +170,11 @@ func TestApplyUpdatesVersionAndCacheKey(t *testing.T) {
 	}
 }
 
-// TestMemoMetricsAcrossUpdates pins the d-CC memo counters across live
-// generations: hits and misses carry over like the build counters,
-// while the new generation's memo starts empty and fills again.
+// TestMemoMetricsAcrossUpdates pins the d-CC memo and search-space
+// counters across live generations: hits, misses, space builds and
+// reuses carry over like the build counters, while the new generation's
+// memo starts empty and fills again, and its first query builds its
+// space anew.
 func TestMemoMetricsAcrossUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := testutil.RandomCorrelatedGraph(rng, 60, 4, 0.2, 0.85, 0.05)
@@ -197,7 +199,8 @@ func TestMemoMetricsAcrossUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := eng.Metrics()
-	if after.MemoHits != before.MemoHits || after.MemoMisses != before.MemoMisses || after.MemoBytes != 0 {
+	if after.MemoHits != before.MemoHits || after.MemoMisses != before.MemoMisses || after.MemoBytes != 0 ||
+		after.SpaceBuilds != before.SpaceBuilds || after.SpaceReuses != before.SpaceReuses {
 		t.Fatalf("after an update: %+v, want the counters of %+v and no bytes", after, before)
 	}
 	if _, err := eng.Search(context.Background(), Query{D: 2, S: 2, K: 3, Seed: 3}); err != nil {
@@ -205,6 +208,8 @@ func TestMemoMetricsAcrossUpdates(t *testing.T) {
 	}
 	if m := eng.Metrics(); m.MemoMisses == after.MemoMisses || m.MemoBytes == 0 {
 		t.Fatalf("the new generation did not refill its memo: %+v", m)
+	} else if m.SpaceBuilds != after.SpaceBuilds+1 || m.SpaceReuses != after.SpaceReuses {
+		t.Fatalf("the new generation's first query did not build its space: %+v", m)
 	}
 }
 

@@ -82,6 +82,11 @@ func TestEngineAmortization(t *testing.T) {
 	if m.HierarchyBuilds != 2 {
 		t.Errorf("HierarchyBuilds = %d, want 2 (d ∈ {3, 2})", m.HierarchyBuilds)
 	}
+	// Five (d, s) shapes, each building its compact space at least once;
+	// every query builds or reuses one.
+	if m.SpaceBuilds < 5 || m.SpaceBuilds+m.SpaceReuses != m.Queries {
+		t.Errorf("SpaceBuilds = %d, SpaceReuses = %d, want ≥ 5 builds and %d in all", m.SpaceBuilds, m.SpaceReuses, m.Queries)
+	}
 }
 
 // TestEngineWarm prepays artifact construction.

@@ -56,9 +56,10 @@ func (pr *Prepared) Version() uint64 { return pr.version.Load() }
 // pr itself is never mutated: queries running against the old handle
 // keep observing a consistent pre-update state. The returned handle is
 // stamped with version and inherits pr's build counters (plus one
-// coreness build when any layer was dirty) and memo hit and miss
-// counters, so the amortization counters stay meaningful across
-// updates. Its d-CC memos start empty, retained hierarchies included.
+// coreness build when any layer was dirty), memo hit and miss counters
+// and space build and reuse counters, so the amortization counters stay
+// meaningful across updates. Its d-CC memos and its pooled search spaces
+// start empty, retained hierarchies included.
 func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, version uint64) (*Prepared, DeriveInfo) {
 	old := pr.layerCoreness() // resolves pr.coreness and pr.maxCoreness
 	np := NewPrepared(g, pr.workers)
@@ -96,6 +97,8 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 	np.hierarchyBuilds.Store(pr.hierarchyBuilds.Load())
 	np.memoHits.Store(pr.memoHits.Load())
 	np.memoMisses.Store(pr.memoMisses.Load())
+	np.spaceBuilds.Store(pr.spaceBuilds.Load())
+	np.spaceReuses.Store(pr.spaceReuses.Load())
 	bound := corenessBound(changed, old, coreness)
 
 	// Decide retention over pr's completed per-d entries under pr.mu.

@@ -37,8 +37,8 @@ import (
 type tdIndex struct {
 	h     []int32  // threshold at which the vertex was removed
 	lmask []uint64 // L(v) as an original-layer bitmask (l ≤ 64 only)
-	// unionAdj holds the index edges, in a query's view only: per
-	// survivor, the union of its rows on every layer of the compact graph.
+	// unionAdj holds the index edges, in a view only: per survivor, the
+	// union of its rows on every layer of the compact graph.
 	unionAdj [][]int32
 }
 

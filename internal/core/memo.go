@@ -8,13 +8,18 @@ import (
 	"repro/internal/multilayer"
 )
 
-// memoKey names one exact d-CC within a per-d slot: the support
-// threshold and vertex-deletion toggle that pin the query's compact
-// survivor space, and the layer set L as a bitmask of original layer ids.
+// memoKey names one entry within a per-d slot: the support threshold
+// and vertex-deletion toggle that pin the query's compact survivor space,
+// the layer set L as a bitmask of original layer ids, and the kind of
+// set stored. An entry is the exact d-CC C^d_L, or with potential set the
+// top-down potential set U^d_L, which also depends on the layer order
+// and so keys on NoSortLayers (noSort is false in d-CC keys).
 type memoKey struct {
-	s    int32
-	nvd  bool
-	mask uint64
+	s         int32
+	nvd       bool
+	potential bool
+	noSort    bool
+	mask      uint64
 }
 
 // memoEntryOverhead is the bytes an entry is charged beyond its bitset
@@ -25,13 +30,14 @@ const memoEntryOverhead = 64
 // graphs keep every entry (see memoBudget).
 const memoMinBudget = 64 << 10
 
-// dccMemo caches exact d-CCs C^d_L across the queries served by one
-// per-d hierarchy (DESIGN.md § d-CC memo). For a fixed hierarchy, s and
-// NoVertexDeletion, newPrep always builds the same compact survivor
-// graph with the same compact ids, and C^d_L is the maximal d-dense set
-// on L in that graph, so any peel from a seed containing it returns the
-// same set. Entries are bitsets over those compact ids and never change
-// once stored.
+// dccMemo caches exact d-CCs C^d_L and top-down potential sets U^d_L
+// across the queries served by one per-d hierarchy (DESIGN.md § d-CC
+// memo). For a fixed hierarchy, s and NoVertexDeletion, newPrep always
+// builds the same compact survivor graph with the same compact ids, and
+// C^d_L is the maximal d-dense set on L in that graph, so any peel from
+// a seed containing it returns the same set; U^d_L is a function of the
+// same space, the layer order and L (see childU). Entries are bitsets
+// over those compact ids and never change once stored.
 type dccMemo struct {
 	mu      sync.Mutex
 	entries map[memoKey]*bitset.Set
@@ -83,20 +89,29 @@ func memoBudget(g *multilayer.Graph) int64 {
 // returns a subset (refineU's Rule 2 filtered seed is one; it calls
 // kcore.DCC directly). The returned set may be shared with concurrent
 // queries and with the other workers of this one, so callers only read
-// it. Queries without a memo (no hierarchy, or more than 64 layers)
-// always compute, and nothing is stored once the query has observed
-// cancellation: an aborted refineC returns the empty set.
+// it.
 func (p *prep) coherentCore(layers []int, compute func() *bitset.Set) *bitset.Set {
+	var mask uint64
+	for _, ly := range layers {
+		mask |= 1 << uint(ly)
+	}
+	return p.memoized(memoKey{mask: mask}, 1, compute)
+}
+
+// memoized returns the memo entry k, whose s and NoVertexDeletion it
+// fills in from the query. A hit counts calls dCC calls, the ones compute
+// would have made; a miss calls compute and stores what it returns.
+// Queries without a memo (no hierarchy, or more
+// than 64 layers) always compute, and nothing is stored once the query
+// has observed cancellation: an aborted refineC returns the empty set.
+func (p *prep) memoized(k memoKey, calls int64, compute func() *bitset.Set) *bitset.Set {
 	if p.memo == nil {
 		return compute()
 	}
-	k := memoKey{s: int32(p.opts.S), nvd: p.opts.NoVertexDeletion}
-	for _, ly := range layers {
-		k.mask |= 1 << uint(ly)
-	}
+	k.s, k.nvd = int32(p.opts.S), p.opts.NoVertexDeletion
 	if c := p.memo.get(k); c != nil {
 		p.owner.memoHits.Add(1)
-		p.stats.dccCalls.Add(1)
+		p.stats.dccCalls.Add(calls)
 		return c
 	}
 	p.owner.memoMisses.Add(1)

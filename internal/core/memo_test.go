@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/coverage"
 	"repro/internal/kcore"
 	"repro/internal/multilayer"
 	"repro/internal/testutil"
@@ -79,7 +80,9 @@ func TestMemoMatchesFreshHandle(t *testing.T) {
 		if c := pr.Counters(); c.MemoHits == 0 || c.MemoBytes == 0 {
 			t.Fatalf("seed %d: the stream never reused the memo: %+v", seed, c)
 		}
-		checkMemoEntries(t, pr)
+		if checkMemoEntries(t, pr) == 0 {
+			t.Fatalf("seed %d: the stream stored no potential set", seed)
+		}
 	}
 }
 
@@ -109,22 +112,31 @@ func TestMemoConcurrentQueries(t *testing.T) {
 	checkMemoEntries(t, pr)
 }
 
-// checkMemoEntries recomputes every stored memo entry with kcore.DCC
-// from the full survivor set of its compact space.
-func checkMemoEntries(t *testing.T, pr *Prepared) {
+// checkMemoEntries recomputes every stored memo entry on its compact
+// space — a d-CC with kcore.DCC from the full survivor set, a potential
+// set with refineU along its root path — and returns how many potential
+// sets it checked.
+func checkMemoEntries(t *testing.T, pr *Prepared) (potentials int) {
 	t.Helper()
 	entries := 0
 	for d, a := range pr.byD {
 		for k, got := range a.memo.entries {
-			p := pr.newPrep(context.Background(), Options{D: d, S: int(k.s), K: 1, NoVertexDeletion: k.nvd}, false)
-			var layers []int
-			for m := k.mask; m != 0; m &= m - 1 {
-				layers = append(layers, bits.TrailingZeros64(m))
+			opts := Options{D: d, S: int(k.s), K: 1, NoVertexDeletion: k.nvd, NoSortLayers: k.noSort}
+			p := pr.newPrep(context.Background(), opts, k.potential)
+			var want *bitset.Set
+			if k.potential {
+				want = potentialAlongRootPath(p, k.mask)
+				potentials++
+			} else {
+				var layers []int
+				for m := k.mask; m != 0; m &= m - 1 {
+					layers = append(layers, bits.TrailingZeros64(m))
+				}
+				want = kcore.DCC(p.g, p.alive, layers, d)
 			}
-			want := kcore.DCC(p.g, p.alive, layers, d)
 			p.release()
 			if !got.Equal(want) {
-				t.Fatalf("d=%d %+v: stored entry has %d vertices, recomputed d-CC %d", d, k, got.Count(), want.Count())
+				t.Fatalf("d=%d %+v: stored entry has %d vertices, recomputed %d", d, k, got.Count(), want.Count())
 			}
 			entries++
 		}
@@ -132,6 +144,28 @@ func checkMemoEntries(t *testing.T, pr *Prepared) {
 	if entries == 0 {
 		t.Fatal("memo holds no entries")
 	}
+	return potentials
+}
+
+// potentialAlongRootPath recomputes U^d_L, for the layer set mask, with
+// refineU from the root of the top-down tree on p, bypassing the memo:
+// the path drops L's missing positions in ascending order, each of which
+// is removable from the node before it.
+func potentialAlongRootPath(p *prep, mask uint64) *bitset.Set {
+	p.sortLayers(true)
+	ts := newTDSearch(p, coverage.New(p.g.N(), 1))
+	lpos := make([]int, p.g.L())
+	for pos := range lpos {
+		lpos[pos] = pos
+	}
+	u := p.alive
+	for pos := range p.order {
+		if mask&(1<<uint(p.order[pos])) == 0 {
+			lpos = removePos(lpos, pos)
+			u = ts.refineU(u, lpos)
+		}
+	}
+	return u
 }
 
 // TestMemoSurvivesCancellation cancels a query before its hierarchy is
@@ -139,7 +173,9 @@ func checkMemoEntries(t *testing.T, pr *Prepared) {
 // query uncancelled on the same Prepared: the answer must equal a fresh
 // handle's, so the cancelled query left nothing in the memo. A top-down
 // query cancelled inside refineC, whose aborted flood returns the empty
-// set, must not leave that set behind either.
+// set, must not leave that set behind either, and the potential sets it
+// stored before the cancellation must be exact. A potential set computed
+// after the query observed cancellation is not stored at all.
 func TestMemoSurvivesCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -198,12 +234,40 @@ func TestMemoSurvivesCancellation(t *testing.T) {
 		if !ctx.fired.Load() || !res.Stats.Interrupted {
 			t.Fatalf("refineC never observed the cancellation (fired %v, stats %+v)", ctx.fired.Load(), res.Stats)
 		}
+		if checkMemoEntries(t, pr) == 0 {
+			t.Fatal("the cancelled query stored no potential set")
+		}
 		got, err := pr.TopDown(context.Background(), opts)
 		want, wantErr := freshAnswer(g, (*Prepared).TopDown, opts)
 		if !sameAnswer(got, err, want, wantErr) {
 			t.Fatalf("answer after a query cancelled inside refineC differs from a fresh handle's:\n got %+v\nwant %+v", got, want)
 		}
 	})
+}
+
+// TestMemoSkipsPotentialSetsAfterCancellation computes one root child's
+// potential set on a query that has observed cancellation and then on
+// an uncancelled one: only the second stores it.
+func TestMemoSkipsPotentialSetsAfterCancellation(t *testing.T) {
+	g := testutil.RandomCorrelatedGraph(rand.New(rand.NewSource(3)), 40, 5, 0.3, 0.85, 0.05)
+	opts := Options{D: 2, S: 2, K: 3, Seed: 1}
+	pr := NewPrepared(g, 1)
+	slot := pr.builtArtifact(context.Background(), opts.D)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		ctx    context.Context
+		stored int
+	}{{cancelled, 0}, {context.Background(), 1}} {
+		p := pr.newPrep(c.ctx, opts, true)
+		p.interrupted()
+		p.sortLayers(true)
+		newTDSearch(p, coverage.New(p.g.N(), opts.K)).childU(p.alive, []int{0, 1, 2, 3})
+		p.release()
+		if n := len(slot.memo.entries); n != c.stored {
+			t.Fatalf("interrupted %v: memo holds %d entries, want %d", p.stats.interrupted.Load(), n, c.stored)
+		}
+	}
 }
 
 // refineCancelCtx reports cancellation from the first time refineC —

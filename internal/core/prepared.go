@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/bitset"
 	"repro/internal/kcore"
 	"repro/internal/multilayer"
 	"repro/internal/pool"
@@ -48,10 +49,10 @@ type Prepared struct {
 	memoHits   atomic.Int64
 	memoMisses atomic.Int64
 
-	// arena pools per-query scratch (see queryArena); its original-to-
-	// compact index is sized for g, making the Prepared itself the
-	// natural pool key.
-	arena sync.Pool
+	// Compact search spaces built and checked out again (see newPrep);
+	// lifetime counters that Derive carries, like the memo's.
+	spaceBuilds atomic.Int64
+	spaceReuses atomic.Int64
 
 	// version is the graph version these artifacts were computed for: 0
 	// for a freshly constructed handle, the batch counter for handles
@@ -71,27 +72,38 @@ type Prepared struct {
 // triggering) in-flight builds. memo holds the exact d-CCs queries
 // computed on hier; it lives and dies with the slot, so a hierarchy
 // shared across live generations never carries it, and snapshots skip
-// it.
+// it. spaces pools, per space key, the arenas holding compact search
+// spaces built on hier (see queryArena); like the memo they belong to
+// the slot and hence to one graph.
 type dArtifact struct {
 	buildMu sync.Mutex
 	hier    *hierarchy
 	done    atomic.Bool
 	memo    dccMemo
+
+	spaceMu sync.Mutex
+	spaces  map[spaceKey]*sync.Pool
 }
 
 // PreparedCounters reports how often each artifact tier was actually
 // built — the observable half of the amortization contract: after any
 // number of queries, CorenessBuilds is at most 1 and HierarchyBuilds is
 // at most the number of distinct d values queried. MemoHits and
-// MemoMisses count d-CC memo lookups over the handle's lineage (Derive
+// MemoMisses count memo lookups over the handle's lineage (Derive
 // carries them like the build counters); MemoBytes is what this handle's
-// memo entries are charged against its budget.
+// memo entries are charged against its budget. SpaceBuilds and
+// SpaceReuses count, over the lineage too, the queries that built their
+// compact search space and those that checked out one an earlier query
+// of the same (d, s) built; every query with a hierarchy counts in
+// exactly one of them.
 type PreparedCounters struct {
 	CorenessBuilds  int64
 	HierarchyBuilds int64
 	MemoHits        int64
 	MemoMisses      int64
 	MemoBytes       int64
+	SpaceBuilds     int64
+	SpaceReuses     int64
 }
 
 // NewPrepared returns a prepared handle on g. workers bounds the
@@ -115,6 +127,8 @@ func (pr *Prepared) Counters() PreparedCounters {
 		MemoHits:        pr.memoHits.Load(),
 		MemoMisses:      pr.memoMisses.Load(),
 		MemoBytes:       pr.memoBytes.Load(),
+		SpaceBuilds:     pr.spaceBuilds.Load(),
+		SpaceReuses:     pr.spaceReuses.Load(),
 	}
 }
 
@@ -291,84 +305,67 @@ func (pr *Prepared) builtArtifact(ctx context.Context, d int) *dArtifact {
 }
 
 // newPrep derives the query's compact search space from the cached
-// artifacts (see DESIGN.md § Compact search space). For this query's s
-// the vertex-deletion survivors and reduced per-layer d-cores are the
-// level sets {h(v) ≥ s} and {coreh_i(v) ≥ s} of the per-d hierarchy:
+// artifacts (see DESIGN.md § Compact search space). The space is a
+// function of the per-d hierarchy and the space key (spaceKeyOf) alone,
+// so each slot pools the arenas holding its spaces by key: the query
+// checks one out and reuses its space as it stands, and only when the
+// pool is empty does it build the space into a new arena (buildSpace).
+// With index set (the top-down search) the arena also needs the index
+// view with its union rows and refine scratch, which the first top-down
+// query on an arena adds (indexView).
 //
-//   - one O(n) scan of h lists the survivors, renumbered 0..n′−1 in
-//     ascending original order, and fills the original-to-compact index;
-//   - per layer, an O(n′) scan of coreh_i builds the reduced d-core over
-//     compact ids, and the compact graph keeps only the layer's edges
-//     inside it;
-//   - with index set (the top-down search), the removal-hierarchy index
-//     is restricted to the survivors, the flood's union rows are built
-//     from the compact graph, and the refine scratch is sized for n′.
-//
-// Every buffer comes from a pooled arena checked out for this query alone
-// (released by prep.release after result assembly), so concurrent
-// queries never share mutable state; the hierarchy is shared read-only.
-// A hierarchy build cancelled by ctx leaves no survivors: the search
-// space is empty (n′ = 0), and every algorithm drains it at once with
-// the truncated flags set. Such a query gets no d-CC memo — its empty
-// cores must never be stored — and neither do graphs beyond the 64-layer
-// bitmask key.
+// An arena is checked out for this query alone (and released by
+// prep.release after result assembly), so concurrent queries never
+// share mutable state; the hierarchy is shared read-only. A hierarchy
+// build cancelled by ctx leaves no survivors: the search space is empty
+// (n′ = 0), built into an arena that is dropped afterwards, and every
+// algorithm drains it at once with the truncated flags set. Such a query
+// gets no memo — its empty cores must never be stored — and neither do
+// graphs beyond the 64-layer bitmask key.
 func (pr *Prepared) newPrep(ctx context.Context, opts Options, index bool) *prep {
 	var hr *hierarchy
 	slot := pr.builtArtifact(ctx, opts.D)
 	if slot != nil {
 		hr = slot.hier
 	}
-	a := pr.getArena()
+	key := spaceKeyOf(opts)
+	var a *queryArena
+	if hr != nil {
+		space := slot.spacePool(key)
+		if a, _ = space.Get().(*queryArena); a != nil {
+			pr.spaceReuses.Add(1)
+		} else {
+			a = pr.buildSpace(hr, key)
+			a.space = space
+			pr.spaceBuilds.Add(1)
+		}
+	} else {
+		a = pr.buildSpace(nil, key)
+	}
+	if index && !a.rows {
+		a.indexView(hr)
+	}
 	p := &prep{
+		g:     a.g,
+		verts: a.verts,
 		opts:  opts,
 		ctx:   ctx,
+		alive: a.alive,
+		cores: a.cores,
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 		owner: pr,
 		arena: a,
 	}
-	verts := a.verts[:0]
-	minH := int32(opts.S)
+	if index {
+		p.idx = &a.idx
+	}
 	switch {
 	case hr == nil:
-		// No survivors, so nothing below reads the missing hierarchy.
+		// No survivors, so nothing read the missing hierarchy.
 		p.stats.truncated.Store(true)
 		p.stats.interrupted.Store(true)
-	case opts.NoVertexDeletion:
-		// Fig 28's No-VD ablation: every vertex stays, the cores are the
-		// initial d-cores (membership outlived threshold 0).
-		minH = 1
-		for v := range a.index {
-			a.index[v] = int32(v)
-			verts = append(verts, int32(v))
-		}
-	default:
-		for v, h := range hr.idx.h {
-			if h >= minH {
-				a.index[v] = int32(len(verts))
-				verts = append(verts, int32(v))
-			} else {
-				a.index[v] = -1
-			}
-		}
-		p.stats.preprocessRemoved.Add(int64(len(a.index) - len(verts)))
-	}
-	a.verts, p.verts = verts, verts
-	n := len(verts)
-	a.alive.Reset(n)
-	a.alive.Fill()
-	p.alive = a.alive
-	for i, core := range a.cores {
-		core.Reset(n)
-		for c, v := range verts {
-			if hr.coreh[i][v] >= minH {
-				core.Add(c)
-			}
-		}
-	}
-	p.cores = a.cores
-	p.g = pr.g.Compact(verts, a.index, a.cores, &a.graph)
-	if index {
-		p.idx = a.indexView(hr, p.g)
+	case !key.nvd:
+		p.stats.preprocessRemoved.Add(int64(pr.g.N() - len(a.verts)))
 	}
 	if hr != nil && pr.g.L() <= 64 {
 		p.memo = &slot.memo
@@ -380,36 +377,86 @@ func (pr *Prepared) newPrep(ctx context.Context, opts Options, index bool) *prep
 	return p
 }
 
-// indexView restricts the removal-hierarchy index to the survivors, in
-// compact ids — h and L(v) per survivor — builds the index edges the
-// flood walks from the compact graph g, and sizes the top-down refine
-// scratch for n′. The view lives in the arena.
+// buildSpace returns a new arena holding the compact space of key on
+// hr, or the empty space when hr is nil. For the key's threshold s the
+// vertex-deletion survivors and reduced per-layer d-cores are the level
+// sets {h(v) ≥ s} and {coreh_i(v) ≥ s} of the per-d hierarchy:
+//
+//   - one O(n) scan of h lists the survivors, renumbered 0..n′−1 in
+//     ascending original order, and fills the original-to-compact index;
+//     under NoVertexDeletion every vertex survives;
+//   - per layer, an O(n′) scan of coreh_i builds the reduced d-core over
+//     compact ids, and the compact graph keeps only the layer's edges
+//     inside it.
+func (pr *Prepared) buildSpace(hr *hierarchy, key spaceKey) *queryArena {
+	index := make([]int32, pr.g.N()) // original id → compact id, -1 if deleted
+	var verts []int32
+	switch {
+	case hr == nil:
+	case key.nvd:
+		// Fig 28's No-VD ablation: every vertex stays, the cores are the
+		// initial d-cores (membership outlived threshold 0).
+		verts = make([]int32, len(index))
+		for v := range index {
+			index[v] = int32(v)
+			verts[v] = int32(v)
+		}
+	default:
+		for v, h := range hr.idx.h {
+			if h >= key.s {
+				index[v] = int32(len(verts))
+				verts = append(verts, int32(v))
+			} else {
+				index[v] = -1
+			}
+		}
+	}
+	n := len(verts)
+	a := &queryArena{
+		verts: verts,
+		alive: bitset.NewFull(n),
+		cores: make([]*bitset.Set, pr.g.L()),
+	}
+	for i := range a.cores {
+		core := bitset.New(n)
+		for c, v := range verts {
+			if hr.coreh[i][v] >= key.s {
+				core.Add(c)
+			}
+		}
+		a.cores[i] = core
+	}
+	a.g = pr.g.Compact(verts, index, a.cores)
+	return a
+}
+
+// indexView restricts the removal-hierarchy index to the arena's
+// survivors, in compact ids — h and L(v) per survivor — builds the index
+// edges the flood walks from the compact graph, and sizes the top-down
+// refine scratch for n′. The view lives in the arena, which keeps it
+// with the space (rows).
 //
 // A survivor's index edges are the deduplicated union of its rows on
-// every layer of g, in no particular order. That is all the flood needs:
-// C^d_{L′} lies inside each reduced d-core of L′, so every layer edge
-// among its members is a compact edge (DESIGN.md § RefineC). Rows are
-// deduplicated here, once per query, because planted edges repeat across
-// layers and the flood would otherwise re-test them per layer.
-func (a *queryArena) indexView(hr *hierarchy, g *multilayer.Graph) *tdIndex {
+// every layer of the compact graph, in no particular order. That is all
+// the flood needs: C^d_{L′} lies inside each reduced d-core of L′, so
+// every layer edge among its members is a compact edge (DESIGN.md
+// § RefineC). Rows are deduplicated here, once per space, because
+// planted edges repeat across layers and the flood would otherwise
+// re-test them per layer.
+func (a *queryArena) indexView(hr *hierarchy) {
+	g := a.g
 	n := len(a.verts)
 	x := &a.idx
-	x.h = grow(x.h, n)
-	x.lmask = grow(x.lmask, n)
-	x.unionAdj = grow(x.unionAdj, n)
+	x.h = make([]int32, n)
+	x.lmask = make([]uint64, n)
+	x.unionAdj = make([][]int32, n)
 	for c, v := range a.verts {
 		x.h[c] = hr.idx.h[v]
 		x.lmask[c] = hr.idx.lmask[v]
 	}
-	total := 2 * g.MTotal()
-	if cap(a.unionNbrs) < total {
-		a.unionNbrs = make([]int32, 0, total)
-	}
-	nbrs := a.unionNbrs[:0] // never reallocates: total bounds every row
-	// stamp[u] == c+1 marks u as already in row c; clearing on entry
-	// keeps an earlier query's marks from matching.
-	stamp := grow(a.stamp, n)
-	clear(stamp)
+	nbrs := make([]int32, 0, 2*g.MTotal()) // never reallocates: it bounds every row
+	// stamp[u] == c+1 marks u as already in row c.
+	stamp := make([]int32, n)
 	for c := int32(0); c < int32(n); c++ {
 		start := len(nbrs)
 		for i := 0; i < g.L(); i++ {
@@ -422,17 +469,15 @@ func (a *queryArena) indexView(hr *hierarchy, g *multilayer.Graph) *tdIndex {
 		}
 		x.unionAdj[c] = nbrs[start:len(nbrs):len(nbrs)]
 	}
-	a.unionNbrs, a.stamp = nbrs, stamp
 
-	// state keeps its all-zero invariant across resizes: refineC resets
-	// every entry it touches.
-	a.state = grow(a.state, n)
-	a.counts = grow(a.counts, n)
+	a.state = make([]uint8, n)
+	a.counts = make([]int32, n)
+	a.dplus = make([][]int32, g.L())
 	for i := range a.dplus {
-		a.dplus[i] = grow(a.dplus[i], n)
+		a.dplus[i] = make([]int32, n)
 	}
-	a.z.Reset(n)
-	return x
+	a.z = bitset.New(n)
+	a.rows = true
 }
 
 // preprocess runs the §IV-C preprocessing through a throwaway Prepared,

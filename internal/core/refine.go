@@ -95,6 +95,28 @@ func removablePos(lpos []int, l int) []int {
 	return out
 }
 
+// childU returns the potential set U^d_{L′} of the search-tree child
+// lpos of a node whose potential set is u, through the memo, running
+// refineU on a miss. Every node has one parent (L′ plus its largest
+// missing position) and the root's potential set is all survivors, so
+// U^d_{L′} is a function of the compact space, the layer order — fixed
+// by the space and NoSortLayers — and L′ (DESIGN.md § d-CC memo). u must
+// be the parent's potential set. A hit counts the dCC call refineU
+// makes when its Class 1 set M is non-empty, which is when some position
+// of L′ lies below its largest missing one.
+func (t *tdSearch) childU(u *bitset.Set, lpos []int) *bitset.Set {
+	p := t.prep
+	k := memoKey{potential: true, noSort: p.opts.NoSortLayers}
+	for _, pos := range lpos {
+		k.mask |= 1 << uint(p.order[pos])
+	}
+	calls := int64(0)
+	if lpos[0] < maxMissingPos(lpos, p.g.L()) {
+		calls = 1
+	}
+	return p.memoized(k, calls, func() *bitset.Set { return t.refineU(u, lpos) })
+}
+
 // childCC returns C^d_{L′} for the search-tree child lpos through the
 // d-CC memo, running refineC on a miss. u must be the child's potential
 // set, which contains C^d_{L′} (DESIGN.md § d-CC memo); callers with

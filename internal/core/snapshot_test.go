@@ -308,7 +308,15 @@ func TestSnapshotRejectsEarlierFormats(t *testing.T) {
 			}
 		}
 		// The handle built its own artifacts, exactly as a cold one does.
-		if got, want := pr.Counters(), cold.Counters(); got != want {
+		// Whether a query reused a pooled search space is up to sync.Pool,
+		// which drops items at random under the race detector, so only
+		// the number of queries that searched one must match.
+		got, want := pr.Counters(), cold.Counters()
+		if got.SpaceBuilds+got.SpaceReuses != want.SpaceBuilds+want.SpaceReuses {
+			t.Fatalf("format-%d image: spaces %+v, a cold handle's %+v", c.version, got, want)
+		}
+		got.SpaceBuilds, got.SpaceReuses, want.SpaceBuilds, want.SpaceReuses = 0, 0, 0, 0
+		if got != want {
 			t.Fatalf("format-%d image: builds %+v, a cold handle's %+v", c.version, got, want)
 		}
 	}

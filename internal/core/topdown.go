@@ -169,7 +169,7 @@ func (t *tdSearch) genParallel(workers int, L []int, cL *bitset.Set) *coverage.T
 		sub.topk = snapshot.Clone()
 		sub.rng = rand.New(rand.NewSource(int64(uint64(p.opts.Seed) + uint64(i+1)*0x9E3779B97F4A7C15)))
 		lchild := removePos(L, j)
-		childU := sub.refineU(p.alive, lchild)
+		childU := sub.childU(p.alive, lchild)
 		switch {
 		case len(lchild) == s:
 			cc := sub.childCC(childU, lchild)
@@ -219,7 +219,7 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 	// branch); the exact child d-CCs are recovered lazily.
 	childU := make(map[int]*bitset.Set, len(lr))
 	for _, j := range lr {
-		childU[j] = t.refineU(uL, removePos(L, j))
+		childU[j] = t.childU(uL, removePos(L, j))
 	}
 
 	if t.topk.Len() < t.topk.K() {

@@ -59,7 +59,10 @@ func FuzzDecode(f *testing.F) {
 // FuzzDecodeBinary pins the same contract for the binary reader, which
 // faces raw attacker-controlled bytes: arbitrary mutations of a valid
 // image (and arbitrary garbage) must error cleanly, and any accepted
-// image must describe a graph the encoder reproduces.
+// image must describe a graph the encoder reproduces. The seed corpus in
+// testdata/fuzz/FuzzDecodeBinary holds the f.Add seeds below plus an
+// image cut inside its first offsets section and one whose first
+// neighbor id is out of range.
 func FuzzDecodeBinary(f *testing.F) {
 	seed := func(g *Graph) []byte {
 		var buf bytes.Buffer

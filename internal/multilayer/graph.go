@@ -379,13 +379,6 @@ func (g *Graph) InducedVertexSample(keep *bitset.Set) *Graph {
 	return b.Build()
 }
 
-// CompactBuf is reusable storage for the graphs Compact builds: the
-// graph header and every layer's CSR arrays, grown on demand and kept
-// across calls. The zero value is ready to use.
-type CompactBuf struct {
-	g Graph
-}
-
 // Compact returns the subgraph of g on the vertex list verts, renumbered
 // so that verts[i] becomes vertex i, in which layer i keeps only the
 // edges with both endpoints in keep[i] (a set over the new ids, of
@@ -394,30 +387,21 @@ type CompactBuf struct {
 // index maps each vertex of g to its position in verts, or to -1 when it
 // is not listed; every member of a keep set must be listed.
 //
-// The graph is written into buf and aliases it: it is valid until the
-// next Compact call with the same buffer. Each layer takes two passes: a
-// sizing pass sums the kept rows' lengths, which bounds the layer's
-// neighbor array, and a fill pass reads each kept row once. A buffer
-// that has grown to fit needs no allocation, and a fresh one allocates
-// each array once.
-func (g *Graph) Compact(verts, index []int32, keep []*bitset.Set, buf *CompactBuf) *Graph {
+// Each layer takes two passes: a sizing pass sums the kept rows'
+// lengths, which bounds the layer's neighbor array, and a fill pass
+// reads each kept row once, so every array is allocated once.
+func (g *Graph) Compact(verts, index []int32, keep []*bitset.Set) *Graph {
 	n := len(verts)
-	c := &buf.g
-	c.n = n
-	c.layers = grow(c.layers, len(g.layers))
+	c := &Graph{n: n, layers: make([]csrLayer, len(g.layers))}
 	for i := range g.layers {
-		src, dst, in := &g.layers[i], &c.layers[i], keep[i]
+		src, in := &g.layers[i], keep[i]
 		bound := int64(0)
 		in.ForEach(func(v int) bool {
 			bound += src.offsets[verts[v]+1] - src.offsets[verts[v]]
 			return true
 		})
-		if int64(cap(dst.neighbors)) < bound {
-			dst.neighbors = make([]int32, 0, bound)
-		}
-		neighbors := dst.neighbors[:0] // never reallocates: bound covers every kept row
-		offsets := grow(dst.offsets, n+1)
-		offsets[0] = 0
+		neighbors := make([]int32, 0, bound) // never reallocates: bound covers every kept row
+		offsets := make([]int64, n+1)
 		for v, ov := range verts {
 			if in.Contains(v) {
 				for _, u := range src.neighbors[src.offsets[ov]:src.offsets[ov+1]] {
@@ -428,18 +412,9 @@ func (g *Graph) Compact(verts, index []int32, keep []*bitset.Set, buf *CompactBu
 			}
 			offsets[v+1] = int64(len(neighbors))
 		}
-		dst.offsets, dst.neighbors = offsets, neighbors
+		c.layers[i] = csrLayer{offsets: offsets, neighbors: neighbors}
 	}
 	return c
-}
-
-// grow returns s resliced to length n, reallocating only when its
-// capacity is short; retained elements keep their old values.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // LayerSample returns a new graph containing only the given layers, in

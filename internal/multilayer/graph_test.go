@@ -141,11 +141,9 @@ func TestLayerSample(t *testing.T) {
 	}
 }
 
-// TestCompact checks Compact against a Builder-built reference: random
-// graphs, vertex lists and per-layer keep sets, all through one reused
-// buffer so that growing and shrinking across calls is covered too.
+// TestCompact checks Compact against a Builder-built reference on random
+// graphs, vertex lists and per-layer keep sets.
 func TestCompact(t *testing.T) {
-	var buf CompactBuf
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, l := 1+rng.Intn(40), 1+rng.Intn(4)
@@ -181,7 +179,7 @@ func TestCompact(t *testing.T) {
 				}
 			}
 		}
-		return g.Compact(verts, index, keep, &buf).Equal(want.Build())
+		return g.Compact(verts, index, keep).Equal(want.Build())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -245,35 +245,32 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	m.statusMu.Unlock()
 
-	p.typ("dccs_engine_queries_total", "counter")
-	for _, name := range s.names {
-		em := s.graphs[name].eng.Metrics()
-		p.counter("dccs_engine_queries_total", promLabel("graph", name), em.Queries)
+	// Engine series: one row per series, each graph's Metrics read once.
+	ems := make([]dccs.EngineMetrics, len(s.names))
+	for i, name := range s.names {
+		ems[i] = s.graphs[name].eng.Metrics()
 	}
-	p.typ("dccs_engine_coreness_builds_total", "counter")
-	for _, name := range s.names {
-		em := s.graphs[name].eng.Metrics()
-		p.counter("dccs_engine_coreness_builds_total", promLabel("graph", name), em.CorenessBuilds)
-	}
-	p.typ("dccs_engine_hierarchy_builds_total", "counter")
-	for _, name := range s.names {
-		em := s.graphs[name].eng.Metrics()
-		p.counter("dccs_engine_hierarchy_builds_total", promLabel("graph", name), em.HierarchyBuilds)
-	}
-	p.typ("dccs_engine_memo_hits_total", "counter")
-	for _, name := range s.names {
-		em := s.graphs[name].eng.Metrics()
-		p.counter("dccs_engine_memo_hits_total", promLabel("graph", name), em.MemoHits)
-	}
-	p.typ("dccs_engine_memo_misses_total", "counter")
-	for _, name := range s.names {
-		em := s.graphs[name].eng.Metrics()
-		p.counter("dccs_engine_memo_misses_total", promLabel("graph", name), em.MemoMisses)
-	}
-	p.typ("dccs_engine_memo_bytes", "gauge")
-	for _, name := range s.names {
-		em := s.graphs[name].eng.Metrics()
-		p.gauge("dccs_engine_memo_bytes", promLabel("graph", name), float64(em.MemoBytes))
+	for _, row := range []struct {
+		name, kind string
+		value      func(*dccs.EngineMetrics) int64
+	}{
+		{"dccs_engine_queries_total", "counter", func(m *dccs.EngineMetrics) int64 { return m.Queries }},
+		{"dccs_engine_coreness_builds_total", "counter", func(m *dccs.EngineMetrics) int64 { return m.CorenessBuilds }},
+		{"dccs_engine_hierarchy_builds_total", "counter", func(m *dccs.EngineMetrics) int64 { return m.HierarchyBuilds }},
+		{"dccs_engine_memo_hits_total", "counter", func(m *dccs.EngineMetrics) int64 { return m.MemoHits }},
+		{"dccs_engine_memo_misses_total", "counter", func(m *dccs.EngineMetrics) int64 { return m.MemoMisses }},
+		{"dccs_engine_memo_bytes", "gauge", func(m *dccs.EngineMetrics) int64 { return m.MemoBytes }},
+		{"dccs_engine_space_builds_total", "counter", func(m *dccs.EngineMetrics) int64 { return m.SpaceBuilds }},
+		{"dccs_engine_space_reuses_total", "counter", func(m *dccs.EngineMetrics) int64 { return m.SpaceReuses }},
+	} {
+		p.typ(row.name, row.kind)
+		for i, name := range s.names {
+			if v := row.value(&ems[i]); row.kind == "counter" {
+				p.counter(row.name, promLabel("graph", name), v)
+			} else {
+				p.gauge(row.name, promLabel("graph", name), float64(v))
+			}
+		}
 	}
 	if p.err != nil {
 		s.cfg.Logf("server: metrics write: %v", p.err)

@@ -485,16 +485,28 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	var hits int64
-	for _, line := range strings.Split(body, "\n") {
-		if v, ok := strings.CutPrefix(line, `dccs_engine_memo_hits_total{graph="fig1"} `); ok {
-			if _, err := fmt.Sscan(v, &hits); err != nil {
-				t.Fatalf("memo hits line %q: %v", line, err)
+	sample := func(name string) int64 {
+		t.Helper()
+		var v int64
+		for _, line := range strings.Split(body, "\n") {
+			if rest, ok := strings.CutPrefix(line, name+`{graph="fig1"} `); ok {
+				if _, err := fmt.Sscan(rest, &v); err != nil {
+					t.Fatalf("line %q: %v", line, err)
+				}
+				return v
 			}
 		}
+		t.Fatalf("metrics missing %s", name)
+		return 0
 	}
-	if hits <= 0 {
+	if hits := sample("dccs_engine_memo_hits_total"); hits <= 0 {
 		t.Errorf("memo hits = %d after a repeated no_cache search, want > 0", hits)
+	}
+	// Three searches ran on the engine, each on a compact space it built
+	// or reused (the first one built it).
+	builds, reuses := sample("dccs_engine_space_builds_total"), sample("dccs_engine_space_reuses_total")
+	if builds < 1 || builds+reuses != sample("dccs_engine_queries_total") {
+		t.Errorf("space builds %d + reuses %d, want at least one build and one per engine query", builds, reuses)
 	}
 }
 

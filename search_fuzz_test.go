@@ -3,6 +3,8 @@ package dccs
 import (
 	"context"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -10,13 +12,17 @@ import (
 var fuzzAlgorithms = []Algorithm{AlgoBottomUp, AlgoTopDown, AlgoGreedy, AlgoExact}
 
 // FuzzSearch decodes a small graph (n ≤ 14, l ≤ 6) and one query from
-// the input and runs the query twice on one engine, so the second run
-// reads the d-CC memo the first filled, and once on a fresh engine. The
+// the input and runs the query twice on one engine, with one query of
+// another shape (s′ = 1 + s mod l) in between, so the second run reads
+// the memo the first filled and checks out a pooled search space after
+// another shape has used the engine; then once on a fresh engine. The
 // six leading bytes set n, l, d, s, k and the algorithm, the seventh the
 // seed; every following bit is one edge, in (layer, u, v) order with
 // u < v, so short inputs give sparse graphs. It requires:
 //
 //   - the three answers are byte-equal;
+//   - every CC a run on the shared engine streams to OnCandidate has s
+//     layers and equals CoherentCore on the original graph;
 //   - dccs.Validate accepts the answer;
 //   - for n ≤ 12, when Exact accepts the instance, BU and TD cover at
 //     least 1/4 of Exact's cover and GD at least 1 − 1/e of it.
@@ -60,8 +66,36 @@ func FuzzSearch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first := answerBytes(t, eng, q)
-		if again := answerBytes(t, eng, q); again != first {
+		// run answers q on eng and checks the CCs it streams.
+		run := func(q Query) string {
+			var mu sync.Mutex
+			var streamed []CC
+			q.OnCandidate = func(c CC) {
+				mu.Lock()
+				streamed = append(streamed, c)
+				mu.Unlock()
+			}
+			out := answerBytes(t, eng, q)
+			for _, c := range streamed {
+				want, err := CoherentCore(g, c.Layers, q.D)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]int, len(c.Vertices))
+				for i, v := range c.Vertices {
+					got[i] = int(v)
+				}
+				if len(c.Layers) != q.S || !slices.Equal(got, want) {
+					t.Fatalf("%+v: streamed CC on layers %v has %v, want %d layers and the d-CC %v", q, c.Layers, got, q.S, want)
+				}
+			}
+			return out
+		}
+		first := run(q)
+		other := q
+		other.S = 1 + q.S%l
+		run(other)
+		if again := run(q); again != first {
 			t.Fatalf("%+v: repeated query on one engine\n%s\nfirst run\n%s", q, again, first)
 		}
 		if cold := answerBytes(t, fresh, q); cold != first {
