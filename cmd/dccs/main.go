@@ -22,10 +22,10 @@
 //
 // With -snapshot, previously saved engine artifacts (per-layer coreness
 // and per-d removal hierarchies) are restored before the query — the
-// first query of this process runs warm — and the file is refreshed
-// with whatever artifacts exist after the query. A missing snapshot
-// file is not an error (the first run creates it); a stale one (written
-// for a different graph) is reported and ignored.
+// first query of this process skips their builds — and the file is
+// refreshed with whatever artifacts exist after the query. A missing
+// snapshot file is not an error (the first run creates it); a stale one
+// (written for a different graph) is reported and ignored.
 //
 // The search runs through a dccs.Engine, so it is cancellable: a timeout
 // or an interrupt (Ctrl-C) stops the search at the next tree-node

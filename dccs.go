@@ -118,9 +118,10 @@ func ReadGraphFile(path string) (*Graph, error) { return multilayer.OpenFile(pat
 // and replicas serving the same file share one physical copy through
 // the page cache. Close releases the mapping; the graph (and any Engine
 // built on it) must be discarded first, while earlier query results —
-// which never alias the mapping — stay valid. See the multilayer.Mapped
-// doc for the validation trust model (O(n) eager checks, Verify for the
-// full O(m) scan).
+// which never alias the mapping — stay valid. Opening checks only the
+// O(n) offsets; a neighbor id out of range in a file this repo did not
+// write panics the first search, so call Verify (the full O(m) scan) on
+// such files first. See the multilayer.Mapped doc for the trust model.
 type MappedGraph = multilayer.Mapped
 
 // OpenMappedGraphFile opens a .mlgb file as a memory-mapped MappedGraph

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,19 +41,6 @@ type EngineConfig struct {
 	// 0 means GOMAXPROCS for the deterministic stages and a serial tree
 	// search, exactly like Options.Workers.
 	Workers int
-
-	// Ablation toggles, applied to every query this engine serves; see
-	// the matching Options fields. They exist so the Fig 28 ablation
-	// benches can run through an Engine; production engines leave them
-	// false.
-	NoVertexDeletion   bool
-	NoSortLayers       bool
-	NoInitResult       bool
-	NoEq1Pruning       bool
-	NoOrderPruning     bool
-	NoLayerPruning     bool
-	NoPotentialPruning bool
-	UseDCCRefine       bool
 }
 
 // Query carries the per-request parameters of one Engine search. Unlike
@@ -384,60 +370,39 @@ func (e *Engine) WarmAll(ctx context.Context) error {
 // SaveSnapshot persists the engine's cached artifacts — the per-layer
 // coreness and every fully built per-d removal hierarchy — to path in
 // the versioned .mlgs binary format, so a future process can skip their
-// construction entirely (see LoadSnapshot). The write is atomic
-// (temp file + rename): a crash mid-save never leaves a truncated
-// snapshot behind. Snapshotting a live engine is safe; hierarchies still
-// being built are skipped, not awaited. The graph itself is not part of
-// the snapshot — persist it separately (Graph.WriteBinaryFile) and the
-// embedded fingerprint ties the two files together. On a mutable engine,
-// take one View and save both files from it (View.Graph and
-// View.SaveSnapshot): an update landing between two engine-level calls
-// would pair one generation's graph with the next one's artifacts.
+// construction entirely (see LoadSnapshot). The file is replaced through
+// a temporary file and a rename (leio.WriteFileAtomic): a failed save
+// never leaves a truncated snapshot behind. Snapshotting a live engine
+// is safe; hierarchies still being built are skipped, not awaited. The
+// graph itself is not part of the snapshot — persist it separately
+// (Graph.WriteBinaryFile) and the embedded fingerprint ties the two
+// files together. On a mutable engine, take one View and save both
+// files from it (View.Graph and View.SaveSnapshot): an update landing
+// between two engine-level calls would pair one generation's graph with
+// the next one's artifacts.
 func (e *Engine) SaveSnapshot(path string) error { return e.View().SaveSnapshot(path) }
 
 // SaveSnapshot persists the artifacts of this view's pinned generation;
 // see Engine.SaveSnapshot. The snapshot matches v.Graph() and carries
 // v.Version(), whatever updates land while it is written.
 func (v View) SaveSnapshot(path string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".mlgs-tmp-*")
-	if err != nil {
-		return err
-	}
-	if err := v.st.pr.WriteSnapshot(f); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	// CreateTemp's 0600 would stick to the renamed file; match the
-	// conventional create mode so another user's server can load what a
-	// deploy job saved.
-	if err := f.Chmod(0o644); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return nil
+	return leio.WriteFileAtomic(path, 0o644, v.st.pr.WriteSnapshot)
 }
 
 // LoadSnapshot restores artifacts saved by SaveSnapshot into this
-// engine, making the first query per snapshotted degree threshold as
-// fast as a repeat query — a restarted server answers warm from its
-// first request. The snapshot must have been saved for a graph equal to
-// this engine's; a snapshot of any other graph (or a corrupt file) is
-// rejected with an error and the engine is left unchanged, free to
-// build its artifacts from scratch as usual. So is a snapshot in a
-// format version written by an earlier release; SaveSnapshot then
-// writes the current format. Restored artifacts do not count as builds
-// in Metrics. Loading over artifacts the engine already built keeps the
-// built ones (the two are identical by determinism).
+// engine: the per-layer coreness and the per-d removal hierarchies, so
+// the first query per snapshotted degree threshold skips their builds,
+// the bulk of a cold first query. It still pays for what a snapshot does
+// not carry: the compact search space of its (D, S), and the d-CCs and
+// potential sets a repeat query takes from the memo. The snapshot must
+// have been saved for a graph equal to this engine's; a snapshot of any
+// other graph (or a corrupt file) is rejected with an error and the
+// engine is left unchanged, free to build its artifacts from scratch as
+// usual. So is a snapshot in a format version written by an earlier
+// release; SaveSnapshot then writes the current format. Restored
+// artifacts do not count as builds in Metrics. Loading over artifacts
+// the engine already built keeps the built ones (the two are identical
+// by determinism).
 func (e *Engine) LoadSnapshot(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -485,21 +450,13 @@ func (e *Engine) options(q Query) Options {
 		workers = e.cfg.Workers
 	}
 	return Options{
-		D:                  q.D,
-		S:                  q.S,
-		K:                  q.K,
-		Seed:               q.Seed,
-		Workers:            workers,
-		MaxTreeNodes:       q.MaxTreeNodes,
-		OnCandidate:        q.OnCandidate,
-		NoVertexDeletion:   e.cfg.NoVertexDeletion,
-		NoSortLayers:       e.cfg.NoSortLayers,
-		NoInitResult:       e.cfg.NoInitResult,
-		NoEq1Pruning:       e.cfg.NoEq1Pruning,
-		NoOrderPruning:     e.cfg.NoOrderPruning,
-		NoLayerPruning:     e.cfg.NoLayerPruning,
-		NoPotentialPruning: e.cfg.NoPotentialPruning,
-		UseDCCRefine:       e.cfg.UseDCCRefine,
+		D:            q.D,
+		S:            q.S,
+		K:            q.K,
+		Seed:         q.Seed,
+		Workers:      workers,
+		MaxTreeNodes: q.MaxTreeNodes,
+		OnCandidate:  q.OnCandidate,
 	}
 }
 
@@ -578,13 +535,11 @@ func (v View) trivialResult(q Query, algo Algorithm) (*Result, bool) {
 		return nil, false
 	}
 	start := time.Now()
+	// With s > l no vertex reaches the support threshold, and beyond the
+	// maximum coreness every d-core is empty from the start — either way
+	// the §IV-C fixpoint deletes the whole graph.
 	res := &Result{}
-	if !v.e.cfg.NoVertexDeletion {
-		// With s > l no vertex reaches the support threshold, and beyond
-		// the maximum coreness every d-core is empty from the start —
-		// either way the §IV-C fixpoint deletes the whole graph.
-		res.Stats.PreprocessRemoved = g.N()
-	}
+	res.Stats.PreprocessRemoved = g.N()
 	res.Stats.Algorithm = string(algo)
 	res.Stats.Elapsed = time.Since(start)
 	return res, true

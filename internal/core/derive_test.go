@@ -264,8 +264,8 @@ func TestDeriveInvalidatesAtBound(t *testing.T) {
 // existing edges, and an edge inserted and then deleted within the batch.
 // With every threshold warm, Derive must keep exactly the hierarchies
 // above the bound (recomputed from cold core decompositions) that the
-// sentinel clamp still addresses, each equal to a cold build's h, lmask
-// and coreh, and must rebuild every dropped one equal to a cold build.
+// sentinel clamp still addresses, each equal to a cold build's h and
+// coreh, and must rebuild every dropped one equal to a cold build.
 func TestDeriveCorenessBoundProperty(t *testing.T) {
 	ctx := context.Background()
 	retained, rebuilt := 0, 0

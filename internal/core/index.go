@@ -2,71 +2,69 @@ package core
 
 import (
 	"context"
-	"math/bits"
 	"sync"
 
 	"repro/internal/kcore"
 	"repro/internal/multilayer"
 )
 
-// tdIndex is the removal-hierarchy index of §V-C. Vertices are removed
-// from the graph in batches: at threshold h, every vertex whose support
-// Num(v) has dropped to ≤ h is removed, cores are recomputed, and the
-// process repeats before h advances. Each batch is one level; I_h is the
-// union of the levels processed at threshold h. Each vertex records the
-// layer set L(v) whose d-cores contained it just before its batch was
-// removed. The batch numbers themselves are not stored: refineC's seed
-// flood (DESIGN.md § RefineC) needs only h and L(v).
+// hierarchy is the per-d removal hierarchy of §V-C, built on the full
+// graph. Vertices are removed in batches: at threshold h, every vertex
+// whose support Num(v) has dropped to ≤ h is removed, cores cascade, and
+// the process repeats before h advances. Two arrays survive the build,
+// and both are fixpoints that no removal order inside a threshold can
+// change:
 //
-// The index justifies two prunings used by RefineC:
-//
-//   - Lemma 8: C^d_{L′} ⊆ ∪_{h ≥ |L′|} I_h, since the first member of any
-//     d-CC to be removed still has all members present, hence support
-//     ≥ |L′|, and thresholds only grow.
-//   - Lemma 9: every member of C^d_{L′} is reachable from a "seed" vertex
-//     w0 with L′ ⊆ L(w0) along index edges ascending through the levels.
-//
-// The index is built on the full graph, threshold 0 included, so it is
-// keyed by d alone and shared read-only by every query: queries with a
-// support threshold s only ever probe vertices with h(v) ≥ |L′| ≥ s, and
-// the batch sequence at thresholds ≥ s is identical to the one an index
-// built on the s-preprocessed graph would produce (see DESIGN.md). Each
-// top-down query searches a view of it restricted to the survivors, in
-// compact ids (queryArena.indexView). A hierarchy's index holds h and
-// lmask only; the index edges the flood walks exist only in a view.
-type tdIndex struct {
-	h     []int32  // threshold at which the vertex was removed
-	lmask []uint64 // L(v) as an original-layer bitmask (l ≤ 64 only)
-	// unionAdj holds the index edges, in a view only: per survivor, the
-	// union of its rows on every layer of the compact graph.
-	unionAdj [][]int32
-}
-
-// hierarchy bundles the per-d artifacts one removal-hierarchy sweep over
-// the full graph yields:
-//
-//   - idx: the top-down removal-hierarchy index above;
+//   - h[v]: the threshold at which v was removed. With surv(t) the
+//     largest vertex set in which every vertex lies in the d-cores of at
+//     least t layers of G[surv(t)], h(v) = max{t : v ∈ surv(t)};
 //   - coreh[i][v]: the threshold at which v dropped out of layer i's
-//     d-core (0 when v was never a member).
+//     d-core, max{t : v ∈ d-core_i(G[surv(t)])}, and 0 when v was never a
+//     member.
 //
 // Because the §IV-C vertex-deletion fixpoint for support s equals the
 // hierarchy state after threshold s−1, the survivors for ANY s are
-// {v : idx.h[v] ≥ s} and the reduced d-core of layer i is
+// {v : h[v] ≥ s} and the reduced d-core of layer i is
 // {v : coreh[i][v] ≥ s} — once the hierarchy is cached, the whole
 // preprocessing phase is the per-query build of the compact search space
 // from these level sets (see newPrep).
+//
+// The hierarchy also justifies the two prunings refineC uses:
+//
+//   - Lemma 8: C^d_{L′} ⊆ {v : h(v) ≥ |L′|}, since the first member of
+//     any d-CC to be removed still has all members present, hence support
+//     ≥ |L′|, and thresholds only grow.
+//   - Lemma 9: every member of C^d_{L′} is reachable through members from
+//     a seed w0 with L′ ⊆ L(w0), the layers whose d-cores held w0 just
+//     before its batch. The hierarchy does not store L(v): its superset
+//     L̃(v) = {i : coreh_i(v) ≥ h(v)} follows from the two arrays, and
+//     refineC seeds from L̃ instead (DESIGN.md § RefineC).
+//
+// The hierarchy is keyed by d alone and shared read-only by every query:
+// queries with a support threshold s only ever probe vertices with
+// h(v) ≥ |L′| ≥ s, and the thresholds ≥ s are identical to the ones a
+// hierarchy built on the s-preprocessed graph would produce (see
+// DESIGN.md). Each top-down query searches a view of it restricted to
+// the survivors, in compact ids (tdIndex).
 type hierarchy struct {
-	idx   *tdIndex
+	h     []int32
 	coreh [][]int32
+}
+
+// tdIndex is the top-down view of a hierarchy on one compact search
+// space (queryArena.indexView): per survivor, in compact ids, its
+// threshold h, its seed mask L̃(v) as a bitmask over original layers
+// (top-down requires l ≤ 64), and its index edges — the union of its rows
+// on every layer of the compact graph, which refineC's flood walks.
+type tdIndex struct {
+	h        []int32
+	seeds    []uint64
+	unionAdj [][]int32
 }
 
 // buildHierarchy constructs the removal hierarchy of g for degree
 // threshold d, seeding the tracker from the caller's (required)
-// per-layer coreness arrays so the initial peel is skipped. The lmask
-// field requires l(g) ≤ 64 and is skipped (nil) beyond that — the
-// top-down algorithm rejects such graphs before touching it. The h and
-// coreh arrays are always populated, which is all the bottom-up and
-// greedy paths consume.
+// per-layer coreness arrays so the initial peel is skipped.
 //
 // The batch loop polls ctx between batches: a partial hierarchy is
 // never a valid artifact (batches after the abort point would be
@@ -168,14 +166,9 @@ func newHierScratch(g *multilayer.Graph) *hierScratch {
 // return means the context was cancelled and nothing may be cached.
 func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, sc *hierScratch) *hierarchy {
 	n := g.N()
-	idx := &tdIndex{h: make([]int32, n)}
-	hr := &hierarchy{idx: idx, coreh: make([][]int32, g.L())}
+	hr := &hierarchy{h: make([]int32, n), coreh: make([][]int32, g.L())}
 	for i := range hr.coreh {
 		hr.coreh[i] = make([]int32, n)
-	}
-	wide := g.L() > 64
-	if !wide {
-		idx.lmask = make([]uint64, n)
 	}
 
 	// Bucket queue over support counts. Stale entries are tolerated and
@@ -197,6 +190,8 @@ func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, s
 		buckets[tr.Num(v)] = append(buckets[tr.Num(v)], int32(v))
 	}
 
+	// Every membership a vertex loses, its own removal included, ends at
+	// the current threshold.
 	curH := int32(0)
 	tr.CoreListener = func(layer, v int) {
 		hr.coreh[layer][v] = curH
@@ -234,30 +229,8 @@ func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, s
 			if len(batch) == 0 {
 				break
 			}
-			// Record L(v) for the whole batch before any removal: the
-			// paper evaluates the core memberships "just before v is
-			// removed from G in batch". The same memberships seed coreh —
-			// removing v ends its membership in every layer it still
-			// belongs to, and the cascade listener covers the rest.
 			for _, v32 := range batch {
-				v := int(v32)
-				idx.h[v] = int32(h)
-				if wide {
-					for i := 0; i < g.L(); i++ {
-						if tr.Core(i).Contains(v) {
-							hr.coreh[i][v] = int32(h)
-						}
-					}
-				} else {
-					mask := tr.CoreLayers(v)
-					idx.lmask[v] = mask
-					for mask != 0 {
-						hr.coreh[bits.TrailingZeros64(mask)][v] = int32(h)
-						mask &= mask - 1
-					}
-				}
-			}
-			for _, v32 := range batch {
+				hr.h[v32] = curH
 				tr.RemoveVertex(int(v32))
 			}
 		}

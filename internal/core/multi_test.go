@@ -12,16 +12,16 @@ import (
 )
 
 // sameHierarchy reports whether two hierarchies agree array by array on
-// everything the search reads: h, lmask and coreh.
+// everything the search reads: h and coreh.
 func sameHierarchy(a, b *hierarchy) bool {
-	return slices.Equal(a.idx.h, b.idx.h) && slices.Equal(a.idx.lmask, b.idx.lmask) && reflect.DeepEqual(a.coreh, b.coreh)
+	return slices.Equal(a.h, b.h) && reflect.DeepEqual(a.coreh, b.coreh)
 }
 
 // TestBuildHierarchiesMatchesPerD pins the tentpole byte-identity
 // contract: the sweep-fed multi-d pass must produce, for every threshold
 // and at every worker count, a hierarchy deeply equal to an independent
-// buildHierarchy call — same removal thresholds, same layer masks, same
-// coreh thresholds — and emit each threshold exactly once.
+// buildHierarchy call — same removal thresholds, same coreh thresholds —
+// and emit each threshold exactly once.
 func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	g := testutil.RandomCorrelatedGraph(rng, 100, 4, 0.25, 0.85, 0.1)
@@ -61,8 +61,8 @@ func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 			if !reflect.DeepEqual(got.coreh, want.coreh) {
 				t.Fatalf("workers=%d d=%d: coreh differs between shared and per-d build", workers, d)
 			}
-			if !reflect.DeepEqual(got.idx, want.idx) {
-				t.Fatalf("workers=%d d=%d: index differs between shared and per-d build", workers, d)
+			if !slices.Equal(got.h, want.h) {
+				t.Fatalf("workers=%d d=%d: removal thresholds differ between shared and per-d build", workers, d)
 			}
 		}
 	}

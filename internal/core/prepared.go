@@ -402,7 +402,7 @@ func (pr *Prepared) buildSpace(hr *hierarchy, key spaceKey) *queryArena {
 			verts[v] = int32(v)
 		}
 	default:
-		for v, h := range hr.idx.h {
+		for v, h := range hr.h {
 			if h >= key.s {
 				index[v] = int32(len(verts))
 				verts = append(verts, int32(v))
@@ -430,11 +430,11 @@ func (pr *Prepared) buildSpace(hr *hierarchy, key spaceKey) *queryArena {
 	return a
 }
 
-// indexView restricts the removal-hierarchy index to the arena's
-// survivors, in compact ids — h and L(v) per survivor — builds the index
-// edges the flood walks from the compact graph, and sizes the top-down
-// refine scratch for n′. The view lives in the arena, which keeps it
-// with the space (rows).
+// indexView restricts the removal hierarchy to the arena's survivors, in
+// compact ids — h and the seed mask L̃(v) = {i : coreh_i(v) ≥ h(v)} per
+// survivor — builds the index edges the flood walks from the compact
+// graph, and sizes the top-down refine scratch for n′. The view lives in
+// the arena, which keeps it with the space (rows).
 //
 // A survivor's index edges are the deduplicated union of its rows on
 // every layer of the compact graph, in no particular order. That is all
@@ -448,11 +448,16 @@ func (a *queryArena) indexView(hr *hierarchy) {
 	n := len(a.verts)
 	x := &a.idx
 	x.h = make([]int32, n)
-	x.lmask = make([]uint64, n)
+	x.seeds = make([]uint64, n)
 	x.unionAdj = make([][]int32, n)
 	for c, v := range a.verts {
-		x.h[c] = hr.idx.h[v]
-		x.lmask[c] = hr.idx.lmask[v]
+		h := hr.h[v]
+		x.h[c] = h
+		for i, row := range hr.coreh {
+			if row[v] >= h {
+				x.seeds[c] |= 1 << uint(i)
+			}
+		}
 	}
 	nbrs := make([]int32, 0, 2*g.MTotal()) // never reallocates: it bounds every row
 	// stamp[u] == c+1 marks u as already in row c.

@@ -127,18 +127,18 @@ func (t *tdSearch) childCC(u *bitset.Set, lpos []int) *bitset.Set {
 
 // refineC computes the exact C^d_{L′} inside the potential set U (Fig 10).
 //
-// The search scope is narrowed to Z = U ∩ ∪_{h ≥ |L′|} I_h (Lemma 8) and
-// then resolved by a seed flood: every vertex with L′ ⊆ L(v) is a seed
-// (Lemma 9), marking spreads from the seeds along index edges through Z,
+// The search scope is narrowed to Z = U ∩ {v : h(v) ≥ |L′|} (Lemma 8)
+// and then resolved by a seed flood: every vertex with L′ ⊆ L̃(v) is a
+// seed, marking spreads from the seeds along index edges through Z,
 // each marked vertex is degree-tested against exact d⁺ counters, and
 // failures are *discarded* with cascading counter maintenance over the
 // layers of L′. Vertices the flood never reaches are discarded at the
 // end (with the same cascade), so the surviving marked set is d-dense on
-// every layer of L′ — hence ⊆ C^d_{L′} — while every member of C^d_{L′}
-// is reached: each union-connected component of the core is itself
-// d-dense per layer (no layer edge leaves a union component), so the
-// component's first-removed vertex still saw the whole component alive
-// and carries L′ ⊆ L(v).
+// every layer of L′ — hence ⊆ C^d_{L′}, whatever the seeds — while every
+// member of C^d_{L′} is reached: each union-connected component of the
+// core is itself d-dense per layer (no layer edge leaves a union
+// component), so the component's first-removed vertex still saw the
+// whole component alive and carries L′ ⊆ L(v) ⊆ L̃(v) (Lemma 9).
 //
 // This deliberately strengthens the printed pseudocode (see DESIGN.md):
 // the paper walks the levels in batch order and only marks upward, which
@@ -233,10 +233,11 @@ func (t *tdSearch) refineC(u *bitset.Set, lpos []int) *bitset.Set {
 		return true
 	}
 
-	// Seed the flood with every Lemma 9 seed in the scope.
+	// Seed the flood with every scope vertex whose L̃(v) contains L′: the
+	// Lemma 9 seeds and possibly more, which the degree test sorts out.
 	queue := t.scratchQueue[:0]
 	for _, v32 := range members {
-		if t.idx.lmask[v32]&wantMask == wantMask {
+		if t.idx.seeds[v32]&wantMask == wantMask {
 			state[v32] = stUndetermined
 			queue = append(queue, v32)
 		}

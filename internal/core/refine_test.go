@@ -314,42 +314,48 @@ func randomDescendantOf(rng *rand.Rand, lpos []int, l, s int) []int {
 	return out
 }
 
-// TestIndexLemma8 checks the index invariant behind Lemma 8: for every
-// layer subset L′ tried, C^d_{L′} only contains vertices with h(v) ≥ |L′|,
-// and some member of minimum h carries L′ ⊆ L(v) — the first member
-// removed, a seed of Lemma 9.
+// TestIndexLemma8 checks the hierarchy invariants behind Lemmas 8 and 9
+// for every layer subset L′: C^d_{L′} only contains vertices with
+// h(v) ≥ |L′|, and some member of minimum h carries L′ ⊆ L̃(v) =
+// {i : coreh_i(v) ≥ h(v)} — the first member removed, whose L(v) ⊆ L̃(v)
+// makes it a Lemma 9 seed.
 func TestIndexLemma8(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := testutil.RandomCorrelatedGraph(rng, 8+rng.Intn(25), 2+rng.Intn(4), 0.3, 0.85, 0.08)
 		d := 1 + rng.Intn(3)
 		alive := bitset.NewFull(g.N())
-		idx := NewPrepared(g, 1).hierarchyFor(context.Background(), d).idx
+		hr := NewPrepared(g, 1).hierarchyFor(context.Background(), d)
 
-		for trial := 0; trial < 5; trial++ {
-			size := 1 + rng.Intn(g.L())
-			layers := testutil.RandomLayerSubset(rng, g.L(), size)
+		for mask := 1; mask < 1<<g.L(); mask++ {
+			var layers []int
+			for i := 0; i < g.L(); i++ {
+				if mask&(1<<i) != 0 {
+					layers = append(layers, i)
+				}
+			}
 			cc := kcore.DCC(g, alive, layers, d)
 			if cc.Empty() {
 				continue
 			}
 			minH := int32(1 << 30)
 			cc.ForEach(func(v int) bool {
-				minH = min(minH, idx.h[v])
+				minH = min(minH, hr.h[v])
 				return true
 			})
-			var want uint64
-			for _, ly := range layers {
-				want |= 1 << uint(ly)
-			}
 			ok, seeded := true, false
 			cc.ForEach(func(v int) bool {
-				if idx.h[v] < int32(size) {
+				if hr.h[v] < int32(len(layers)) {
 					ok = false // Lemma 8 violated
 					return false
 				}
-				if idx.h[v] == minH && idx.lmask[v]&want == want {
+				if hr.h[v] == minH && !seeded {
 					seeded = true
+					for _, ly := range layers {
+						if hr.coreh[ly][v] < hr.h[v] {
+							seeded = false // ly ∉ L̃(v)
+						}
+					}
 				}
 				return true
 			})

@@ -9,14 +9,14 @@ import (
 	"repro/internal/leio"
 )
 
-// Engine snapshots (.mlgs, format version 3) persist a Prepared's cached
+// Engine snapshots (.mlgs, format version 4) persist a Prepared's cached
 // artifacts — the d-independent per-layer coreness and every completed
-// per-d removal hierarchy — so a restarted server answers its first
-// query warm instead of re-deriving minutes of preprocessing. The
-// snapshot does NOT contain the graph; it embeds the graph's
-// Fingerprint and RestoreSnapshot refuses to load artifacts against a
-// graph that hashes differently, which is what makes the pair
-// (graph file, snapshot file) safe to manage independently.
+// per-d removal hierarchy — so a restarted server's first query skips
+// re-deriving minutes of preprocessing. The snapshot does NOT contain
+// the graph; it embeds the graph's Fingerprint and RestoreSnapshot
+// refuses to load artifacts against a graph that hashes differently,
+// which is what makes the pair (graph file, snapshot file) safe to
+// manage independently.
 //
 // Layout (all integers little-endian, sections 8-byte aligned via
 // padding; see internal/leio):
@@ -28,16 +28,16 @@ import (
 //	  engines)
 //	coreness: l sections of n int32
 //	numD int64, then per d (ascending):
-//	  d int64, flags uint32 (bit 0: layer masks present, i.e. l ≤ 64)
-//	  h: n int32        — removal threshold per vertex (tdIndex.h)
-//	  lmask: n uint64   — L(v) layer bitmask (only when flags bit 0)
+//	  d int64
+//	  h: n int32        — removal threshold per vertex (hierarchy.h)
 //	  coreh: l sections of n int32 — per-layer core-drop thresholds
 //	trailer: leio.Checksum (uint64) over everything before it
 //
 // Every section has its in-memory type, so restore adopts them from the
-// read buffer in place and only validates them. Versions 1 and 2 are
-// rejected: their trailer and fingerprint used an earlier hash, and
-// version 2 carried a union-adjacency field this release no longer has.
+// read buffer in place and only validates them. Versions 1 to 3 are
+// rejected: the trailer and fingerprint of 1 and 2 used an earlier
+// hash, version 2 carried a union-adjacency field, and version 3 a
+// per-d flags word and layer-mask section this release no longer has.
 // Callers treat a rejected snapshot as absent and build cold.
 //
 // The graph fingerprint only ties the snapshot to its graph; the
@@ -48,17 +48,17 @@ import (
 // also range-checks the one persisted value that sizes an allocation —
 // every coreness entry must lie in [0, maxCoreness], and maxCoreness
 // must be the largest entry (the shared sweep allocates a level table
-// per layer by it) — and requires the layer masks exactly when l ≤ 64.
-// h, coreh and lmask are only ever compared, never used as indices or
-// sizes, so wrong values mislead but cannot crash.
+// per layer by it). h and coreh are only ever compared, never used as
+// indices or sizes, so wrong values mislead but cannot crash.
 
 // SnapshotMagic is the 4-byte magic prefix of engine snapshot files.
 const SnapshotMagic = "MLGS"
 
 // snapshotVersion is the current format version. Version 2 added the
 // graph-version stamp; version 3 switched the fingerprint and trailer
-// to leio.Checksum and dropped the union-adjacency field.
-const snapshotVersion = 3
+// to leio.Checksum and dropped the union-adjacency field; version 4
+// dropped the per-d flags word and the layer masks.
+const snapshotVersion = 4
 
 // WriteSnapshot serializes the artifacts this Prepared has finished
 // building: the per-layer coreness (built now if the handle is still
@@ -100,19 +100,9 @@ func (pr *Prepared) WriteSnapshot(w io.Writer) error {
 		pr.mu.Lock()
 		hr := pr.byD[d].hier
 		pr.mu.Unlock()
-		idx := hr.idx
 		lw.I64(int64(d))
-		flags := uint32(0)
-		if idx.lmask != nil {
-			flags |= 1
-		}
-		lw.U32(flags)
+		lw.I32s(hr.h)
 		lw.Pad8()
-		lw.I32s(idx.h)
-		lw.Pad8()
-		if idx.lmask != nil {
-			lw.U64s(idx.lmask)
-		}
 		for i := 0; i < l; i++ {
 			lw.I32s(hr.coreh[i])
 			lw.Pad8()
@@ -130,14 +120,15 @@ func (pr *Prepared) WriteSnapshot(w io.Writer) error {
 // into this Prepared: per-layer coreness and every persisted per-d
 // hierarchy become cached as if already built, without incrementing the
 // build counters — a restored engine's first query per snapshotted d
-// runs entirely warm. The snapshot must have been written for a graph
-// equal to this handle's (checked via Fingerprint). Artifacts this
-// handle already built are kept; both derivations are deterministic, so
-// they are identical anyway. Corrupt input yields an error, never a
-// panic, and a failed restore leaves the handle unchanged. The restored
-// artifacts alias data where alignment allows (they always do for
-// writer-produced files on little-endian hosts), so the caller must not
-// modify data afterwards.
+// builds neither; it still builds its compact search space and fills
+// the memo, which snapshots do not carry. The snapshot must have been
+// written for a graph equal to this handle's (checked via Fingerprint).
+// Artifacts this handle already built are kept; both derivations are
+// deterministic, so they are identical anyway. Corrupt input yields an
+// error, never a panic, and a failed restore leaves the handle
+// unchanged. The restored artifacts alias data where alignment allows
+// (they always do for writer-produced files on little-endian hosts), so
+// the caller must not modify data afterwards.
 func (pr *Prepared) RestoreSnapshot(data []byte) error {
 	g := pr.g
 	n, l := g.N(), g.L()
@@ -210,26 +201,14 @@ func (pr *Prepared) RestoreSnapshot(data []byte) error {
 	entries := make([]entry, 0, numD)
 	for e := int64(0); e < numD; e++ {
 		d := r.I64()
-		flags := r.U32()
-		r.Align8()
 		if r.Err() != nil {
 			return r.Err()
 		}
 		if d < 1 || d > maxCoreness+1 {
 			return fmt.Errorf("core: snapshot degree threshold %d out of range [1,%d]", d, maxCoreness+1)
 		}
-		// Masks are written exactly when l ≤ 64; the top-down view reads
-		// them for every survivor, so they must be present then.
-		if masks := flags&1 != 0; masks != (l <= 64) {
-			return fmt.Errorf("core: snapshot layer-mask flag %t does not fit an l=%d graph", masks, l)
-		}
-		idx := &tdIndex{}
-		idx.h = r.I32s(n)
+		hr := &hierarchy{h: r.I32s(n), coreh: make([][]int32, l)}
 		r.Align8()
-		if flags&1 != 0 {
-			idx.lmask = r.U64s(n)
-		}
-		hr := &hierarchy{idx: idx, coreh: make([][]int32, l)}
 		for i := 0; i < l; i++ {
 			hr.coreh[i] = r.I32s(n)
 			r.Align8()

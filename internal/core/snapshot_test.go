@@ -117,8 +117,9 @@ func TestSnapshotColdHandle(t *testing.T) {
 	}
 }
 
-// TestSnapshotWideGraph exercises the l > 64 path, where the index
-// carries no layer masks and no union adjacency.
+// TestSnapshotWideGraph round-trips a graph beyond the 64-layer limit of
+// top-down and of the memo's bitmask keys, whose hierarchies are served
+// to bottom-up alone.
 func TestSnapshotWideGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := testutil.RandomCorrelatedGraph(rng, 25, 66, 0.3, 0.7, 0.02)
@@ -237,16 +238,22 @@ func reseal(img []byte, edit func(body []byte) []byte) []byte {
 }
 
 // TestSnapshotRejectsEarlierFormats pins the upgrade path from format
-// versions 1 and 2, whose trailer and graph fingerprint used an earlier
-// hash: restore rejects them with an error naming the version, and the
-// handle stays cold and answers like one. testdata/union_v2.mlgs is a
-// format-2 snapshot for compatGraph at graph version 5 with the d = 2
-// and 3 hierarchies and a union-adjacency section; the version-1 image
-// is a current image with its version field set to 1 and resealed.
+// versions 1 to 3: restore rejects them with an error naming the
+// version, and the handle stays cold and answers like one.
+// testdata/union_v2.mlgs is a format-2 snapshot for compatGraph at graph
+// version 5 with the d = 2 and 3 hierarchies and a union-adjacency
+// section; the format-v3 corpus seed is the last format-3 writer's image
+// of the same two hierarchies, with their per-d flags word and layer
+// masks; the version-1 image is a current image with its version field
+// set to 1 and resealed.
 func TestSnapshotRejectsEarlierFormats(t *testing.T) {
 	ctx := context.Background()
 	g := compatGraph()
 	v2, err := os.ReadFile(filepath.Join("testdata", "union_v2.mlgs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := readCorpusFile(filepath.Join(corpusDir, "format-v3"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +272,7 @@ func TestSnapshotRejectsEarlierFormats(t *testing.T) {
 	for _, c := range []struct {
 		version int
 		img     []byte
-	}{{2, v2}, {1, v1}} {
+	}{{3, seal(v3)}, {2, v2}, {1, v1}} {
 		pr := NewPrepared(g, 1)
 		err := pr.RestoreSnapshot(c.img)
 		if err == nil {
@@ -327,11 +334,8 @@ func TestSnapshotRejectsEarlierFormats(t *testing.T) {
 // used to restore and crash later. Coreness is the one persisted value
 // that sizes an allocation: a layer-0 entry of 2^30 ran the next
 // multi-d PrepareDs out of memory allocating the sweep's level table.
-// An l ≤ 64 entry without layer masks made top-down queries index a
-// nil mask array.
 func TestSnapshotResealedRejected(t *testing.T) {
 	g := compatGraph()
-	n, l := g.N(), g.L()
 	builder := NewPrepared(g, 1)
 	builder.Prepare(2)
 	var buf bytes.Buffer
@@ -343,11 +347,6 @@ func TestSnapshotResealedRejected(t *testing.T) {
 	if err := NewPrepared(g, 1).RestoreSnapshot(reseal(valid, func(b []byte) []byte { return b })); err != nil {
 		t.Fatalf("resealed unedited image rejected: %v", err)
 	}
-	// The d = 2 entry follows the coreness sections and numD: d, then
-	// flags (padded to 8 bytes), h, and the masks.
-	sec := (4*n + 7) / 8 * 8
-	entry := snapCorenessOff + l*sec + 8
-	flagsOff, masksOff := entry+8, entry+16+sec
 	for _, c := range []struct {
 		name string
 		edit func(body []byte) []byte
@@ -367,10 +366,6 @@ func TestSnapshotResealedRejected(t *testing.T) {
 		{"max coreness below the largest entry", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[snapMaxCorenessOff:], maxc-1)
 			return b
-		}},
-		{"layer masks dropped", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[flagsOff:], 0)
-			return append(b[:masksOff], b[masksOff+8*n:]...)
 		}},
 	} {
 		pr := NewPrepared(g, 1)
@@ -421,10 +416,11 @@ func FuzzRestoreSnapshot(f *testing.F) {
 // corpusDir holds the FuzzRestoreSnapshot seed corpus.
 var corpusDir = filepath.Join("testdata", "fuzz", "FuzzRestoreSnapshot")
 
-// earlierFormatSeed is the corpus seed written by an earlier format
-// version: a format-2 body with the union-adjacency field absent, as
-// the last format-2 writer produced it. Restore must reject it.
-const earlierFormatSeed = "format-v2"
+// earlierFormatSeeds maps the corpus seeds written by earlier format
+// versions to their version: a format-2 body with the union-adjacency
+// field absent, as the last format-2 writer produced it, and the last
+// format-3 writer's warm-d2-d3 body. Restore must reject both.
+var earlierFormatSeeds = map[string]int{"format-v2": 2, "format-v3": 3}
 
 // corpusSeeds returns the current-format seed bodies for compatGraph,
 // by corpus file name: a cold handle's, a handle with the d = 2 and 3
@@ -500,8 +496,8 @@ func TestRestoreSnapshotCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = NewPrepared(g, 1).RestoreSnapshot(seal(body))
-		if e.Name() == earlierFormatSeed {
-			if err == nil || !strings.Contains(err.Error(), "version 2 ") {
+		if v, ok := earlierFormatSeeds[e.Name()]; ok {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d ", v)) {
 				t.Fatalf("%s: restore error %v, want a format-version rejection", e.Name(), err)
 			}
 			continue
@@ -515,7 +511,9 @@ func TestRestoreSnapshotCorpus(t *testing.T) {
 			t.Errorf("corpus seed %s missing", name)
 		}
 	}
-	if !seen[earlierFormatSeed] {
-		t.Errorf("corpus seed %s missing", earlierFormatSeed)
+	for name := range earlierFormatSeeds {
+		if !seen[name] {
+			t.Errorf("corpus seed %s missing", name)
+		}
 	}
 }

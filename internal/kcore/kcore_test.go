@@ -237,13 +237,59 @@ func TestCorenessMasked(t *testing.T) {
 	}
 }
 
+// TestTrackerMatchesRecompute checks a tracker seeded from coreness
+// against cores recomputed from scratch, before any removal and after a
+// random half of the vertices is removed: alive set, per-layer cores,
+// support counts, and the CoreListener calls, which must report each
+// lost (layer, vertex) membership exactly once, the removed vertex's own
+// included.
 func TestTrackerMatchesRecompute(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := testutil.RandomCorrelatedGraph(rng, 3+rng.Intn(25), 1+rng.Intn(4), 0.3, 0.8, 0.1)
 		d := 1 + rng.Intn(3)
-		tr := NewTracker(g, d, nil)
+		coreness := make([][]int32, g.L())
+		for i := range coreness {
+			coreness[i] = Coreness(g, i, nil)
+		}
+		tr := NewTrackerFromCoreness(g, d, coreness, 1)
 		alive := bitset.NewFull(g.N())
+		member := make([]*bitset.Set, g.L())
+		for i := range member {
+			member[i] = Core(g, i, alive, d)
+		}
+		listenerOK := true
+		tr.CoreListener = func(layer, v int) {
+			if !member[layer].Remove(v) {
+				listenerOK = false // reported twice, or never a member
+			}
+		}
+		matches := func() bool {
+			if !listenerOK || !tr.Alive().Equal(alive) {
+				return false
+			}
+			for i := 0; i < g.L(); i++ {
+				core := Core(g, i, alive, d)
+				if !tr.Core(i).Equal(core) || !member[i].Equal(core) {
+					return false
+				}
+			}
+			for v := 0; v < g.N(); v++ {
+				want := 0
+				for i := 0; i < g.L(); i++ {
+					if alive.Contains(v) && Core(g, i, alive, d).Contains(v) {
+						want++
+					}
+				}
+				if tr.Num(v) != want {
+					return false
+				}
+			}
+			return true
+		}
+		if !matches() {
+			return false
+		}
 		order := rng.Perm(g.N())
 		for _, v := range order[:len(order)/2] {
 			tr.RemoveVertex(v)
@@ -253,28 +299,7 @@ func TestTrackerMatchesRecompute(t *testing.T) {
 				tr.RemoveVertex(v)
 			}
 		}
-		if !tr.Alive().Equal(alive) {
-			return false
-		}
-		for i := 0; i < g.L(); i++ {
-			if !tr.Core(i).Equal(Core(g, i, alive, d)) {
-				return false
-			}
-		}
-		for v := 0; v < g.N(); v++ {
-			want := 0
-			var mask uint64
-			for i := 0; i < g.L(); i++ {
-				if alive.Contains(v) && Core(g, i, alive, d).Contains(v) {
-					want++
-					mask |= 1 << uint(i)
-				}
-			}
-			if tr.Num(v) != want || tr.CoreLayers(v) != mask {
-				return false
-			}
-		}
-		return true
+		return matches()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ type Tracker struct {
 	// sentinel -1 otherwise. The sentinel makes the peel's inner loop a
 	// single flat array access — membership test and counter load in one —
 	// instead of a bitset probe plus a separate degree load; cores[i] is
-	// kept in sync for the Core/CoreLayers accessors.
+	// kept in sync for the Core accessor.
 	deg [][]int32
 
 	// NumListener, when non-nil, is invoked with every vertex whose Num
@@ -36,11 +36,10 @@ type Tracker struct {
 	NumListener func(v int)
 
 	// CoreListener, when non-nil, is invoked with every (layer, vertex)
-	// pair whose core membership is lost to a peeling cascade (again not
-	// for the vertex passed to RemoveVertex itself, whose memberships the
-	// caller can read before removing it). The removal-hierarchy builder
-	// uses it to record, per layer, the threshold at which each vertex
-	// drops out of that layer's d-core.
+	// pair whose core membership is lost, whether to a peeling cascade or
+	// to the removal of the vertex passed to RemoveVertex itself. The
+	// removal-hierarchy builder uses it to record, per layer, the
+	// threshold at which each vertex drops out of that layer's d-core.
 	CoreListener func(layer, v int)
 
 	// queue is the cascade worklist of removeFromCore, kept on the
@@ -48,54 +47,14 @@ type Tracker struct {
 	queue []int32
 }
 
-// NewTracker computes the initial per-layer d-cores of g restricted to
-// alive (nil means all vertices) and returns a tracker positioned there.
-// alive is cloned; the caller's set is not modified.
-func NewTracker(g *multilayer.Graph, d int, alive *bitset.Set) *Tracker {
-	return NewTrackerN(g, d, alive, 1)
-}
-
-// NewTrackerN is NewTracker with the initial per-layer core
-// decompositions sharded across a pool of workers (≤ 1 means serial).
-// The layers are independent at this stage, so the resulting tracker is
-// identical to the serial one; only the construction wall-clock changes.
-func NewTrackerN(g *multilayer.Graph, d int, alive *bitset.Set, workers int) *Tracker {
-	n := g.N()
-	if alive == nil {
-		alive = bitset.NewFull(n)
-	}
-	t := &Tracker{
-		g:     g,
-		d:     d,
-		alive: alive.Clone(),
-		cores: make([]*bitset.Set, g.L()),
-		deg:   make([][]int32, g.L()),
-		num:   make([]int32, n),
-	}
-	pool.Run(workers, g.L(), func(i int) {
-		t.cores[i] = Core(g, i, t.alive, d)
-		di := make([]int32, n)
-		for v := range di {
-			di[v] = -1
-		}
-		t.cores[i].ForEach(func(v int) bool {
-			di[v] = int32(g.DegreeIn(i, v, t.cores[i]))
-			return true
-		})
-		t.deg[i] = di
-	})
-	t.sumNum()
-	return t
-}
-
 // NewTrackerFromCoreness builds a full-graph tracker from precomputed
 // per-layer coreness arrays (see Coreness): the initial d-core of layer i
-// is the level set {v : coreness[i][v] ≥ d}, so the per-layer peel of
-// NewTracker is replaced by a linear scan plus the degree-in-core pass.
-// The coreness arrays are graph-lifetime, d-independent artifacts; the
-// prepared-engine path computes them once and seeds every per-d tracker
-// from them. The resulting tracker is identical to NewTrackerN(g, d, nil,
-// workers).
+// is the level set {v : coreness[i][v] ≥ d}, so no peel is needed, only a
+// linear scan plus the degree-in-core pass, sharded across layers on up
+// to workers goroutines. The coreness arrays are graph-lifetime,
+// d-independent artifacts; the prepared-engine path computes them once
+// and seeds every per-d tracker from them (or from a Sweep, which yields
+// the same trackers).
 func NewTrackerFromCoreness(g *multilayer.Graph, d int, coreness [][]int32, workers int) *Tracker {
 	n := g.N()
 	t := &Tracker{
@@ -163,19 +122,6 @@ func (t *Tracker) Num(v int) int {
 	return int(t.num[v])
 }
 
-// CoreLayers returns the set of layers whose current d-core contains v,
-// as a bitmask over layer indices. It requires l ≤ 64, which callers
-// (the top-down index) enforce.
-func (t *Tracker) CoreLayers(v int) uint64 {
-	var mask uint64
-	for i, c := range t.cores {
-		if c.Contains(v) {
-			mask |= 1 << uint(i)
-		}
-	}
-	return mask
-}
-
 // RemoveVertex deletes v from the graph and cascades the per-layer core
 // maintenance. Removing a vertex that is already gone is a no-op.
 func (t *Tracker) RemoveVertex(v int) {
@@ -199,6 +145,9 @@ func (t *Tracker) removeFromCore(layer, v int) {
 	core.Remove(v)
 	deg[v] = -1
 	t.num[v]--
+	if t.CoreListener != nil {
+		t.CoreListener(layer, v)
+	}
 	offs, nbrs := t.g.LayerCSR(layer) // hot loop: flat CSR iteration
 	queue := append(t.queue[:0], int32(v))
 	for len(queue) > 0 {

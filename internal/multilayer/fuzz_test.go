@@ -59,10 +59,12 @@ func FuzzDecode(f *testing.F) {
 // FuzzDecodeBinary pins the same contract for the binary reader, which
 // faces raw attacker-controlled bytes: arbitrary mutations of a valid
 // image (and arbitrary garbage) must error cleanly, and any accepted
-// image must describe a graph the encoder reproduces. The seed corpus in
-// testdata/fuzz/FuzzDecodeBinary holds the f.Add seeds below plus an
-// image cut inside its first offsets section and one whose first
-// neighbor id is out of range.
+// image must describe a graph the encoder reproduces. It also checks the
+// deferred path OpenMapped takes: the O(n) decode followed by Verify's
+// neighbor checks must accept exactly what DecodeBinary accepts, with
+// the same graph. The seed corpus in testdata/fuzz/FuzzDecodeBinary
+// holds the f.Add seeds below plus an image cut inside its first offsets
+// section and one whose first neighbor id is out of range.
 func FuzzDecodeBinary(f *testing.F) {
 	seed := func(g *Graph) []byte {
 		var buf bytes.Buffer
@@ -82,8 +84,18 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := DecodeBinary(data)
+		lazy, lazyErr := decodeBinary(data, false)
+		if lazyErr == nil {
+			lazyErr = (&Mapped{Graph: lazy}).Verify()
+		}
+		if (err == nil) != (lazyErr == nil) {
+			t.Fatalf("DecodeBinary error %v, deferred decode and Verify error %v", err, lazyErr)
+		}
 		if err != nil {
 			return
+		}
+		if !g.Equal(lazy) {
+			t.Fatal("deferred decode and Verify accepted another graph than DecodeBinary")
 		}
 		var buf bytes.Buffer
 		if err := g.EncodeBinary(&buf); err != nil {

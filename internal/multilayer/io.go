@@ -7,6 +7,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"repro/internal/leio"
 )
 
 // The text format is a minimal layered edge list:
@@ -116,15 +118,8 @@ func ReadFile(path string) (*Graph, error) {
 	return g, nil
 }
 
-// WriteFile saves g to a file in the text edge-list format.
+// WriteFile saves g to a file in the text edge-list format, replacing
+// path through a temporary file and a rename (leio.WriteFileAtomic).
 func (g *Graph) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := g.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return leio.WriteFileAtomic(path, 0o644, g.Encode)
 }

@@ -54,17 +54,12 @@ func (g *Graph) EncodeBinary(w io.Writer) error {
 	return lw.Flush()
 }
 
-// WriteBinaryFile saves g to a file in the .mlgb binary format.
+// WriteBinaryFile saves g to a file in the .mlgb binary format. It
+// replaces path through a temporary file and a rename
+// (leio.WriteFileAtomic), so a process serving the old file mapped keeps
+// it.
 func (g *Graph) WriteBinaryFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := g.EncodeBinary(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return leio.WriteFileAtomic(path, 0o644, g.EncodeBinary)
 }
 
 // DecodeBinary deserializes a graph from one in-memory .mlgb image,
@@ -149,10 +144,9 @@ func validateCSR(n int, offsets []int64, neighbors []int32) error {
 
 // validateOffsets is the O(n) half of validateCSR: the offsets array has
 // the right shape and spans the neighbor array monotonically. Once it
-// passes, every neighbors[offsets[v]:offsets[v+1]] slice is in bounds —
-// the property that makes out-of-range indexing (as opposed to wrong
-// answers) impossible, which is why the mmap trust model can defer the
-// O(m) half (see OpenMapped).
+// passes, every neighbors[offsets[v]:offsets[v+1]] slice is in bounds;
+// the ids inside those slices are validateNeighbors' job, which the mmap
+// trust model defers to Mapped.Verify (see Mapped).
 func validateOffsets(n int, offsets []int64, neighbors []int32) error {
 	if len(offsets) != n+1 {
 		return fmt.Errorf("offsets length %d, want %d", len(offsets), n+1)

@@ -22,13 +22,15 @@ var ErrNotBinaryGraph = errors.New("not a binary graph")
 // one physical copy through the page cache.
 //
 // Trust model: OpenMapped eagerly validates the header and the per-layer
-// offsets arrays (O(n) — enough to make every neighbor-range access in
-// bounds, so a corrupt file can produce wrong answers but never an
-// out-of-range index), and defers the O(m) per-neighbor scan that would
-// otherwise fault in and read the whole file. Mapped files are expected
-// to come from this repo's own writer; for untrusted input use
-// ReadBinaryFile (full validation, fuzz-tested) or call Verify after
-// opening.
+// offsets arrays (O(n) — enough to keep every neighbor-range slice in
+// bounds), and defers the O(m) per-neighbor scan that would otherwise
+// fault in and read the whole file. The neighbor ids themselves are
+// unchecked until then, and the algorithms index per-vertex arrays by
+// them: one id out of [0, n) in an unverified file panics the first
+// search that reads it. Mapped files are expected to come from this
+// repo's own writer; for any other file, call Verify after opening — it
+// is the only guard — or use ReadBinaryFile (full validation,
+// fuzz-tested).
 //
 // Lifetime: Close unmaps the pages, after which the Graph — and any
 // slice borrowed from it — must not be used. Query results never alias

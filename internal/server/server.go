@@ -298,17 +298,9 @@ func (s *Server) saveSnapshots() error {
 		view := h.eng.View()
 		if h.eng.Mutable() && view.Version() > 0 {
 			// Persist the mutated edge set first: an artifact snapshot
-			// without its graph is unloadable (fingerprint gate). The write
-			// is atomic (temp + rename), like SaveSnapshot's.
-			path := s.liveGraphPath(name)
-			tmp := path + ".tmp"
-			if err := view.Graph().WriteBinaryFile(tmp); err != nil {
-				s.cfg.Logf("server: %s: live graph save: %v", name, err)
-				errs = append(errs, fmt.Errorf("%s: live graph save: %w", name, err))
-				continue
-			}
-			if err := os.Rename(tmp, path); err != nil {
-				os.Remove(tmp)
+			// without its graph is unloadable (fingerprint gate). The file
+			// is replaced through a rename, like SaveSnapshot's.
+			if err := view.Graph().WriteBinaryFile(s.liveGraphPath(name)); err != nil {
 				s.cfg.Logf("server: %s: live graph save: %v", name, err)
 				errs = append(errs, fmt.Errorf("%s: live graph save: %w", name, err))
 				continue
