@@ -18,10 +18,13 @@
 //	dccs-serve -max-batch 128 g.mlgb             # batch endpoint sizing
 //
 // -mmap opens .mlgb graphs through the OS page cache instead of heap
-// decoding them: startup is near-instant regardless of graph size, and
-// replicas serving the same file share one physical copy. Non-binary
-// graphs fall back to the normal load with a log note. See DESIGN.md
-// § mmap load for the trust model.
+// decoding them: nothing is copied onto the heap, and replicas serving
+// the same file share one physical copy. Before serving, each mapped
+// file is verified with one O(m) pass over its neighbor ids (the bytes
+// the first fingerprint and coreness build read anyway), so a corrupt
+// file fails startup with an error naming it instead of panicking the
+// first search. Non-binary graphs fall back to the normal load with a
+// log note. See DESIGN.md § mmap load for the trust model.
 //
 // Endpoints (see API.md — also served at /v1/docs — for the contract):
 //
@@ -166,9 +169,9 @@ func main() {
 // loadGraphs resolves the positional arguments: either bare paths
 // (served under the file's base name without extension) or name=path
 // pairs. With useMmap set, binary .mlgb files are opened as zero-copy
-// memory mappings (text graphs fall back to the heap load with a log
-// note); the returned handles must stay open until the server has
-// drained and are closed by main after shutdown.
+// memory mappings and verified (text graphs fall back to the heap load
+// with a log note); the returned handles must stay open until the server
+// has drained and are closed by main after shutdown.
 func loadGraphs(args []string, useMmap bool) ([]server.GraphSpec, []*dccs.MappedGraph, error) {
 	specs := make([]server.GraphSpec, 0, len(args))
 	var mappings []*dccs.MappedGraph
@@ -185,6 +188,12 @@ func loadGraphs(args []string, useMmap bool) ([]server.GraphSpec, []*dccs.Mapped
 			mg, err := dccs.OpenMappedGraphFile(path)
 			switch {
 			case err == nil:
+				// The mapped open checks only the offsets; a neighbor id
+				// out of range would panic the first search reading it.
+				if err := mg.Verify(); err != nil {
+					mg.Close()
+					return nil, nil, fmt.Errorf("%s: %w", path, err)
+				}
 				mappings = append(mappings, mg)
 				spec.Graph = mg.Graph
 				spec.Mmap = mg.ZeroCopy()

@@ -42,6 +42,11 @@ func (s *Set) Count() int { return s.count }
 // Empty reports whether the set contains no elements.
 func (s *Set) Empty() bool { return s.count == 0 }
 
+// Words returns the backing words, bit v%64 of word v/64 standing for v,
+// for kernels that fuse several sets in one word loop. The bits beyond
+// Cap() are zero. Callers must not modify the words.
+func (s *Set) Words() []uint64 { return s.words }
+
 // Contains reports whether v is in the set.
 func (s *Set) Contains(v int) bool {
 	return s.words[v/wordBits]&(1<<(uint(v)%wordBits)) != 0

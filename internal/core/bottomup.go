@@ -102,12 +102,7 @@ func (b *buSearch) genParallel(workers int) *coverage.TopK {
 		// The root children are the leaves; offer them to the shared
 		// top-k in ascending position order.
 		for j := 0; j < l; j++ {
-			p.stats.candidates.Add(1)
-			vs, layers := children[j].Slice32(), p.layersOf([]int{j})
-			if b.topk.Update(vs, layers) {
-				p.stats.updates.Add(1)
-				p.notify(vs, layers)
-			}
+			p.offer(b.topk, children[j], p.layersOf([]int{j}))
 		}
 		return b.topk
 	}
@@ -188,12 +183,7 @@ func (b *buSearch) gen(L []int, cL *bitset.Set, lq uint64) {
 		for _, j := range lp {
 			child := computeChild(j)
 			if len(L)+1 == s {
-				p.stats.candidates.Add(1)
-				vs, layers := child.Slice32(), childLayers(j)
-				if b.topk.Update(vs, layers) {
-					p.stats.updates.Add(1)
-					p.notify(vs, layers)
-				}
+				p.offer(b.topk, child, childLayers(j))
 			} else if child.Empty() && !p.opts.NoEq1Pruning {
 				p.stats.pruned.Add(1)
 			} else {
@@ -223,15 +213,10 @@ func (b *buSearch) gen(L []int, cL *bitset.Set, lq uint64) {
 			}
 			child := computeChild(j)
 			if len(L)+1 == s {
-				p.stats.candidates.Add(1)
-				vs, layers := child.Slice32(), childLayers(j)
-				if b.topk.Update(vs, layers) {
-					p.stats.updates.Add(1)
-					p.notify(vs, layers)
-				}
+				p.offer(b.topk, child, childLayers(j))
 			} else if child.Empty() && !p.opts.NoEq1Pruning {
 				p.stats.pruned.Add(1) // empty-subtree cut, see above
-			} else if p.opts.NoEq1Pruning || b.topk.SatisfiesEq1(child.Slice32()) {
+			} else if p.opts.NoEq1Pruning || b.topk.SatisfiesEq1(child) {
 				lr = append(lr, j)
 				children[j] = child
 			} else {

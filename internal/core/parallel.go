@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
-	"repro/internal/bitset"
 	"repro/internal/coverage"
 )
 
@@ -34,23 +32,9 @@ func mergeLocals(n, k int, snapshot *coverage.TopK, locals [][]*coverage.Entry) 
 //     (Appendix C), whose Rule 2 replacements only ever increase
 //     |Cov(R)|.
 func mergeTopK(n, k int, groups ...[]*coverage.Entry) *coverage.TopK {
-	var entries []*coverage.Entry
-	seen := map[string]bool{}
-	for _, group := range groups {
-		for _, e := range group {
-			key := fmt.Sprint(e.Layers)
-			if !seen[key] {
-				seen[key] = true
-				entries = append(entries, e)
-			}
-		}
-	}
-	slices.SortFunc(entries, func(a, b *coverage.Entry) int {
-		return slices.Compare(a.Layers, b.Layers)
-	})
+	entries := uniqueByLayers(slices.Concat(groups...))
 
 	merged := coverage.New(n, k)
-	covered := bitset.New(n)
 	picked := make([]bool, len(entries))
 	for pick := 0; pick < k && pick < len(entries); pick++ {
 		best, bestGain := -1, -1
@@ -58,25 +42,16 @@ func mergeTopK(n, k int, groups ...[]*coverage.Entry) *coverage.TopK {
 			if picked[i] {
 				continue
 			}
-			gain := 0
-			for _, v := range e.Vertices {
-				if !covered.Contains(int(v)) {
-					gain++
-				}
-			}
-			if gain > bestGain {
+			if gain := merged.Gain(e.Set); gain > bestGain {
 				best, bestGain = i, gain
 			}
 		}
 		picked[best] = true
-		for _, v := range entries[best].Vertices {
-			covered.Add(int(v))
-		}
-		merged.Update(entries[best].Vertices, entries[best].Layers)
+		merged.Update(entries[best].Set, entries[best].Layers)
 	}
 	for i, e := range entries {
 		if !picked[i] {
-			merged.Update(e.Vertices, e.Layers)
+			merged.Update(e.Set, e.Layers)
 		}
 	}
 	return merged

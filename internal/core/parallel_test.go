@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/coverage"
 	"repro/internal/testutil"
 )
@@ -169,7 +170,11 @@ func TestParallelSearchNotWorseThanInit(t *testing.T) {
 // layer set, the greedy selection order, and the Rule 2 refinement pass.
 func TestMergeTopK(t *testing.T) {
 	e := func(layers []int, vs ...int32) *coverage.Entry {
-		return &coverage.Entry{Layers: layers, Vertices: vs}
+		set := bitset.New(10)
+		for _, v := range vs {
+			set.Add(int(v))
+		}
+		return &coverage.Entry{Layers: layers, Vertices: vs, Set: set}
 	}
 	a := e([]int{0}, 0, 1, 2, 3)
 	b := e([]int{1}, 4, 5)

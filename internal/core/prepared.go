@@ -14,7 +14,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -352,7 +351,6 @@ func (pr *Prepared) newPrep(ctx context.Context, opts Options, index bool) *prep
 		ctx:   ctx,
 		alive: a.alive,
 		cores: a.cores,
-		rng:   rand.New(rand.NewSource(opts.Seed)),
 		owner: pr,
 		arena: a,
 	}

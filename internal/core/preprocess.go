@@ -3,8 +3,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"fmt"
-	"math/rand"
 	"slices"
 
 	"repro/internal/bitset"
@@ -33,7 +31,6 @@ type prep struct {
 	alive *bitset.Set     // every compact vertex
 	cores []*bitset.Set   // per original layer: the reduced d-core
 	order []int           // position -> original layer id
-	rng   *rand.Rand
 	stats runStats
 
 	// owner/arena track the pooled buffers behind the compact space and
@@ -139,14 +136,7 @@ func (p *prep) initTopK(topk *coverage.TopK) {
 		}
 		best, bestGain := -1, -1
 		for i := 0; i < g.L(); i++ {
-			gain := 0
-			p.cores[i].ForEach(func(v int) bool {
-				if !topk.Covered(v) {
-					gain++
-				}
-				return true
-			})
-			if gain > bestGain {
+			if gain := topk.Gain(p.cores[i]); gain > bestGain {
 				best, bestGain = i, gain
 			}
 		}
@@ -166,12 +156,27 @@ func (p *prep) initTopK(topk *coverage.TopK) {
 			C.And(p.cores[bestJ])
 		}
 		slices.Sort(L)
-		cc := p.dcc(C, L)
-		if vs := cc.Slice32(); topk.Update(vs, L) {
-			p.stats.updates.Add(1)
-			p.notify(vs, L)
+		p.update(topk, p.dcc(C, L), L)
+	}
+}
+
+// update offers candidate d-CC c on layer set layers to R by the Update
+// rule (Appendix C); an accepted one is counted and streamed to the
+// OnCandidate hook. R retains c, which no caller modifies.
+func (p *prep) update(topk *coverage.TopK, c *bitset.Set, layers []int) {
+	if topk.Update(c, layers) {
+		p.stats.updates.Add(1)
+		if p.opts.OnCandidate != nil {
+			p.notify(c.Slice32(), layers)
 		}
 	}
+}
+
+// offer counts c as a size-s candidate of the search tree and offers it
+// to R through update.
+func (p *prep) offer(topk *coverage.TopK, c *bitset.Set, layers []int) {
+	p.stats.candidates.Add(1)
+	p.update(topk, c, layers)
 }
 
 func containsInt(xs []int, x int) bool {
@@ -190,19 +195,21 @@ func containsInt(xs []int, x int) bool {
 // representative is kept; coverage is unaffected.
 func (p *prep) finish(topk *coverage.TopK) *Result {
 	res := &Result{CoverSize: topk.CoverSize(), Stats: p.stats.snapshot()}
-	seen := map[string]bool{}
-	for _, e := range topk.Entries() {
-		key := fmt.Sprint(e.Layers)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
+	for _, e := range uniqueByLayers(topk.Entries()) {
 		res.Cores = append(res.Cores, CC{Layers: e.Layers, Vertices: p.original(e.Vertices)})
 	}
-	slices.SortFunc(res.Cores, func(a, b CC) int {
+	return res
+}
+
+// uniqueByLayers sorts entries by layer set in place and keeps the first
+// of every run of equal layer sets, which carry identical d-CCs.
+func uniqueByLayers(entries []*coverage.Entry) []*coverage.Entry {
+	slices.SortStableFunc(entries, func(a, b *coverage.Entry) int {
 		return slices.Compare(a.Layers, b.Layers)
 	})
-	return res
+	return slices.CompactFunc(entries, func(a, b *coverage.Entry) bool {
+		return slices.Equal(a.Layers, b.Layers)
+	})
 }
 
 func lessIntSlices(a, b []int) bool {

@@ -61,12 +61,7 @@ func (pr *Prepared) TopDown(ctx context.Context, opts Options) (*Result, error) 
 	rootC := p.dcc(p.alive, p.layersOf(full))
 	p.stats.treeNodes.Add(1)
 	if opts.S == g.L() {
-		p.stats.candidates.Add(1)
-		vs, layers := rootC.Slice32(), p.layersOf(full)
-		if topk.Update(vs, layers) {
-			p.stats.updates.Add(1)
-			p.notify(vs, layers)
-		}
+		p.offer(topk, rootC, p.layersOf(full))
 	} else if w := opts.searchWorkers(); w > 1 {
 		topk = t.genParallel(w, full, rootC)
 	} else {
@@ -87,7 +82,11 @@ type tdSearch struct {
 	prep *prep
 	topk *coverage.TopK
 	idx  *tdIndex
-	rng  *rand.Rand // Lemma 7 descendant selection; per subtree in parallel runs
+	// Lemma 7 descendant selection draws from rng, seeded from seed on
+	// the first draw: most runs never draw, and seeding a source costs
+	// more than a small search. Per subtree in parallel runs.
+	seed int64
+	rng  *rand.Rand
 
 	state         []uint8
 	dplus         [][]int32
@@ -105,7 +104,7 @@ func newTDSearch(p *prep, topk *coverage.TopK) *tdSearch {
 		prep:          p,
 		topk:          topk,
 		idx:           p.idx,
-		rng:           p.rng,
+		seed:          p.opts.Seed,
 		state:         a.state,
 		scratchCounts: a.counts,
 		scratchZ:      a.z,
@@ -116,8 +115,8 @@ func newTDSearch(p *prep, topk *coverage.TopK) *tdSearch {
 // workerScratch returns a tdSearch shell with fresh scratch buffers for
 // one pool worker of a parallel run. The scratch arrays (the expensive
 // part: dplus is l×n′) are reused across every subtree the worker
-// processes — refineC leaves them reset — while topk and rng, which
-// must be deterministic per subtree, are installed per task.
+// processes — refineC leaves them reset — while topk and the rng seed,
+// which must be deterministic per subtree, are installed per task.
 func (t *tdSearch) workerScratch() *tdSearch {
 	p := t.prep
 	n := p.g.N()
@@ -167,18 +166,12 @@ func (t *tdSearch) genParallel(workers int, L []int, cL *bitset.Set) *coverage.T
 		// Per-task state: the subtree's outcome must depend only on its
 		// index, never on the worker that happens to run it.
 		sub.topk = snapshot.Clone()
-		sub.rng = rand.New(rand.NewSource(int64(uint64(p.opts.Seed) + uint64(i+1)*0x9E3779B97F4A7C15)))
+		sub.seed, sub.rng = int64(uint64(p.opts.Seed)+uint64(i+1)*0x9E3779B97F4A7C15), nil
 		lchild := removePos(L, j)
 		childU := sub.childU(p.alive, lchild)
 		switch {
 		case len(lchild) == s:
-			cc := sub.childCC(childU, lchild)
-			p.stats.candidates.Add(1)
-			vs, layers := cc.Slice32(), p.layersOf(lchild)
-			if sub.topk.Update(vs, layers) {
-				p.stats.updates.Add(1)
-				p.notify(vs, layers)
-			}
+			p.offer(sub.topk, sub.childCC(childU, lchild), p.layersOf(lchild))
 		case childU.Empty() && !p.opts.NoEq1Pruning:
 			p.stats.pruned.Add(1) // empty-subtree cut (see gen)
 		default:
@@ -226,13 +219,7 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 		for _, j := range lr {
 			lchild := removePos(L, j)
 			if len(lchild) == s {
-				cc := t.childCC(childU[j], lchild)
-				p.stats.candidates.Add(1)
-				vs, layers := cc.Slice32(), p.layersOf(lchild)
-				if t.topk.Update(vs, layers) {
-					p.stats.updates.Add(1)
-					p.notify(vs, layers)
-				}
+				p.offer(t.topk, t.childCC(childU[j], lchild), p.layersOf(lchild))
 			} else if childU[j].Empty() && !p.opts.NoEq1Pruning {
 				// Empty-subtree cut: U over-approximates every size-s
 				// descendant, so an empty potential set spans a subtree
@@ -262,13 +249,7 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 		}
 		lchild := removePos(L, j)
 		if len(lchild) == s {
-			cc := t.childCC(childU[j], lchild)
-			p.stats.candidates.Add(1)
-			vs, layers := cc.Slice32(), p.layersOf(lchild)
-			if t.topk.Update(vs, layers) {
-				p.stats.updates.Add(1)
-				p.notify(vs, layers)
-			}
+			p.offer(t.topk, t.childCC(childU[j], lchild), p.layersOf(lchild))
 			continue
 		}
 		if childU[j].Empty() && !p.opts.NoEq1Pruning {
@@ -277,7 +258,7 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 		}
 		// Lemma 5: if even the potential set cannot satisfy Eq. (1), no
 		// size-s descendant can; prune the subtree.
-		if !p.opts.NoEq1Pruning && !t.topk.SatisfiesEq1Set(childU[j]) {
+		if !p.opts.NoEq1Pruning && !t.topk.SatisfiesEq1(childU[j]) {
 			p.stats.pruned.Add(1)
 			continue
 		}
@@ -287,15 +268,10 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 		// potential set is small enough (Eq. (2)), a single random
 		// descendant absorbs all the value the subtree can offer.
 		if !p.opts.NoPotentialPruning &&
-			t.topk.SatisfiesEq1(cc.Slice32()) && t.topk.SatisfiesEq2(childU[j].Count()) {
+			t.topk.SatisfiesEq1(cc) && t.topk.SatisfiesEq2(childU[j].Count()) {
 			if sub := t.randomDescendant(lchild); sub != nil {
-				csub := p.dcc(childU[j], p.layersOf(sub))
-				p.stats.candidates.Add(1)
-				vs, layers := csub.Slice32(), p.layersOf(sub)
-				if t.topk.Update(vs, layers) {
-					p.stats.updates.Add(1)
-					p.notify(vs, layers)
-				}
+				layers := p.layersOf(sub)
+				p.offer(t.topk, p.dcc(childU[j], layers), layers)
 				p.stats.pruned.Add(1)
 				continue
 			}
@@ -314,6 +290,9 @@ func (t *tdSearch) randomDescendant(lpos []int) []int {
 	drop := len(lpos) - s
 	if len(rem) < drop {
 		return nil
+	}
+	if t.rng == nil {
+		t.rng = rand.New(rand.NewSource(t.seed))
 	}
 	perm := t.rng.Perm(len(rem))[:drop]
 	dropSet := make(map[int]bool, drop)
