@@ -75,22 +75,33 @@ func TestExactAndValidateAPI(t *testing.T) {
 }
 
 func TestDynamicAPI(t *testing.T) {
-	dg := NewDynamicGraph(6, 2)
-	m, err := NewCoreMaintainer(context.Background(), dg, []int{0, 1}, 2)
+	ctx := context.Background()
+	eng, err := NewMutableEngine(NewBuilder(6, 2).Build(), EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w, err := eng.Watch(ctx, []int{0, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var triangles []EdgeUpdate
 	for _, layer := range []int{0, 1} {
-		m.AddEdge(context.Background(), layer, 0, 1)
-		m.AddEdge(context.Background(), layer, 1, 2)
-		m.AddEdge(context.Background(), layer, 0, 2)
+		triangles = append(triangles,
+			EdgeUpdate{Op: EdgeInsert, Layer: layer, U: 0, V: 1},
+			EdgeUpdate{Op: EdgeInsert, Layer: layer, U: 1, V: 2},
+			EdgeUpdate{Op: EdgeInsert, Layer: layer, U: 0, V: 2})
 	}
-	if m.CoreSize() != 3 {
-		t.Fatalf("core = %d, want 3", m.CoreSize())
+	if _, err := eng.ApplyUpdates(ctx, triangles); err != nil {
+		t.Fatal(err)
 	}
-	m.RemoveEdge(context.Background(), 1, 0, 1)
-	if m.CoreSize() != 0 {
-		t.Fatalf("core = %d after breaking layer 1, want 0", m.CoreSize())
+	if len(w.Core()) != 3 {
+		t.Fatalf("core = %d, want 3", len(w.Core()))
+	}
+	if _, err := eng.ApplyUpdates(ctx, []EdgeUpdate{{Op: EdgeDelete, Layer: 1, U: 0, V: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Core()) != 0 {
+		t.Fatalf("core = %d after breaking layer 1, want 0", len(w.Core()))
 	}
 }
 

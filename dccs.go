@@ -56,13 +56,11 @@
 package dccs
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
-	"repro/internal/dynamic"
 	"repro/internal/kcore"
 	"repro/internal/multilayer"
 )
@@ -266,28 +264,4 @@ func checkLayers(g *Graph, layers []int) error {
 		}
 	}
 	return nil
-}
-
-// DynamicGraph is a mutable multi-layer graph, the streaming companion
-// of Graph, stored as a copy-on-write CSR. An edge update costs O(deg):
-// a binary search and a sorted insert or delete in the two endpoint
-// rows. Freeze exports an immutable Graph, rebuilding only the layers
-// edited since the previous Freeze and sharing the others.
-type DynamicGraph = dynamic.Graph
-
-// CoreMaintainer tracks the d-CC of a fixed layer subset while its
-// DynamicGraph changes, with exact incremental updates in both
-// directions. Updates take a context under the engine-wide cancellation
-// contract: a cancelled update still applies the graph mutation and
-// leaves a valid, Truncated-flagged core that Repair (or the next
-// update) makes exact again.
-type CoreMaintainer = dynamic.Maintainer
-
-// NewDynamicGraph returns an empty mutable multi-layer graph.
-func NewDynamicGraph(n, layers int) *DynamicGraph { return dynamic.NewGraph(n, layers) }
-
-// NewCoreMaintainer wraps a DynamicGraph and keeps the d-CC of the given
-// layer subset current; route all edge updates through the maintainer.
-func NewCoreMaintainer(ctx context.Context, g *DynamicGraph, layers []int, d int) (*CoreMaintainer, error) {
-	return dynamic.NewMaintainer(ctx, g, layers, d)
 }

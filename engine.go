@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dynamic"
 	"repro/internal/leio"
-	"repro/internal/live"
 )
 
 // Algorithm selects which DCCS algorithm an Engine query runs.
@@ -133,10 +133,12 @@ type Engine struct {
 	queries atomic.Int64
 	st      atomic.Pointer[engineState]
 
-	// Mutable-mode fields; nil/zero on immutable engines.
-	mutable  bool
-	updateMu sync.Mutex // serializes ApplyUpdates and mutable LoadSnapshot
-	live     *live.Store
+	// Mutable-mode fields; nil/zero on immutable engines. mu serializes
+	// ApplyUpdates, mutable LoadSnapshot and every CoreWatch method.
+	mutable bool
+	mu      sync.Mutex
+	dyn     *dynamic.Graph // the copy-on-write graph ApplyUpdates edits
+	watches []*CoreWatch   // slice, not a map: deterministic fan-out order
 }
 
 // engineState is one immutable (graph, artifacts, version) generation of
@@ -411,8 +413,8 @@ func (e *Engine) LoadSnapshot(path string) error {
 	if e.mutable {
 		// Serialize with ApplyUpdates: restore installs artifacts into the
 		// current generation and may advance the version below.
-		e.updateMu.Lock()
-		defer e.updateMu.Unlock()
+		e.mu.Lock()
+		defer e.mu.Unlock()
 	}
 	st := e.st.Load()
 	if err := st.pr.RestoreSnapshot(data); err != nil {

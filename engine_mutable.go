@@ -16,9 +16,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
-	"repro/internal/live"
+	"repro/internal/dynamic"
+	"repro/internal/multilayer"
 )
 
 // ErrImmutableEngine is returned by update operations on an engine that
@@ -30,9 +32,9 @@ type EdgeOp uint8
 
 const (
 	// EdgeInsert adds the edge; inserting an existing edge is a no-op.
-	EdgeInsert EdgeOp = EdgeOp(live.OpInsert)
+	EdgeInsert EdgeOp = iota
 	// EdgeDelete removes the edge; deleting a missing edge is a no-op.
-	EdgeDelete EdgeOp = EdgeOp(live.OpDelete)
+	EdgeDelete
 )
 
 // EdgeUpdate is one edge mutation on one layer of a mutable engine's
@@ -75,7 +77,7 @@ func NewMutableEngine(g *Graph, cfg EngineConfig) (*Engine, error) {
 		return nil, err
 	}
 	e.mutable = true
-	e.live = live.NewStore(g)
+	e.dyn = dynamic.FromMultilayer(g)
 	return e, nil
 }
 
@@ -100,34 +102,44 @@ func (e *Engine) ApplyUpdates(ctx context.Context, updates []EdgeUpdate) (*Updat
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ups := make([]live.Update, len(updates))
-	for i, u := range updates {
-		ups[i] = live.Update{Op: live.Op(u.Op), Layer: u.Layer, U: u.U, V: u.V}
+	if err := validateUpdates(e.Graph(), updates); err != nil {
+		return nil, err
 	}
-	if err := e.live.Validate(ups); err != nil {
-		return nil, fmt.Errorf("dccs: %w", err)
-	}
-	e.updateMu.Lock()
-	defer e.updateMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res := e.live.Apply(ctx, ups)
 	st := e.st.Load()
-	stats := &UpdateStats{
-		Applied:  len(updates),
-		Inserted: res.Inserted,
-		Deleted:  res.Deleted,
-		NoOps:    res.NoOps,
-		Version:  st.version,
+	stats := &UpdateStats{Applied: len(updates), Version: st.version}
+	// changed lists the edge of every effective update in batch order, an
+	// edge inserted and deleted within the batch twice; Derive reads it.
+	var changed []multilayer.Edge
+	for _, up := range updates {
+		switch {
+		case up.Op == EdgeInsert && e.dyn.AddEdge(up.Layer, up.U, up.V):
+			stats.Inserted++
+			for _, w := range e.watches {
+				w.m.ObserveAdd(ctx, up.Layer, up.U, up.V)
+			}
+		case up.Op == EdgeDelete && e.dyn.RemoveEdge(up.Layer, up.U, up.V):
+			stats.Deleted++
+			for _, w := range e.watches {
+				w.m.ObserveRemove(ctx, up.Layer, up.U, up.V)
+			}
+		default:
+			stats.NoOps++
+			continue
+		}
+		changed = append(changed, multilayer.Edge{Layer: up.Layer, U: up.U, V: up.V})
 	}
-	if len(res.Edges) == 0 {
+	if len(changed) == 0 {
 		return stats, nil
 	}
 	start := time.Now()
-	ng := e.live.Freeze()
+	ng := e.dyn.Freeze()
 	stats.FreezeElapsed = time.Since(start)
-	np, info := st.pr.Derive(ng, res.Edges, st.version+1)
+	np, info := st.pr.Derive(ng, changed, st.version+1)
 	stats.RebuildElapsed = time.Since(start)
 	stats.DeriveElapsed = stats.RebuildElapsed - stats.FreezeElapsed
 	stats.DirtyLayers = info.DirtyLayers
@@ -139,11 +151,35 @@ func (e *Engine) ApplyUpdates(ctx context.Context, updates []EdgeUpdate) (*Updat
 	return stats, nil
 }
 
+// validateUpdates checks a batch against g's dimensions, which never
+// change on a live graph, so a malformed batch is rejected before any
+// of it lands: once mutation starts, a batch is not transactional.
+func validateUpdates(g *Graph, updates []EdgeUpdate) error {
+	n, l := g.N(), g.L()
+	for i, up := range updates {
+		switch {
+		case up.Op != EdgeInsert && up.Op != EdgeDelete:
+			return fmt.Errorf("dccs: update %d: unknown op %d", i, uint8(up.Op))
+		case up.Layer < 0 || up.Layer >= l:
+			return fmt.Errorf("dccs: update %d: layer %d out of range [0,%d)", i, up.Layer, l)
+		case up.U < 0 || up.U >= n || up.V < 0 || up.V >= n:
+			return fmt.Errorf("dccs: update %d: endpoint out of range [0,%d): {%d,%d}", i, n, up.U, up.V)
+		case up.U == up.V:
+			return fmt.Errorf("dccs: update %d: self-loop at vertex %d", i, up.U)
+		}
+	}
+	return nil
+}
+
 // CoreWatch is a maintained d-coherent core over a mutable engine's
-// graph: it tracks every ApplyUpdates batch through the incremental
-// maintainer instead of recomputing from scratch. See live.Watch.
+// graph. ApplyUpdates lands each edge change on the shared graph and
+// then hands it to every open watch's dynamic.Maintainer, so the core
+// follows every batch without a recomputation. Every method takes the
+// engine's update lock, so a watch never reads a half-applied batch.
 type CoreWatch struct {
-	w *live.Watch
+	e      *Engine
+	m      *dynamic.Maintainer
+	closed bool
 }
 
 // Watch attaches a maintained d-CC over the given layer subset of a
@@ -153,23 +189,53 @@ func (e *Engine) Watch(ctx context.Context, layers []int, d int) (*CoreWatch, er
 	if !e.mutable {
 		return nil, ErrImmutableEngine
 	}
-	w, err := e.live.Watch(ctx, layers, d)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	m, err := dynamic.NewMaintainer(ctx, e.dyn, layers, d)
 	if err != nil {
 		return nil, fmt.Errorf("dccs: %w", err)
 	}
-	return &CoreWatch{w: w}, nil
+	w := &CoreWatch{e: e, m: m}
+	e.watches = append(e.watches, w)
+	return w, nil
 }
 
 // Core returns a sorted snapshot of the maintained core (a superset of
 // the exact core while Truncated reports true).
-func (cw *CoreWatch) Core() []int32 { return cw.w.Core() }
+func (w *CoreWatch) Core() []int32 {
+	w.e.mu.Lock()
+	defer w.e.mu.Unlock()
+	return w.m.Core().Slice32()
+}
 
-// Truncated reports whether cancelled maintenance left the watch stale.
-func (cw *CoreWatch) Truncated() bool { return cw.w.Truncated() }
+// Truncated reports whether cancelled maintenance left the watch stale
+// (see dynamic.Maintainer.Truncated).
+func (w *CoreWatch) Truncated() bool {
+	w.e.mu.Lock()
+	defer w.e.mu.Unlock()
+	return w.m.Truncated()
+}
 
 // Repair finishes deferred maintenance; it reports whether the core is
-// exact on return.
-func (cw *CoreWatch) Repair(ctx context.Context) bool { return cw.w.Repair(ctx) }
+// exact on return. On a closed watch it does no work (see Close).
+func (w *CoreWatch) Repair(ctx context.Context) bool {
+	w.e.mu.Lock()
+	defer w.e.mu.Unlock()
+	if w.closed {
+		return !w.m.Truncated()
+	}
+	return w.m.Repair(ctx)
+}
 
-// Close detaches the watch; later updates no longer maintain it.
-func (cw *CoreWatch) Close() { cw.w.Close() }
+// Close detaches the watch and freezes it at its state at Close: later
+// batches no longer maintain it, Core and Truncated keep reporting that
+// state, and Repair does no work and returns !Truncated. A truncated
+// watch's deferred peel would read degree counters that missed every
+// later batch against the current graph, and report a stale core as
+// exact. Closing twice is a no-op.
+func (w *CoreWatch) Close() {
+	w.e.mu.Lock()
+	defer w.e.mu.Unlock()
+	w.closed = true
+	w.e.watches = slices.DeleteFunc(w.e.watches, func(o *CoreWatch) bool { return o == w })
+}

@@ -245,6 +245,137 @@ func TestApplyUpdatesValidates(t *testing.T) {
 	}
 }
 
+// TestValidateUpdates pins the batch check update by update: a
+// well-formed batch passes, and each malformed update is rejected alone.
+func TestValidateUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := testutil.RandomGraph(rng, 20, 3, 0.2)
+	good := []EdgeUpdate{
+		{Op: EdgeInsert, Layer: 0, U: 0, V: 1},
+		{Op: EdgeDelete, Layer: 2, U: 19, V: 5},
+	}
+	if err := validateUpdates(g, good); err != nil {
+		t.Fatalf("valid batch rejected: %v", err)
+	}
+	bad := []EdgeUpdate{
+		{Op: EdgeOp(7), Layer: 0, U: 0, V: 1},
+		{Op: EdgeInsert, Layer: -1, U: 0, V: 1},
+		{Op: EdgeInsert, Layer: 3, U: 0, V: 1},
+		{Op: EdgeInsert, Layer: 0, U: -1, V: 1},
+		{Op: EdgeInsert, Layer: 0, U: 0, V: 20},
+		{Op: EdgeInsert, Layer: 0, U: 4, V: 4},
+	}
+	for i, up := range bad {
+		if err := validateUpdates(g, []EdgeUpdate{up}); err == nil {
+			t.Errorf("bad update %d accepted: %+v", i, up)
+		}
+	}
+}
+
+// TestFreezeMatchesStream cross-checks the export path: an engine that
+// absorbed a random stream serves exactly the graph a cold Builder
+// builds from a shadow edge set fed the same stream.
+func TestFreezeMatchesStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	src := testutil.RandomGraph(rng, 40, 3, 0.15)
+	eng, err := NewMutableEngine(src, EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type edge struct{ layer, u, v int }
+	key := func(layer, u, v int) edge { return edge{layer, min(u, v), max(u, v)} }
+	shadow := map[edge]bool{}
+	for layer := 0; layer < src.L(); layer++ {
+		for v := 0; v < src.N(); v++ {
+			for _, u := range src.Neighbors(layer, v) {
+				shadow[key(layer, v, int(u))] = true
+			}
+		}
+	}
+
+	for round := 0; round < 5; round++ {
+		ups := randomStream(rng, src, 30)
+		if _, err := eng.ApplyUpdates(context.Background(), ups); err != nil {
+			t.Fatal(err)
+		}
+		for _, up := range ups {
+			if up.Op == EdgeInsert {
+				shadow[key(up.Layer, up.U, up.V)] = true
+			} else {
+				delete(shadow, key(up.Layer, up.U, up.V))
+			}
+		}
+		// The Builder sorts its edge lists, so map order cannot leak.
+		b := NewBuilder(src.N(), src.L())
+		for e := range shadow {
+			b.MustAddEdge(e.layer, e.u, e.v)
+		}
+		if !eng.Graph().Equal(b.Build()) {
+			t.Fatalf("round %d: engine graph diverged from shadow graph", round)
+		}
+	}
+}
+
+// TestApplyUpdatesBookkeeping pins the per-batch counts on a hand-built
+// graph: a duplicate insert and a missing delete are no-ops, an edge
+// inserted and then deleted within one batch counts once each way and
+// dirties its layer, and a batch of pure no-ops changes nothing. A batch
+// that inserts and deletes the same edge still bumps the version and
+// leaves the graph Equal to before.
+func TestApplyUpdatesBookkeeping(t *testing.T) {
+	ctx := context.Background()
+	// Layer 0: path 0-1-2; layer 1: empty.
+	b := NewBuilder(5, 2)
+	b.MustAddEdge(0, 0, 1)
+	b.MustAddEdge(0, 1, 2)
+	eng, err := NewMutableEngine(b.Build(), EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := eng.ApplyUpdates(ctx, []EdgeUpdate{
+		{Op: EdgeInsert, Layer: 0, U: 0, V: 2}, // closes the triangle
+		{Op: EdgeInsert, Layer: 0, U: 0, V: 2}, // no-op: already present
+		{Op: EdgeDelete, Layer: 0, U: 3, V: 4}, // no-op: never existed
+		{Op: EdgeInsert, Layer: 1, U: 3, V: 4}, // fresh edge on the empty layer
+		{Op: EdgeDelete, Layer: 1, U: 4, V: 3}, // ...deleted again within the batch
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Applied != 5 || st.Inserted != 2 || st.Deleted != 1 || st.NoOps != 2 || st.DirtyLayers != 2 || st.Version != 1 {
+		t.Fatalf("mixed batch: %+v", st)
+	}
+	tri := NewBuilder(5, 2)
+	tri.MustAddEdge(0, 0, 1)
+	tri.MustAddEdge(0, 1, 2)
+	tri.MustAddEdge(0, 0, 2)
+	if !eng.Graph().Equal(tri.Build()) {
+		t.Fatal("mixed batch: graph is not the triangle")
+	}
+
+	// A batch of pure no-ops: no version bump, no rebuild.
+	before := eng.Graph()
+	st, err = eng.ApplyUpdates(ctx, []EdgeUpdate{{Op: EdgeDelete, Layer: 1, U: 3, V: 4}, {Op: EdgeInsert, Layer: 0, U: 2, V: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NoOps != 2 || st.Version != 1 || st.RebuildElapsed != 0 || eng.Graph() != before {
+		t.Fatalf("no-op batch: %+v", st)
+	}
+
+	// Insert and delete in one batch: a new version over an equal graph.
+	st, err = eng.ApplyUpdates(ctx, []EdgeUpdate{{Op: EdgeInsert, Layer: 1, U: 0, V: 4}, {Op: EdgeDelete, Layer: 1, U: 0, V: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Inserted != 1 || st.Deleted != 1 || st.NoOps != 0 || st.DirtyLayers != 1 || st.Version != 2 || eng.Version() != 2 {
+		t.Fatalf("round trip: %+v", st)
+	}
+	if !eng.Graph().Equal(before) {
+		t.Fatal("round trip: graph differs from before the batch")
+	}
+}
+
 // TestCoreWatchTracksUpdates pins the maintained-core subsystem at the
 // public API: a watch attached before a stream of updates must always
 // report exactly the core CoherentCore computes on the current graph.

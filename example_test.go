@@ -44,20 +44,31 @@ func ExampleCoherentCore() {
 	// [0 1 2]
 }
 
-// ExampleCoreMaintainer tracks a coherent core while edges stream in.
-func ExampleCoreMaintainer() {
-	g := dccs.NewDynamicGraph(4, 1)
-	m, err := dccs.NewCoreMaintainer(context.Background(), g, []int{0}, 2)
+// ExampleEngine_Watch tracks a coherent core while edges stream in.
+func ExampleEngine_Watch() {
+	ctx := context.Background()
+	eng, err := dccs.NewMutableEngine(dccs.NewBuilder(4, 1).Build(), dccs.EngineConfig{})
 	if err != nil {
 		panic(err)
 	}
-	m.AddEdge(context.Background(), 0, 0, 1)
-	m.AddEdge(context.Background(), 0, 1, 2)
-	fmt.Println("path:", m.CoreSize())
-	m.AddEdge(context.Background(), 0, 0, 2)
-	fmt.Println("triangle:", m.CoreSize())
-	m.RemoveEdge(context.Background(), 0, 0, 1)
-	fmt.Println("broken:", m.CoreSize())
+	w, err := eng.Watch(ctx, []int{0}, 2)
+	if err != nil {
+		panic(err)
+	}
+	defer w.Close()
+	for _, step := range []struct {
+		name  string
+		batch []dccs.EdgeUpdate
+	}{
+		{"path", []dccs.EdgeUpdate{{Op: dccs.EdgeInsert, U: 0, V: 1}, {Op: dccs.EdgeInsert, U: 1, V: 2}}},
+		{"triangle", []dccs.EdgeUpdate{{Op: dccs.EdgeInsert, U: 0, V: 2}}},
+		{"broken", []dccs.EdgeUpdate{{Op: dccs.EdgeDelete, U: 0, V: 1}}},
+	} {
+		if _, err := eng.ApplyUpdates(ctx, step.batch); err != nil {
+			panic(err)
+		}
+		fmt.Printf("%s: %d\n", step.name, len(w.Core()))
+	}
 	// Output:
 	// path: 0
 	// triangle: 3

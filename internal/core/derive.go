@@ -40,7 +40,7 @@ func (pr *Prepared) Version() uint64 { return pr.version.Load() }
 
 // Derive builds a Prepared for the post-update graph g, carrying over
 // every artifact of pr that the update provably did not affect. changed
-// lists the edges the batch changed (see live.BatchResult.Edges; an
+// lists the edges the batch changed (see Engine.ApplyUpdates; an
 // entry whose edge ended the batch as it began is harmless), and
 // determines everything Derive recomputes:
 //

@@ -7,32 +7,48 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/dynamic"
 	"repro/internal/kcore"
-	"repro/internal/live"
 	"repro/internal/multilayer"
 	"repro/internal/testutil"
 )
 
-// applyRandom pushes a deterministic insert/delete stream through a live
-// store as one batch and returns its result.
-func applyRandom(t *testing.T, st *live.Store, rng *rand.Rand, steps int) live.BatchResult {
-	t.Helper()
-	ups := make([]live.Update, 0, steps)
+// update is one edge change of a test batch.
+type update struct {
+	del         bool
+	layer, u, v int
+}
+
+// applyBatch lands a batch on the mutable graph in order, as
+// Engine.ApplyUpdates does, and returns the edge of every effective
+// update in batch order: the changed-edge list Derive reads.
+func applyBatch(dg *dynamic.Graph, ups []update) []multilayer.Edge {
+	var changed []multilayer.Edge
+	for _, up := range ups {
+		apply := dg.AddEdge
+		if up.del {
+			apply = dg.RemoveEdge
+		}
+		if apply(up.layer, up.u, up.v) {
+			changed = append(changed, multilayer.Edge{Layer: up.layer, U: up.u, V: up.v})
+		}
+	}
+	return changed
+}
+
+// applyRandom lands a deterministic insert/delete stream on the mutable
+// graph as one batch and returns its changed edges.
+func applyRandom(dg *dynamic.Graph, rng *rand.Rand, steps int) []multilayer.Edge {
+	ups := make([]update, 0, steps)
 	for len(ups) < steps {
-		u, v := rng.Intn(st.N()), rng.Intn(st.N())
+		u, v := rng.Intn(dg.N()), rng.Intn(dg.N())
 		if u == v {
 			continue
 		}
-		op := live.OpInsert
-		if rng.Intn(3) == 0 {
-			op = live.OpDelete
-		}
-		ups = append(ups, live.Update{Op: op, Layer: rng.Intn(st.L()), U: u, V: v})
+		del := rng.Intn(3) == 0
+		ups = append(ups, update{del: del, layer: rng.Intn(dg.L()), u: u, v: v})
 	}
-	if err := st.Validate(ups); err != nil {
-		t.Fatal(err)
-	}
-	return st.Apply(context.Background(), ups)
+	return applyBatch(dg, ups)
 }
 
 // TestDeriveMatchesFreshBuild is the core-layer equivalence property:
@@ -52,11 +68,11 @@ func TestDeriveMatchesFreshBuild(t *testing.T) {
 			}
 		}
 
-		st := live.NewStore(g)
-		res := applyRandom(t, st, rng, 40)
-		g2 := st.Freeze()
-		derived, info := pr.Derive(g2, res.Edges, 1)
-		bound := corenessBoundOracle(g, g2, res.Edges)
+		dg := dynamic.FromMultilayer(g)
+		changed := applyRandom(dg, rng, 40)
+		g2 := dg.Freeze()
+		derived, info := pr.Derive(g2, changed, 1)
+		bound := corenessBoundOracle(g, g2, changed)
 		if derived.Version() != 1 {
 			t.Fatalf("derived version = %d, want 1", derived.Version())
 		}
@@ -153,17 +169,15 @@ func TestDeriveRetainsAboveBound(t *testing.T) {
 	}
 	builds := pr.Counters().HierarchyBuilds
 
-	st := live.NewStore(g)
-	res := st.Apply(context.Background(), []live.Update{
-		{Op: live.OpInsert, Layer: 0, U: 41, V: 43},
-	})
-	g2 := st.Freeze()
-	derived, info := pr.Derive(g2, res.Edges, 1)
+	dg := dynamic.FromMultilayer(g)
+	changed := applyBatch(dg, []update{{layer: 0, u: 41, v: 43}})
+	g2 := dg.Freeze()
+	derived, info := pr.Derive(g2, changed, 1)
 	// Thresholds under the bound (if any) were rebuilt inside Derive;
 	// serving queries must add nothing on top of that baseline.
 	builds = derived.Counters().HierarchyBuilds
 
-	bound := corenessBoundOracle(g, g2, res.Edges)
+	bound := corenessBoundOracle(g, g2, changed)
 	if bound != 2 || derived.MaxCoreness() != maxd {
 		t.Fatalf("fringe insert: bound %d, want 2; max coreness %d, was %d", bound, derived.MaxCoreness(), maxd)
 	}
@@ -221,16 +235,14 @@ func TestDeriveInvalidatesAtBound(t *testing.T) {
 			}
 		}
 	}
-	st := live.NewStore(g)
-	res := st.Apply(context.Background(), []live.Update{
-		{Op: live.OpDelete, Layer: 0, U: best, V: peer},
-	})
-	g2 := st.Freeze()
-	bound := corenessBoundOracle(g, g2, res.Edges)
+	dg := dynamic.FromMultilayer(g)
+	changed := applyBatch(dg, []update{{del: true, layer: 0, u: best, v: peer}})
+	g2 := dg.Freeze()
+	bound := corenessBoundOracle(g, g2, changed)
 	if bound < 2 {
 		t.Fatalf("engineered delete has bound %d, want >= 2", bound)
 	}
-	derived, info := pr.Derive(g2, res.Edges, 1)
+	derived, info := pr.Derive(g2, changed, 1)
 	if info.InvalidatedHierarchies != 1 {
 		t.Fatalf("invalidated %d hierarchies, want 1 (d=2 <= bound %d)", info.InvalidatedHierarchies, bound)
 	}
@@ -286,15 +298,15 @@ func TestDeriveCorenessBoundProperty(t *testing.T) {
 				}
 			}
 		}
-		var ups []live.Update
+		var ups []update
 		for k := 1 + rng.Intn(4); k > 0; k-- {
 			u, v := randomPair()
-			ups = append(ups, live.Update{Op: live.OpInsert, Layer: layers[rng.Intn(len(layers))], U: u, V: v})
+			ups = append(ups, update{layer: layers[rng.Intn(len(layers))], u: u, v: v})
 		}
 		for k := 1 + rng.Intn(4); k > 0; k-- {
 			layer, v := layers[rng.Intn(len(layers))], rng.Intn(g.N())
 			if nb := g.Neighbors(layer, v); len(nb) > 0 {
-				ups = append(ups, live.Update{Op: live.OpDelete, Layer: layer, U: v, V: int(nb[rng.Intn(len(nb))])})
+				ups = append(ups, update{del: true, layer: layer, u: v, v: int(nb[rng.Intn(len(nb))])})
 			}
 		}
 		rng.Shuffle(len(ups), func(i, j int) { ups[i], ups[j] = ups[j], ups[i] })
@@ -302,17 +314,17 @@ func TestDeriveCorenessBoundProperty(t *testing.T) {
 			u, v := randomPair()
 			if layer := layers[0]; !g.HasEdge(layer, u, v) {
 				ups = append(ups,
-					live.Update{Op: live.OpInsert, Layer: layer, U: u, V: v},
-					live.Update{Op: live.OpDelete, Layer: layer, U: u, V: v})
+					update{layer: layer, u: u, v: v},
+					update{del: true, layer: layer, u: u, v: v})
 				break
 			}
 		}
 
-		st := live.NewStore(g)
-		res := st.Apply(ctx, ups)
-		g2 := st.Freeze()
-		derived, info := pr.Derive(g2, res.Edges, 1)
-		bound := corenessBoundOracle(g, g2, res.Edges)
+		dg := dynamic.FromMultilayer(g)
+		changed := applyBatch(dg, ups)
+		g2 := dg.Freeze()
+		derived, info := pr.Derive(g2, changed, 1)
+		bound := corenessBoundOracle(g, g2, changed)
 		maxc2 := derived.MaxCoreness()
 		cold := NewPrepared(g2, 1)
 
@@ -372,10 +384,10 @@ func TestSnapshotCarriesVersion(t *testing.T) {
 	}
 
 	// A derived handle stamps its batch counter into the snapshot.
-	st := live.NewStore(g)
-	res := applyRandom(t, st, rng, 10)
-	g2 := st.Freeze()
-	derived, _ := pr.Derive(g2, res.Edges, 7)
+	dg := dynamic.FromMultilayer(g)
+	changed := applyRandom(dg, rng, 10)
+	g2 := dg.Freeze()
+	derived, _ := pr.Derive(g2, changed, 7)
 	buf.Reset()
 	if err := derived.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)

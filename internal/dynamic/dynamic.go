@@ -19,6 +19,12 @@
 // stashed, for insertions a pre-grow core marked for rebuild — reported
 // by Truncated and finished by Repair (or automatically by the next
 // update). A nil ctx runs every operation to completion.
+//
+// A Maintainer has one mutation protocol. It never writes the graph: the
+// owner applies each edge change to the shared Graph (AddEdge,
+// RemoveEdge) and then reports an effective one to every Maintainer over
+// that graph through ObserveAdd or ObserveRemove, before the next change.
+// The root package's mutable Engine is that owner for its watches.
 package dynamic
 
 import (
@@ -42,15 +48,6 @@ type Graph struct {
 	base    *multilayer.Graph
 	overlay []map[int32][]int32 // overlay[layer][v] = v's edited row; nil while the layer is unedited
 	m       []int               // per-layer undirected edge count
-}
-
-// NewGraph returns an empty mutable graph with n vertices and the given
-// number of layers.
-func NewGraph(n, layers int) *Graph {
-	if n < 0 || layers < 0 {
-		panic("dynamic: negative dimensions")
-	}
-	return FromMultilayer(multilayer.NewBuilder(n, layers).Build())
 }
 
 // FromMultilayer returns a mutable graph whose initial state is src, in
@@ -234,20 +231,20 @@ func (g *Graph) splice(layer int, ov map[int32][]int32) ([]int64, []int32) {
 }
 
 // Maintainer keeps the d-coherent core of a fixed layer subset current
-// while the underlying Graph changes through it. All updates must go
-// through the maintainer's AddEdge/RemoveEdge; mutating the Graph
-// directly desynchronizes the core.
+// while the underlying Graph changes. Its owner applies each change to
+// the Graph and then observes it (see the package doc); a change that is
+// applied but not observed desynchronizes the core.
 //
 // Operations take a context and poll it inside their cascade loops.
-// Cancellation never corrupts the maintainer: the graph mutation is
-// always applied, and the core is left in a valid intermediate state
-// with Truncated reporting true — a superset core plus the stashed peel
-// worklist when a deletion cascade was cut short (resumed incrementally
-// by Repair), or the pre-insertion core marked insertDirty when an
-// insertion grow was cut short (Repair falls back to a full rebuild,
-// since the grow argument needs the previous core to be exact and
-// maximal). Every update drains the backlog before applying its own
-// incremental step.
+// Cancellation never corrupts the maintainer: the core is left in a
+// valid intermediate state with Truncated reporting true — a superset
+// core plus the stashed peel worklist when a deletion cascade was cut
+// short (resumed incrementally by Repair), or the pre-insertion core
+// marked insertDirty when an insertion grow was cut short (Repair falls
+// back to a full rebuild, since the grow argument needs the previous
+// core to be exact and maximal). Every observed change drains the
+// backlog before applying its own incremental step; an insertion does
+// so by a full rebuild.
 type Maintainer struct {
 	g      *Graph
 	layers []int
@@ -428,25 +425,11 @@ func (m *Maintainer) peel(ctx context.Context, queue []int32) []int32 {
 	return nil
 }
 
-// RemoveEdge deletes {u, v} from the layer and shrinks the core by exact
-// cascade. It reports whether the edge existed. Cancellation stashes the
-// remaining cascade (see Maintainer); the deletion itself always lands.
-func (m *Maintainer) RemoveEdge(ctx context.Context, layer, u, v int) bool {
-	if !m.g.RemoveEdge(layer, u, v) {
-		return false
-	}
-	m.ObserveRemove(ctx, layer, u, v)
-	return true
-}
-
-// ObserveRemove incorporates the deletion of {u, v} — already applied to
-// the underlying Graph by the caller — into the maintained core. It is
-// the maintenance half of RemoveEdge, split out for owners that mutate
-// the shared Graph once and fan the change out to several maintainers
-// (the live-graph store): a second maintainer's RemoveEdge would see the
-// edge already gone and skip maintenance entirely. The edge must have
-// existed and must have just been removed; observing a deletion that
-// never happened desynchronizes the degree counters.
+// ObserveRemove incorporates the deletion of {u, v}, which the owner
+// has just applied to the Graph, into the maintained core by exact
+// cascade. The edge must have existed; observing a deletion that never
+// happened desynchronizes the degree counters. Cancellation stashes the
+// remaining cascade (see Maintainer).
 func (m *Maintainer) ObserveRemove(ctx context.Context, layer, u, v int) {
 	if !m.inL[layer] {
 		return
@@ -470,34 +453,16 @@ func (m *Maintainer) ObserveRemove(ctx context.Context, layer, u, v int) {
 	m.pending = m.peel(ctx, m.pending)
 }
 
-// AddEdge inserts {u, v} on the layer and grows the core exactly: any
-// vertex joining the new core must be reachable from the new edge's
-// endpoints through non-core vertices on watched layers (otherwise the
-// old core was not maximal), so it suffices to peel the old core plus
-// that candidate region. It reports whether the edge was new.
-// Cancellation before the grow commits marks the maintainer insertDirty
-// (full rebuild on Repair); cancellation during the final peel stashes
-// the cascade like a deletion would. The insertion itself always lands.
-func (m *Maintainer) AddEdge(ctx context.Context, layer, u, v int) bool {
-	if m.Truncated() {
-		// The grow argument needs the previous core exact and maximal;
-		// drain the backlog now, while the stashed counters still match
-		// the graph (ObserveAdd would have to fall back to a rebuild).
-		m.Repair(ctx)
-	}
-	if !m.g.AddEdge(layer, u, v) {
-		return false
-	}
-	m.ObserveAdd(ctx, layer, u, v)
-	return true
-}
-
-// ObserveAdd incorporates the insertion of {u, v} — already applied to
-// the underlying Graph by the caller — into the maintained core: the
-// maintenance half of AddEdge, for owners fanning one mutation out to
-// several maintainers (see ObserveRemove). The edge must have just been
-// inserted. A backlog stashed by an earlier cancelled operation cannot
-// be resumed here — its counters predate this edge — so in that case the
+// ObserveAdd incorporates the insertion of {u, v}, which the owner has
+// just applied to the Graph, into the maintained core and grows it
+// exactly: any vertex joining the new core must be reachable from the
+// new edge's endpoints through non-core vertices on watched layers
+// (otherwise the old core was not maximal), so it suffices to peel the
+// old core plus that candidate region. Cancellation before the grow
+// commits marks the maintainer insertDirty (full rebuild on Repair);
+// cancellation during the final peel stashes the cascade like a deletion
+// would. A backlog stashed by an earlier cancelled operation cannot be
+// resumed here — its counters predate this edge — so in that case the
 // maintainer falls back to a full rebuild over the current graph.
 func (m *Maintainer) ObserveAdd(ctx context.Context, layer, u, v int) {
 	if !m.inL[layer] {
@@ -509,7 +474,7 @@ func (m *Maintainer) ObserveAdd(ctx context.Context, layer, u, v int) {
 		// this edge, so resuming them could over-peel. Schedule a full
 		// rebuild instead — it runs against the current graph, edge
 		// included — and run it now unless ctx is already cancelled (then
-		// it stays deferred to Repair or the next update, like AddEdge).
+		// it stays deferred to Repair or the next update).
 		m.insertDirty = true
 		if ctx == nil || ctx.Err() == nil {
 			m.Repair(ctx)

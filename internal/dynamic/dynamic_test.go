@@ -8,11 +8,34 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/kcore"
+	"repro/internal/multilayer"
 	"repro/internal/testutil"
 )
 
+// newGraph returns an empty mutable graph with n vertices and l layers.
+func newGraph(n, l int) *Graph { return FromMultilayer(multilayer.NewBuilder(n, l).Build()) }
+
+// addEdge and removeEdge follow the package's one mutation protocol for
+// a single maintainer: mutate the shared graph, then observe the change
+// if it was effective. Each reports whether the graph changed.
+func addEdge(ctx context.Context, m *Maintainer, layer, u, v int) bool {
+	if !m.g.AddEdge(layer, u, v) {
+		return false
+	}
+	m.ObserveAdd(ctx, layer, u, v)
+	return true
+}
+
+func removeEdge(ctx context.Context, m *Maintainer, layer, u, v int) bool {
+	if !m.g.RemoveEdge(layer, u, v) {
+		return false
+	}
+	m.ObserveRemove(ctx, layer, u, v)
+	return true
+}
+
 func TestGraphBasics(t *testing.T) {
-	g := NewGraph(5, 2)
+	g := newGraph(5, 2)
 	if !g.AddEdge(0, 1, 2) || g.AddEdge(0, 2, 1) {
 		t.Fatal("AddEdge dedup wrong")
 	}
@@ -34,7 +57,7 @@ func TestGraphBasics(t *testing.T) {
 }
 
 func TestGraphPanicsOutOfRange(t *testing.T) {
-	g := NewGraph(3, 1)
+	g := newGraph(3, 1)
 	for _, fn := range []func(){
 		func() { g.AddEdge(1, 0, 1) },
 		func() { g.AddEdge(0, -1, 1) },
@@ -74,7 +97,7 @@ func TestFreezeRoundTrip(t *testing.T) {
 }
 
 func TestMaintainerValidation(t *testing.T) {
-	g := NewGraph(5, 2)
+	g := newGraph(5, 2)
 	cases := []struct {
 		layers []int
 		d      int
@@ -92,7 +115,7 @@ func TestMaintainerValidation(t *testing.T) {
 }
 
 func TestMaintainerTriangle(t *testing.T) {
-	g := NewGraph(4, 1)
+	g := newGraph(4, 1)
 	m, err := NewMaintainer(context.Background(), g, []int{0}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -100,16 +123,16 @@ func TestMaintainerTriangle(t *testing.T) {
 	if m.CoreSize() != 0 {
 		t.Fatal("empty graph has nonempty core")
 	}
-	m.AddEdge(context.Background(), 0, 0, 1)
-	m.AddEdge(context.Background(), 0, 1, 2)
+	addEdge(context.Background(), m, 0, 0, 1)
+	addEdge(context.Background(), m, 0, 1, 2)
 	if m.CoreSize() != 0 {
 		t.Fatal("path has nonempty 2-core")
 	}
-	m.AddEdge(context.Background(), 0, 0, 2)
+	addEdge(context.Background(), m, 0, 0, 2)
 	if got := m.Core().Slice(); len(got) != 3 {
 		t.Fatalf("triangle core = %v", got)
 	}
-	m.RemoveEdge(context.Background(), 0, 0, 1)
+	removeEdge(context.Background(), m, 0, 0, 1)
 	if m.CoreSize() != 0 {
 		t.Fatal("core survived edge removal")
 	}
@@ -127,7 +150,7 @@ func TestMaintainerMatchesRecompute(t *testing.T) {
 		size := 1 + rng.Intn(l)
 		layers := testutil.RandomLayerSubset(rng, l, size)
 
-		g := NewGraph(n, l)
+		g := newGraph(n, l)
 		m, err := NewMaintainer(context.Background(), g, layers, d)
 		if err != nil {
 			return false
@@ -140,13 +163,13 @@ func TestMaintainerMatchesRecompute(t *testing.T) {
 				if u == v {
 					continue
 				}
-				if m.AddEdge(context.Background(), layer, u, v) {
+				if addEdge(context.Background(), m, layer, u, v) {
 					present = append(present, edge{layer, u, v})
 				}
 			} else {
 				i := rng.Intn(len(present))
 				e := present[i]
-				if !m.RemoveEdge(context.Background(), e.layer, e.u, e.v) {
+				if !removeEdge(context.Background(), m, e.layer, e.u, e.v) {
 					return false
 				}
 				present[i] = present[len(present)-1]
@@ -171,17 +194,17 @@ func TestMaintainerMatchesRecompute(t *testing.T) {
 // TestMaintainerIgnoresUnwatchedLayers checks updates on layers outside L
 // pass through without touching the core.
 func TestMaintainerIgnoresUnwatchedLayers(t *testing.T) {
-	g := NewGraph(4, 2)
+	g := newGraph(4, 2)
 	m, err := NewMaintainer(context.Background(), g, []int{0}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.AddEdge(context.Background(), 0, 0, 1)
-	m.AddEdge(context.Background(), 0, 1, 2)
-	m.AddEdge(context.Background(), 0, 0, 2)
+	addEdge(context.Background(), m, 0, 0, 1)
+	addEdge(context.Background(), m, 0, 1, 2)
+	addEdge(context.Background(), m, 0, 0, 2)
 	before := m.Core().Clone()
-	m.AddEdge(context.Background(), 1, 0, 3)
-	m.RemoveEdge(context.Background(), 1, 0, 3)
+	addEdge(context.Background(), m, 1, 0, 3)
+	removeEdge(context.Background(), m, 1, 0, 3)
 	if !m.Core().Equal(before) {
 		t.Fatal("unwatched layer affected the core")
 	}
@@ -193,7 +216,7 @@ func TestMaintainerIgnoresUnwatchedLayers(t *testing.T) {
 func TestMaintainerSlidingWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n, l, d := 60, 3, 3
-	g := NewGraph(n, l)
+	g := newGraph(n, l)
 	m, err := NewMaintainer(context.Background(), g, []int{0, 1, 2}, d)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +226,7 @@ func TestMaintainerSlidingWindow(t *testing.T) {
 	for _, layer := range []int{0, 1, 2} {
 		for i := range group {
 			for j := i + 1; j < len(group); j++ {
-				m.AddEdge(context.Background(), layer, group[i], group[j])
+				addEdge(context.Background(), m, layer, group[i], group[j])
 			}
 		}
 	}
@@ -213,9 +236,9 @@ func TestMaintainerSlidingWindow(t *testing.T) {
 			continue
 		}
 		if rng.Intn(2) == 0 {
-			m.AddEdge(context.Background(), layer, u, v)
+			addEdge(context.Background(), m, layer, u, v)
 		} else if !contains(group, u) || !contains(group, v) {
-			m.RemoveEdge(context.Background(), layer, u, v)
+			removeEdge(context.Background(), m, layer, u, v)
 		}
 		for _, w := range group {
 			if !m.Core().Contains(w) {
@@ -240,7 +263,7 @@ func contains(xs []int, x int) bool {
 // insert-dirty marker for insertions — and Repair restores exactness.
 func TestMaintainerCancellation(t *testing.T) {
 	const n = 2000
-	g := NewGraph(n, 1)
+	g := newGraph(n, 1)
 	m, err := NewMaintainer(context.Background(), g, []int{0}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +272,7 @@ func TestMaintainerCancellation(t *testing.T) {
 	// edge unravels it through a cascade of ~2n pops — far more than one
 	// poll stride, so a cancelled context reliably truncates it.
 	for i := 0; i < n; i++ {
-		m.AddEdge(context.Background(), 0, i, (i+1)%n)
+		addEdge(context.Background(), m, 0, i, (i+1)%n)
 	}
 	if m.CoreSize() != n {
 		t.Fatalf("cycle core = %d, want %d", m.CoreSize(), n)
@@ -258,7 +281,7 @@ func TestMaintainerCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if !m.RemoveEdge(cancelled, 0, 0, 1) {
+	if !removeEdge(cancelled, m, 0, 0, 1) {
 		t.Fatal("cancelled RemoveEdge must still remove the edge")
 	}
 	if g.HasEdge(0, 0, 1) {
@@ -276,7 +299,7 @@ func TestMaintainerCancellation(t *testing.T) {
 	// An insertion on a still-truncated maintainer under a cancelled
 	// context must fall back to the rebuild marker, not grow incrementally
 	// from the stale core.
-	if !m.AddEdge(cancelled, 0, 0, 1) {
+	if !addEdge(cancelled, m, 0, 0, 1) {
 		t.Fatal("cancelled AddEdge must still insert the edge")
 	}
 	if !g.HasEdge(0, 0, 1) {
