@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	dccs "repro"
 	"repro/internal/bench"
@@ -68,7 +69,7 @@ func BenchmarkCoreDecomposition(b *testing.B) {
 	g := benchGraph(b).Graph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kcore.Coreness(g, i%g.L(), nil)
+		kcore.Coreness(g, i%g.L())
 	}
 }
 
@@ -357,6 +358,38 @@ func BenchmarkEngineRestart(b *testing.B) {
 // edits layer p mod l. retained/op and invalidated/op report the
 // hierarchies the batch's retention bound kept and dropped.
 func BenchmarkApplyUpdates(b *testing.B) {
+	e, batches := liveUpdateBench(b)
+	benchApplyUpdates(b, e, batches)
+}
+
+// BenchmarkApplyUpdatesWatched is BenchmarkApplyUpdates with two watches
+// attached, {0, 1, 2} at d = 2 and {3, 4} at d = 4, so each batch also
+// brings the watches it can have changed up to date. insert-ns/op and
+// delete-ns/op split the batch time by kind.
+func BenchmarkApplyUpdatesWatched(b *testing.B) {
+	e, batches := liveUpdateBench(b)
+	for _, w := range []struct {
+		layers []int
+		d      int
+	}{{[]int{0, 1, 2}, 2}, {[]int{3, 4}, 4}} {
+		cw, err := e.Watch(context.Background(), w.layers, w.d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cw.Close()
+	}
+	mean := benchApplyUpdates(b, e, batches)
+	for op, unit := range []string{dccs.EdgeInsert: "insert-ns/op", dccs.EdgeDelete: "delete-ns/op"} {
+		if mean[op] > 0 { // at -benchtime=1x no delete batch runs
+			b.ReportMetric(mean[op], unit)
+		}
+	}
+}
+
+// liveUpdateBench returns the mutable engine and the batch stream of
+// BenchmarkApplyUpdates: batch 2p inserts 100 edges absent from the graph
+// on layer p, batch 2p+1 deletes them again.
+func liveUpdateBench(b *testing.B) (*dccs.Engine, [][]dccs.EdgeUpdate) {
 	const n, layers, edges = 20000, 12, 100
 	g := datasets.Generate(datasets.Config{
 		Name: "live", N: n, Layers: layers, Seed: 1,
@@ -392,22 +425,39 @@ func BenchmarkApplyUpdates(b *testing.B) {
 		}
 		batches = append(batches, ins, del)
 	}
+	return e, batches
+}
+
+// benchApplyUpdates applies batches round robin, one per iteration,
+// reports the retention split, and returns the mean nanoseconds of an
+// insert batch and of a delete batch, indexed by EdgeOp; a kind that
+// did not run reads 0.
+func benchApplyUpdates(b *testing.B, e *dccs.Engine, batches [][]dccs.EdgeUpdate) (mean [2]float64) {
 	retained, invalidated := 0, 0
+	var count [2]int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := e.ApplyUpdates(context.Background(), batches[i%len(batches)])
+		batch := batches[i%len(batches)]
+		start := time.Now()
+		st, err := e.ApplyUpdates(context.Background(), batch)
+		mean[batch[0].Op] += float64(time.Since(start).Nanoseconds())
+		count[batch[0].Op]++
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st.Inserted+st.Deleted != edges {
-			b.Fatalf("batch %d changed %d edges, want %d", i, st.Inserted+st.Deleted, edges)
+		if st.Inserted+st.Deleted != len(batch) {
+			b.Fatalf("batch %d changed %d edges, want %d", i, st.Inserted+st.Deleted, len(batch))
 		}
 		retained += st.RetainedHierarchies
 		invalidated += st.InvalidatedHierarchies
 	}
 	b.ReportMetric(float64(retained)/float64(b.N), "retained/op")
 	b.ReportMetric(float64(invalidated)/float64(b.N), "invalidated/op")
+	for op := range mean {
+		mean[op] /= float64(max(count[op], 1))
+	}
+	return mean
 }
 
 func BenchmarkSearchStatsOverhead(b *testing.B) {

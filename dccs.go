@@ -223,7 +223,7 @@ func Coreness(g *Graph, layer int) ([]int, error) {
 	if layer < 0 || layer >= g.L() {
 		return nil, fmt.Errorf("dccs: layer %d out of range [0,%d)", layer, g.L())
 	}
-	cn := kcore.Coreness(g, layer, nil)
+	cn := kcore.Coreness(g, layer)
 	out := make([]int, len(cn))
 	for v, c := range cn {
 		out[v] = int(c)

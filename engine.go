@@ -138,7 +138,7 @@ type Engine struct {
 	mutable bool
 	mu      sync.Mutex
 	dyn     *dynamic.Graph // the copy-on-write graph ApplyUpdates edits
-	watches []*CoreWatch   // slice, not a map: deterministic fan-out order
+	watches []*CoreWatch   // slice, not a map: deterministic refresh order
 }
 
 // engineState is one immutable (graph, artifacts, version) generation of

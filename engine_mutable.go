@@ -19,7 +19,9 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/dynamic"
+	"repro/internal/kcore"
 	"repro/internal/multilayer"
 )
 
@@ -90,11 +92,14 @@ func (e *Engine) Mutable() bool { return e.mutable }
 // engine; concurrent queries never observe a half-applied batch —
 // they run against either the previous generation or the next one.
 //
-// ctx bounds only the incremental maintenance of attached watches and
-// is checked once before mutating; once mutation starts, the batch and
-// its rebuild always complete (the rebuild is the cheap part — Derive
-// retains everything the batch provably did not affect). A batch where
-// every update is a no-op returns without bumping the version.
+// ctx is checked once before mutating; once mutation starts, the batch
+// and its rebuild always complete (the rebuild is the cheap part —
+// Derive retains everything the batch provably did not affect). After
+// the rebuild each attached watch the batch can have changed is
+// refreshed by one d-CC peel, and ctx is checked once more before each
+// of those: a watch whose refresh it cancels keeps the exact core of an
+// earlier generation and reports Truncated. A batch where every update
+// is a no-op returns without bumping the version.
 func (e *Engine) ApplyUpdates(ctx context.Context, updates []EdgeUpdate) (*UpdateStats, error) {
 	if !e.mutable {
 		return nil, ErrImmutableEngine
@@ -115,17 +120,19 @@ func (e *Engine) ApplyUpdates(ctx context.Context, updates []EdgeUpdate) (*Updat
 	// changed lists the edge of every effective update in batch order, an
 	// edge inserted and deleted within the batch twice; Derive reads it.
 	var changed []multilayer.Edge
+	marks := make([]watchMarks, len(e.watches))
 	for _, up := range updates {
 		switch {
 		case up.Op == EdgeInsert && e.dyn.AddEdge(up.Layer, up.U, up.V):
 			stats.Inserted++
-			for _, w := range e.watches {
-				w.m.ObserveAdd(ctx, up.Layer, up.U, up.V)
+			for i, w := range e.watches {
+				marks[i].grew = marks[i].grew || slices.Contains(w.layers, up.Layer)
 			}
 		case up.Op == EdgeDelete && e.dyn.RemoveEdge(up.Layer, up.U, up.V):
 			stats.Deleted++
-			for _, w := range e.watches {
-				w.m.ObserveRemove(ctx, up.Layer, up.U, up.V)
+			for i, w := range e.watches {
+				marks[i].shrank = marks[i].shrank ||
+					slices.Contains(w.layers, up.Layer) && w.core.Contains(up.U) && w.core.Contains(up.V)
 			}
 		default:
 			stats.NoOps++
@@ -147,7 +154,11 @@ func (e *Engine) ApplyUpdates(ctx context.Context, updates []EdgeUpdate) (*Updat
 	stats.RetainedHierarchies = info.RetainedHierarchies
 	stats.RebuiltHierarchies = info.RebuiltHierarchies
 	stats.Version = st.version + 1
-	e.st.Store(&engineState{g: ng, pr: np, version: st.version + 1})
+	next := &engineState{g: ng, pr: np, version: st.version + 1}
+	e.st.Store(next)
+	for i, w := range e.watches {
+		w.refresh(ctx, next, marks[i])
+	}
 	return stats, nil
 }
 
@@ -171,68 +182,112 @@ func validateUpdates(g *Graph, updates []EdgeUpdate) error {
 	return nil
 }
 
-// CoreWatch is a maintained d-coherent core over a mutable engine's
-// graph. ApplyUpdates lands each edge change on the shared graph and
-// then hands it to every open watch's dynamic.Maintainer, so the core
-// follows every batch without a recomputation. Every method takes the
-// engine's update lock, so a watch never reads a half-applied batch.
+// CoreWatch is the d-coherent core of one layer subset of a mutable
+// engine's graph, kept current by ApplyUpdates: after each batch's
+// Derive, every watch the batch can have changed is refreshed by one
+// kcore.DCC peel on the new generation, seeded with a superset of the
+// new core (DESIGN.md § Watches). Every method takes the engine's
+// update lock, so a watch never reads a half-applied batch.
 type CoreWatch struct {
 	e      *Engine
-	m      *dynamic.Maintainer
+	layers []int
+	d      int
+	core   *bitset.Set // the exact d-CC of the current generation, or of an earlier one while stale
+	stale  bool        // a cancelled refresh left core behind the current generation
 	closed bool
 }
 
-// Watch attaches a maintained d-CC over the given layer subset of a
-// mutable engine, initialized against the current graph. Cancelling ctx
-// mid-initialization still returns a usable watch with Truncated set.
+// watchMarks records what one batch can have done to a watch's core: an
+// insertion on a watched layer may grow it, and a deletion with both
+// endpoints inside it may shrink it. Any other update leaves it as is.
+type watchMarks struct{ grew, shrank bool }
+
+// refresh brings the watch's core to the generation st after a batch
+// with marks m. It polls ctx once when there is work; cancellation
+// leaves the core exact for an earlier generation and marks it stale.
+// The seed always contains the new d-CC, so the peel returns it exactly:
+// the Lemma 1 scope of st's coreness contains every d-CC, and after a
+// batch that only deleted edges on the watched layers the new d-CC lies
+// inside the previous one. When no deletion lay inside the previous
+// core, that core is still d-dense, so the peel is skipped.
+func (w *CoreWatch) refresh(ctx context.Context, st *engineState, m watchMarks) {
+	if !m.grew && !m.shrank && !w.stale {
+		return
+	}
+	if ctx != nil && ctx.Err() != nil {
+		w.stale = true
+		return
+	}
+	seed := w.core
+	if m.grew || w.stale {
+		seed = st.pr.CoreIntersection(w.layers, w.d)
+	}
+	w.core = kcore.DCC(st.g, seed, w.layers, w.d)
+	w.stale = false
+}
+
+// Watch attaches a d-CC over the given layer subset of a mutable engine,
+// computed on the current graph. ctx is polled once before that peel:
+// a watch created under a cancelled ctx is returned with an empty core
+// and Truncated set, and Repair computes its core.
 func (e *Engine) Watch(ctx context.Context, layers []int, d int) (*CoreWatch, error) {
 	if !e.mutable {
 		return nil, ErrImmutableEngine
 	}
+	if d < 1 {
+		return nil, fmt.Errorf("dccs: degree threshold d = %d, want ≥ 1", d)
+	}
+	if err := checkLayers(e.Graph(), layers); err != nil {
+		return nil, err
+	}
+	for i, layer := range layers {
+		if slices.Contains(layers[:i], layer) {
+			return nil, fmt.Errorf("dccs: duplicate layer %d", layer)
+		}
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	m, err := dynamic.NewMaintainer(ctx, e.dyn, layers, d)
-	if err != nil {
-		return nil, fmt.Errorf("dccs: %w", err)
-	}
-	w := &CoreWatch{e: e, m: m}
+	st := e.st.Load()
+	w := &CoreWatch{e: e, layers: slices.Clone(layers), d: d, core: bitset.New(st.g.N()), stale: true}
+	w.refresh(ctx, st, watchMarks{})
 	e.watches = append(e.watches, w)
 	return w, nil
 }
 
-// Core returns a sorted snapshot of the maintained core (a superset of
-// the exact core while Truncated reports true).
+// Core returns a sorted snapshot of the watched core: the exact d-CC of
+// the engine's current graph, or, while Truncated reports true, the
+// exact d-CC of an earlier generation (empty if the watch never had
+// one).
 func (w *CoreWatch) Core() []int32 {
 	w.e.mu.Lock()
 	defer w.e.mu.Unlock()
-	return w.m.Core().Slice32()
+	return w.core.Slice32()
 }
 
-// Truncated reports whether cancelled maintenance left the watch stale
-// (see dynamic.Maintainer.Truncated).
+// Truncated reports whether a cancelled refresh left the core at an
+// earlier generation of the graph.
 func (w *CoreWatch) Truncated() bool {
 	w.e.mu.Lock()
 	defer w.e.mu.Unlock()
-	return w.m.Truncated()
+	return w.stale
 }
 
-// Repair finishes deferred maintenance; it reports whether the core is
-// exact on return. On a closed watch it does no work (see Close).
+// Repair refreshes a truncated watch on the current generation, polling
+// ctx once before the peel; it reports whether the core is exact on
+// return. On a closed watch it does no work (see Close).
 func (w *CoreWatch) Repair(ctx context.Context) bool {
 	w.e.mu.Lock()
 	defer w.e.mu.Unlock()
-	if w.closed {
-		return !w.m.Truncated()
+	if !w.closed {
+		w.refresh(ctx, w.e.st.Load(), watchMarks{})
 	}
-	return w.m.Repair(ctx)
+	return !w.stale
 }
 
 // Close detaches the watch and freezes it at its state at Close: later
-// batches no longer maintain it, Core and Truncated keep reporting that
-// state, and Repair does no work and returns !Truncated. A truncated
-// watch's deferred peel would read degree counters that missed every
-// later batch against the current graph, and report a stale core as
-// exact. Closing twice is a no-op.
+// batches no longer refresh it, Core and Truncated keep reporting that
+// state, and Repair does no work and returns !Truncated. Closing twice
+// is a no-op.
 func (w *CoreWatch) Close() {
 	w.e.mu.Lock()
 	defer w.e.mu.Unlock()

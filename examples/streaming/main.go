@@ -5,10 +5,12 @@
 // co-occurrence graph gain and lose edges continuously. Instead of
 // re-running DCCS after every update, a mutable Engine takes each step's
 // edges as one ApplyUpdates batch, and a CoreWatch keeps the d-coherent
-// core of the watched snapshots current with exact incremental updates:
-// deletions cascade-peel, insertions explore only the region the new
-// edge can activate. The example simulates a story that builds up,
-// peaks, and dissolves, and prints the tracked core as it evolves.
+// core of the watched snapshots current: after a batch that can have
+// changed it, one d-CC peel recomputes it exactly on the new graph,
+// starting from the intersection of the snapshots' d-cores after an
+// insertion and from the previous core after deletions. The example
+// simulates a story that builds up, peaks, and dissolves, and prints the
+// tracked core as it evolves.
 //
 // Run with:
 //
@@ -106,7 +108,7 @@ func main() {
 	}
 
 	fmt.Println("\nevery state above equals a from-scratch dCC recomputation;")
-	fmt.Println("the watch follows each batch incrementally.")
+	fmt.Println("the watch refreshes once per batch that can change it.")
 }
 
 // tracked returns how many story entities the watched core holds and

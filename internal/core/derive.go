@@ -83,7 +83,7 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 	}
 	info.DirtyLayers = len(dirtyIdx)
 	pool.Run(np.workers, len(dirtyIdx), func(j int) {
-		coreness[dirtyIdx[j]] = kcore.Coreness(g, dirtyIdx[j], nil)
+		coreness[dirtyIdx[j]] = kcore.Coreness(g, dirtyIdx[j])
 	})
 	maxCoreness := maxOf(coreness)
 	np.corenessOnce.Do(func() {

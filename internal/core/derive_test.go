@@ -126,7 +126,7 @@ func corenessBoundOracle(g, g2 *multilayer.Graph, changed []multilayer.Edge) int
 	bound := 0
 	for _, e := range changed {
 		for _, gr := range []*multilayer.Graph{g, g2} {
-			cn := kcore.Coreness(gr, e.Layer, nil)
+			cn := kcore.Coreness(gr, e.Layer)
 			bound = max(bound, int(min(cn[e.U], cn[e.V])))
 		}
 	}
@@ -226,7 +226,7 @@ func TestDeriveInvalidatesAtBound(t *testing.T) {
 
 	// Delete the layer-0 edge whose endpoints have the largest smaller
 	// coreness: the pre-delete coreness bound is that value.
-	core0 := kcore.Coreness(g, 0, nil)
+	core0 := kcore.Coreness(g, 0)
 	best, peer, bestCore := -1, -1, -1
 	for v := 0; v < g.N(); v++ {
 		for _, u := range g.Neighbors(0, v) {

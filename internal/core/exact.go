@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -130,9 +131,7 @@ func (pr *Prepared) Exact(ctx context.Context, opts Options) (*Result, error) {
 	for _, i := range bestPick {
 		res.Cores = append(res.Cores, CC{Layers: cands[i].layers, Vertices: p.original(cands[i].set.Slice32())})
 	}
-	sort.Slice(res.Cores, func(a, b int) bool {
-		return lessIntSlices(res.Cores[a].Layers, res.Cores[b].Layers)
-	})
+	slices.SortFunc(res.Cores, func(a, b CC) int { return slices.Compare(a.Layers, b.Layers) })
 	res.Stats = p.stats.snapshot()
 	res.Stats.Algorithm = AlgoNameExact
 	res.Stats.Elapsed = time.Since(start)

@@ -103,7 +103,7 @@ func (p *prep) coherentCore(layers []int, compute func() *bitset.Set) *bitset.Se
 // would have made; a miss calls compute and stores what it returns.
 // Queries without a memo (no hierarchy, or more
 // than 64 layers) always compute, and nothing is stored once the query
-// has observed cancellation: an aborted refineC returns the empty set.
+// has observed cancellation: an aborted refineC returns nil.
 func (p *prep) memoized(k memoKey, calls int64, compute func() *bitset.Set) *bitset.Set {
 	if p.memo == nil {
 		return compute()

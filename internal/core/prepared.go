@@ -243,12 +243,26 @@ func (pr *Prepared) layerCoreness() [][]int32 {
 	pr.corenessOnce.Do(func() {
 		pr.coreness = make([][]int32, pr.g.L())
 		pool.Run(pr.workers, pr.g.L(), func(i int) {
-			pr.coreness[i] = kcore.Coreness(pr.g, i, nil)
+			pr.coreness[i] = kcore.Coreness(pr.g, i)
 		})
 		pr.maxCoreness = maxOf(pr.coreness)
 		pr.corenessBuilds.Add(1)
 	})
 	return pr.coreness
+}
+
+// CoreIntersection returns the Lemma 1 scope of a layer subset: the
+// vertices whose cached coreness is at least d on every listed layer,
+// ∩_{i∈layers} C^d(G_i). It contains the d-CC of the layers, the maximal
+// vertex set that is d-dense on each of them, so kcore.DCC seeded with
+// it returns that d-CC exactly.
+func (pr *Prepared) CoreIntersection(layers []int, d int) *bitset.Set {
+	coreness := pr.layerCoreness()
+	s := bitset.NewFull(pr.g.N())
+	for _, i := range layers {
+		s.And(kcore.CoreFromCoreness(coreness[i], d))
+	}
+	return s
 }
 
 // maxOf returns the largest coreness entry over all layers, 0 when there

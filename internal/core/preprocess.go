@@ -145,7 +145,7 @@ func (p *prep) initTopK(topk *coverage.TopK) {
 		for len(L) < s {
 			bestJ, bestInter := -1, -1
 			for j := 0; j < g.L(); j++ {
-				if containsInt(L, j) {
+				if slices.Contains(L, j) {
 					continue
 				}
 				if inter := C.CountAnd(p.cores[j]); inter > bestInter {
@@ -173,19 +173,14 @@ func (p *prep) update(topk *coverage.TopK, c *bitset.Set, layers []int) {
 }
 
 // offer counts c as a size-s candidate of the search tree and offers it
-// to R through update.
+// to R through update. A nil c is a refineC that cancellation cut short:
+// there is no d-CC to offer, and R must only ever hold exact ones.
 func (p *prep) offer(topk *coverage.TopK, c *bitset.Set, layers []int) {
+	if c == nil {
+		return
+	}
 	p.stats.candidates.Add(1)
 	p.update(topk, c, layers)
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // finish assembles the Result from the final top-k set in original
@@ -210,13 +205,4 @@ func uniqueByLayers(entries []*coverage.Entry) []*coverage.Entry {
 	return slices.CompactFunc(entries, func(a, b *coverage.Entry) bool {
 		return slices.Equal(a.Layers, b.Layers)
 	})
-}
-
-func lessIntSlices(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

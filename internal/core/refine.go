@@ -118,9 +118,10 @@ func (t *tdSearch) childU(u *bitset.Set, lpos []int) *bitset.Set {
 }
 
 // childCC returns C^d_{L′} for the search-tree child lpos through the
-// d-CC memo, running refineC on a miss. u must be the child's potential
-// set, which contains C^d_{L′} (DESIGN.md § d-CC memo); callers with
-// arbitrary sets use refineC itself.
+// d-CC memo, running refineC on a miss, or nil when cancellation cut
+// that refineC short. u must be the child's potential set, which
+// contains C^d_{L′} (DESIGN.md § d-CC memo); callers with arbitrary sets
+// use refineC itself.
 func (t *tdSearch) childCC(u *bitset.Set, lpos []int) *bitset.Set {
 	return t.prep.coherentCore(t.prep.layersOf(lpos), func() *bitset.Set { return t.refineC(u, lpos) })
 }
@@ -188,7 +189,7 @@ func (t *tdSearch) refineC(u *bitset.Set, lpos []int) *bitset.Set {
 
 	// Cancellation: the cascade and flood loops poll the query context on
 	// a stride. On interruption the counters are abandoned mid-cascade, so
-	// the only valid partial is the empty set — returned below with the
+	// no vertex set is known to be C^d_{L′}: refineC returns nil, with the
 	// scratch state still reset for the next call (the truncated flags are
 	// set by interrupted() itself).
 	aborted := false
@@ -284,9 +285,12 @@ func (t *tdSearch) refineC(u *bitset.Set, lpos []int) *bitset.Set {
 
 	// The undetermined vertices are exactly C^d_{L′} (degree feasibility
 	// is enforced on every state transition and by the cascades).
-	out := bitset.New(g.N())
+	var out *bitset.Set
+	if !aborted {
+		out = bitset.New(g.N())
+	}
 	for _, v32 := range members {
-		if !aborted && state[v32] == stUndetermined {
+		if out != nil && state[v32] == stUndetermined {
 			out.Add(int(v32))
 		}
 		state[v32] = stUnexplored // reset scratch for the next call

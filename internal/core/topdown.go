@@ -263,6 +263,9 @@ func (t *tdSearch) gen(L []int, cL, uL *bitset.Set) {
 			continue
 		}
 		cc := t.childCC(childU[j], lchild)
+		if cc == nil {
+			return // refineC cut short by cancellation
+		}
 		// Lemma 7: when the child's own d-CC already satisfies Eq. (1)
 		// — so every size-s descendant (a superset) does too — and the
 		// potential set is small enough (Eq. (2)), a single random

@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -154,66 +153,5 @@ func TestFreezeCopyOnWrite(t *testing.T) {
 		if FromMultilayer(last).Freeze() != last {
 			t.Fatalf("seed %d: round trip through FromMultilayer changed the graph", seed)
 		}
-	}
-}
-
-// TestObserveFanOut pins the Observe* split: several maintainers sharing
-// one graph, with the owner mutating the graph directly and fanning each
-// change out via ObserveAdd/ObserveRemove, must each track exactly the
-// core a from-scratch maintainer over the final graph computes.
-func TestObserveFanOut(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	src := testutil.RandomGraph(rng, 80, 4, 0.12)
-	g := FromMultilayer(src)
-
-	subsets := [][]int{{0}, {1, 2}, {0, 1, 2, 3}}
-	ds := []int{2, 2, 3}
-	ms := make([]*Maintainer, len(subsets))
-	for i := range subsets {
-		m, err := NewMaintainer(nil, g, subsets[i], ds[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms[i] = m
-	}
-
-	for step := 0; step < 400; step++ {
-		layer := rng.Intn(g.L())
-		u, v := rng.Intn(g.N()), rng.Intn(g.N())
-		if u == v {
-			continue
-		}
-		if rng.Intn(2) == 0 {
-			if g.AddEdge(layer, u, v) {
-				for _, m := range ms {
-					m.ObserveAdd(context.Background(), layer, u, v)
-				}
-			}
-		} else {
-			if g.RemoveEdge(layer, u, v) {
-				for _, m := range ms {
-					m.ObserveRemove(context.Background(), layer, u, v)
-				}
-			}
-		}
-	}
-
-	for i, m := range ms {
-		if m.Truncated() {
-			t.Fatalf("maintainer %d truncated under a live context", i)
-		}
-		fresh, err := NewMaintainer(nil, g, subsets[i], ds[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := m.CoreSize(), fresh.CoreSize(); got != want {
-			t.Fatalf("maintainer %d: core size %d after fan-out, from-scratch says %d", i, got, want)
-		}
-		m.Core().ForEach(func(v int) bool {
-			if !fresh.Core().Contains(v) {
-				t.Fatalf("maintainer %d: vertex %d in maintained core but not in from-scratch core", i, v)
-			}
-			return true
-		})
 	}
 }

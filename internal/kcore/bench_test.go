@@ -23,7 +23,7 @@ func benchGraph(b *testing.B) (*graphFixture, []int) {
 	coreness := make([][]int32, g.L())
 	maxc := 0
 	for i := range coreness {
-		coreness[i] = Coreness(g, i, nil)
+		coreness[i] = Coreness(g, i)
 		for _, c := range coreness[i] {
 			maxc = max(maxc, int(c))
 		}
@@ -56,7 +56,7 @@ func BenchmarkCoreness(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Coreness(fx.g, 0, nil)
+		Coreness(fx.g, 0)
 	}
 }
 

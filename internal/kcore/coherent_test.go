@@ -43,7 +43,7 @@ func TestCoherentCorenessSingleLayerMatchesBZ(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := testutil.RandomGraph(rng, 2+rng.Intn(40), 1, 0.05+rng.Float64()*0.3)
 		a := CoherentCoreness(g, []int{0}, nil)
-		b := Coreness(g, 0, nil)
+		b := Coreness(g, 0)
 		for v := range a {
 			if a[v] != int(b[v]) {
 				return false

@@ -109,93 +109,13 @@ func DCC(g *multilayer.Graph, S *bitset.Set, layers []int, d int) *bitset.Set {
 	return out
 }
 
-// Coreness computes the full core decomposition of one layer restricted
-// to alive, using the O(m) bin-sort algorithm of Batagelj and Zaversnik.
-// The result maps each vertex to its coreness (the largest d such that the
-// vertex belongs to the d-core); vertices outside alive get -1. Passing
-// alive == nil means all vertices. Entries are int32 like vertex ids: a
-// coreness is below n.
-func Coreness(g *multilayer.Graph, layer int, alive *bitset.Set) []int32 {
-	n := g.N()
-	if alive == nil {
-		return corenessFull(g, layer)
-	}
-	offs, nbrs := g.LayerCSR(layer) // hot loop: flat CSR iteration
-	coreness := make([]int32, n)
-	for v := range coreness {
-		coreness[v] = -1
-	}
-	deg := make([]int, n)
-	maxDeg := 0
-	alive.ForEach(func(v int) bool {
-		dv := 0
-		for _, u := range nbrs[offs[v]:offs[v+1]] {
-			if alive.Contains(int(u)) {
-				dv++
-			}
-		}
-		deg[v] = dv
-		if dv > maxDeg {
-			maxDeg = dv
-		}
-		return true
-	})
-
-	// Bin sort vertices by degree.
-	bin := make([]int, maxDeg+2)
-	alive.ForEach(func(v int) bool {
-		bin[deg[v]]++
-		return true
-	})
-	start := 0
-	for dv := 0; dv <= maxDeg; dv++ {
-		num := bin[dv]
-		bin[dv] = start
-		start += num
-	}
-	nAlive := alive.Count()
-	vert := make([]int32, nAlive)
-	pos := make([]int, n)
-	alive.ForEach(func(v int) bool {
-		pos[v] = bin[deg[v]]
-		vert[pos[v]] = int32(v)
-		bin[deg[v]]++
-		return true
-	})
-	for dv := maxDeg; dv > 0; dv-- {
-		bin[dv] = bin[dv-1]
-	}
-	bin[0] = 0
-
-	for i := 0; i < nAlive; i++ {
-		v := int(vert[i])
-		coreness[v] = int32(deg[v])
-		for _, u32 := range nbrs[offs[v]:offs[v+1]] {
-			u := int(u32)
-			if !alive.Contains(u) || deg[u] <= deg[v] {
-				continue
-			}
-			du, pu := deg[u], pos[u]
-			pw := bin[du]
-			w := int(vert[pw])
-			if u != w {
-				pos[u], pos[w] = pw, pu
-				vert[pu], vert[pw] = int32(w), int32(u)
-			}
-			bin[du]++
-			deg[u]--
-		}
-	}
-	return coreness
-}
-
-// corenessFull is the unmasked specialization of Coreness: with every
-// vertex alive the initial degrees are the CSR row lengths and the bin
-// sort needs no membership probes, so the whole decomposition runs on
-// flat arrays in O(n + m). It performs the same vertex and neighbor
-// visits in the same order as the masked path over a full mask, so the
-// output is identical (see TestCorenessFullMatchesMasked).
-func corenessFull(g *multilayer.Graph, layer int) []int32 {
+// Coreness computes the full core decomposition of one layer with the
+// O(n + m) bin-sort algorithm of Batagelj and Zaversnik. The result maps
+// each vertex to its coreness, the largest d such that the vertex
+// belongs to the layer's d-core. Entries are int32 like vertex ids: a
+// coreness is below n. The initial degrees are the CSR row lengths, so
+// the whole decomposition runs on flat arrays.
+func Coreness(g *multilayer.Graph, layer int) []int32 {
 	n := g.N()
 	offs, nbrs := g.LayerCSR(layer) // hot loop: flat CSR iteration
 	coreness := make([]int32, n)

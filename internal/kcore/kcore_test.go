@@ -212,7 +212,7 @@ func TestCorenessAgainstCore(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := testutil.RandomGraph(rng, 2+rng.Intn(40), 1, 0.05+rng.Float64()*0.3)
-		cn := Coreness(g, 0, nil)
+		cn := Coreness(g, 0)
 		for d := 0; d <= 6; d++ {
 			if !CoreFromCoreness(cn, d).Equal(Core(g, 0, nil, d)) {
 				return false
@@ -222,18 +222,6 @@ func TestCorenessAgainstCore(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCorenessMasked(t *testing.T) {
-	g := smallGraph(t)
-	alive := bitset.FromSlice(5, []int{0, 1, 2})
-	cn := Coreness(g, 0, alive)
-	if cn[3] != -1 || cn[4] != -1 {
-		t.Fatalf("masked-out vertices should have coreness -1: %v", cn)
-	}
-	if cn[0] != 2 || cn[1] != 2 || cn[2] != 2 {
-		t.Fatalf("triangle coreness = %v", cn)
 	}
 }
 
@@ -250,7 +238,7 @@ func TestTrackerMatchesRecompute(t *testing.T) {
 		d := 1 + rng.Intn(3)
 		coreness := make([][]int32, g.L())
 		for i := range coreness {
-			coreness[i] = Coreness(g, i, nil)
+			coreness[i] = Coreness(g, i)
 		}
 		tr := NewTrackerFromCoreness(g, d, coreness, 1)
 		alive := bitset.NewFull(g.N())

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/multilayer"
 	"repro/internal/testutil"
 )
@@ -53,7 +52,7 @@ func sweepFixture(t *testing.T, seed int64) (*multilayer.Graph, [][]int32, int) 
 	coreness := make([][]int32, g.L())
 	maxc := 0
 	for i := range coreness {
-		coreness[i] = Coreness(g, i, nil)
+		coreness[i] = Coreness(g, i)
 		for _, c := range coreness[i] {
 			maxc = max(maxc, int(c))
 		}
@@ -155,7 +154,7 @@ func TestSweepAscendingOnly(t *testing.T) {
 	g := testutil.RandomCorrelatedGraph(rng, 40, 3, 0.3, 0.85, 0.1)
 	coreness := make([][]int32, g.L())
 	for i := range coreness {
-		coreness[i] = Coreness(g, i, nil)
+		coreness[i] = Coreness(g, i)
 	}
 	sw := NewSweep(g, 1, coreness, 1)
 	sw.TrackerAt(3, nil)
@@ -167,18 +166,19 @@ func TestSweepAscendingOnly(t *testing.T) {
 	sw.TrackerAt(2, nil)
 }
 
-// TestCorenessFullMatchesMasked pins the unmasked fast path of Coreness
-// against the masked implementation over a full mask — the two must make
-// identical visit decisions, hence produce identical output.
+// TestCorenessFullMatchesMasked pins Coreness, the bin-sort
+// decomposition on flat CSR arrays, against CoherentCoreness of the same
+// single layer, an independent peel through degree counters: a vertex's
+// coreness is the largest d whose d-core holds it either way.
 func TestCorenessFullMatchesMasked(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 4; trial++ {
 		g := testutil.RandomCorrelatedGraph(rng, 90, 3, 0.15+0.1*float64(trial), 0.8, 0.1)
 		for layer := 0; layer < g.L(); layer++ {
-			got := Coreness(g, layer, nil)
-			want := Coreness(g, layer, bitset.NewFull(g.N()))
+			got := Coreness(g, layer)
+			want := CoherentCoreness(g, []int{layer}, nil)
 			for v := range want {
-				if got[v] != want[v] {
+				if int(got[v]) != want[v] {
 					t.Fatalf("trial %d layer %d: coreness[%d] = %d, want %d", trial, layer, v, got[v], want[v])
 				}
 			}

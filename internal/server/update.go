@@ -82,8 +82,9 @@ func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Updates run under the server's default computation budget; the
-	// context only bounds incremental watch maintenance and the wait for
-	// an admission token — an admitted batch always lands in full.
+	// context only bounds the wait for an admission token and the
+	// per-batch refresh of the engine's watches (the server attaches
+	// none) — an admitted batch always lands in full.
 	ctx, cancel := context.WithTimeout(s.queryCtx, s.cfg.DefaultTimeout)
 	defer cancel()
 	if err := s.admit(ctx, 1); err != nil {
