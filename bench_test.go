@@ -302,14 +302,37 @@ func BenchmarkEngineFirstSearch(b *testing.B) {
 // BenchmarkEngineRestart times a restarted process's first answer on the
 // serve-shaped graph, the cold-start workload's side op without the
 // benchmark harness: map the .mlgb, create an engine, restore a d = 4
-// snapshot (its checksum, the graph fingerprint gate and the coreness
-// range checks), run the cold-start query (d = 4, s = 3, k = 10) and
-// close the mapping. The files are written before the clock starts.
+// snapshot (its checksum, the graph fingerprint gate, the coreness range
+// checks and the memo entry checks), run the cold-start query (d = 4,
+// s = 3, k = 10) and close the mapping. The files are written before the
+// clock starts; the snapshot is saved right after answering that query,
+// so its memo answers every d-CC the restarted query looks up.
 func BenchmarkEngineRestart(b *testing.B) {
+	graphPath, snapPath := restartFiles(b)
+	benchRestart(b, graphPath, snapPath, restartQuery, true)
+}
+
+// BenchmarkEngineRestartUncovered is BenchmarkEngineRestart with a query
+// whose space the restored memo does not hold: top-down at d = 4,
+// s = l − 2, k = 10, after restoring the same snapshot. Next to
+// BenchmarkEngineRestart it shows what a restore costs a query that
+// gains nothing from the memo.
+func BenchmarkEngineRestartUncovered(b *testing.B) {
+	graphPath, snapPath := restartFiles(b)
+	q := dccs.Query{D: 4, S: 8, K: 10, Seed: 1, Algorithm: dccs.AlgoTopDown}
+	benchRestart(b, graphPath, snapPath, q, false)
+}
+
+// restartQuery is the cold-start workload's query.
+var restartQuery = dccs.Query{D: 4, S: 3, K: 10, Seed: 1}
+
+// restartFiles writes the serve-shaped graph's .mlgb and the snapshot an
+// engine saves right after answering restartQuery, and returns their
+// paths.
+func restartFiles(b *testing.B) (graphPath, snapPath string) {
 	g := serveGraph()
-	q := dccs.Query{D: 4, S: 3, K: 10, Seed: 1}
 	dir := b.TempDir()
-	graphPath, snapPath := filepath.Join(dir, "serve.mlgb"), filepath.Join(dir, "serve.mlgs")
+	graphPath, snapPath = filepath.Join(dir, "serve.mlgb"), filepath.Join(dir, "serve.mlgs")
 	if err := g.WriteBinaryFile(graphPath); err != nil {
 		b.Fatal(err)
 	}
@@ -317,12 +340,20 @@ func BenchmarkEngineRestart(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Search(context.Background(), q); err != nil {
+	if _, err := e.Search(context.Background(), restartQuery); err != nil {
 		b.Fatal(err)
 	}
 	if err := e.SaveSnapshot(snapPath); err != nil {
 		b.Fatal(err)
 	}
+	return graphPath, snapPath
+}
+
+// benchRestart times, per op, mapping graphPath, restoring snapPath into
+// a new engine, answering q and closing the mapping. The restored engine
+// must build no artifact, and with covered set look up no d-CC its
+// memo lacks.
+func benchRestart(b *testing.B, graphPath, snapPath string, q dccs.Query, covered bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -340,8 +371,8 @@ func BenchmarkEngineRestart(b *testing.B) {
 		if _, err := e.Search(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
-		if m := e.Metrics(); m.CorenessBuilds != 0 || m.HierarchyBuilds != 0 {
-			b.Fatalf("restored engine built artifacts: %+v", m)
+		if m := e.Metrics(); m.CorenessBuilds != 0 || m.HierarchyBuilds != 0 || (covered && m.MemoMisses != 0) {
+			b.Fatalf("restored engine was not warm: %+v", m)
 		}
 		if err := mg.Close(); err != nil {
 			b.Fatal(err)

@@ -20,10 +20,11 @@
 //	dccs -max-nodes 10000 graph.mlg            # node-budgeted search
 //	dccs -snapshot graph.mlgs graph.mlgb       # reuse engine artifacts
 //
-// With -snapshot, previously saved engine artifacts (per-layer coreness
-// and per-d removal hierarchies) are restored before the query — the
-// first query of this process skips their builds — and the file is
-// refreshed with whatever artifacts exist after the query. A missing
+// With -snapshot, previously saved engine artifacts (per-layer coreness,
+// per-d removal hierarchies and the d-CCs memoized on them) are restored
+// before the query — the first query of this process skips their builds,
+// and a repeated query its d-CC peels — and the file is refreshed with
+// whatever artifacts exist after the query. A missing
 // snapshot file is not an error (the first run creates it); a stale one
 // (written for a different graph) is reported and ignored.
 //

@@ -85,7 +85,8 @@ type Query struct {
 // reuses exact coherent cores across queries sharing (D, S); they are
 // lifetime counters like the build counters. MemoBytes is what the
 // current generation's memo holds, bounded by a budget the size of the
-// graph's per-layer coreness arrays (at least 64 KiB).
+// graph's per-layer coreness arrays (at least 64 KiB); after
+// LoadSnapshot it includes the restored entries.
 //
 // SpaceBuilds and SpaceReuses count the queries that built their compact
 // search space and those that reused the space an earlier query sharing
@@ -307,7 +308,9 @@ func (v View) CacheKey(q Query) string {
 // Metrics returns the engine's lifetime counters. On mutable engines
 // the build and memo counters carry across update generations (Derive
 // inherits them), so they keep measuring amortization over the engine's
-// life; MemoBytes restarts at 0 with every generation.
+// life; MemoBytes restarts at 0 with every generation. After
+// LoadSnapshot, MemoBytes holds the restored memo entries; restored
+// artifacts and entries count as neither builds nor memo lookups.
 func (e *Engine) Metrics() EngineMetrics {
 	c := e.st.Load().pr.Counters()
 	return EngineMetrics{
@@ -370,9 +373,11 @@ func (e *Engine) WarmAll(ctx context.Context) error {
 }
 
 // SaveSnapshot persists the engine's cached artifacts — the per-layer
-// coreness and every fully built per-d removal hierarchy — to path in
-// the versioned .mlgs binary format, so a future process can skip their
-// construction entirely (see LoadSnapshot). The file is replaced through
+// coreness, every fully built per-d removal hierarchy and the d-CC memo
+// entries its queries stored on it — to path in the versioned .mlgs
+// binary format (version 5), so a future process can skip their
+// construction and the d-CC peels of repeated queries entirely (see
+// LoadSnapshot). The file is replaced through
 // a temporary file and a rename (leio.WriteFileAtomic): a failed save
 // never leaves a truncated snapshot behind. Snapshotting a live engine
 // is safe; hierarchies still being built are skipped, not awaited. The
@@ -392,19 +397,21 @@ func (v View) SaveSnapshot(path string) error {
 }
 
 // LoadSnapshot restores artifacts saved by SaveSnapshot into this
-// engine: the per-layer coreness and the per-d removal hierarchies, so
-// the first query per snapshotted degree threshold skips their builds,
-// the bulk of a cold first query. It still pays for what a snapshot does
-// not carry: the compact search space of its (D, S), and the d-CCs and
-// potential sets a repeat query takes from the memo. The snapshot must
-// have been saved for a graph equal to this engine's; a snapshot of any
-// other graph (or a corrupt file) is rejected with an error and the
-// engine is left unchanged, free to build its artifacts from scratch as
-// usual. So is a snapshot in a format version written by an earlier
-// release; SaveSnapshot then writes the current format. Restored
-// artifacts do not count as builds in Metrics. Loading over artifacts
-// the engine already built keeps the built ones (the two are identical
-// by determinism).
+// engine: the per-layer coreness, the per-d removal hierarchies and the
+// d-CC memo, so the first query per snapshotted degree threshold skips
+// their builds, the bulk of a cold first query, and a query the saving
+// engine had answered also skips its d-CC peels. It still pays for what
+// a snapshot does not carry: the compact search space of its (D, S).
+// The restored memo entries are charged against the memo budget like
+// entries a query stores; Metrics().MemoBytes includes them. The
+// snapshot must have been saved for a graph equal to this engine's; a
+// snapshot of any other graph (or a corrupt file) is rejected with an
+// error and the engine is left unchanged, free to build its artifacts
+// from scratch as usual. So is a snapshot in a format version written
+// by an earlier release; SaveSnapshot then writes the current format.
+// Restored artifacts do not count as builds in Metrics. Loading over
+// artifacts the engine already built keeps the built ones, with their
+// memo (the two are identical by determinism).
 func (e *Engine) LoadSnapshot(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

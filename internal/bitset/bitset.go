@@ -5,7 +5,10 @@
 // iteration, popcount) compile down to word-level arithmetic.
 package bitset
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 const wordBits = 64
 
@@ -31,6 +34,29 @@ func NewFull(n int) *Set {
 	s := New(n)
 	s.Fill()
 	return s
+}
+
+// LoadWords returns the set of capacity n whose backing words are words,
+// bit v%64 of word v/64 standing for v, as Words returns them. The set
+// adopts words without copying, so the caller must not modify them
+// afterwards. It is the decoding counterpart of Words: a negative n, a
+// word count other than ⌈n/64⌉ or a bit set at or beyond n is an error,
+// never a panic.
+func LoadWords(words []uint64, n int) (*Set, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("bitset: negative capacity %d", n)
+	}
+	if want := n/wordBits + min(n%wordBits, 1); len(words) != want {
+		return nil, fmt.Errorf("bitset: %d words for capacity %d, want %d", len(words), n, want)
+	}
+	s := &Set{words: words, n: n}
+	if tail := uint(n) % wordBits; tail != 0 && words[len(words)-1]>>tail != 0 {
+		return nil, fmt.Errorf("bitset: bit set at or beyond capacity %d", n)
+	}
+	for _, w := range words {
+		s.count += bits.OnesCount64(w)
+	}
+	return s, nil
 }
 
 // Cap returns the capacity n the set was created with.

@@ -106,6 +106,48 @@ func TestNewFullTailBits(t *testing.T) {
 	}
 }
 
+// TestLoadWords pins the decoding constructor: the words of any set load
+// back into an equal set that aliases them, and a bad length, a stray
+// tail bit or a negative capacity is an error.
+func TestLoadWords(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		want := New(n)
+		for v := 0; v < n; v += 3 {
+			want.Add(v)
+		}
+		words := append([]uint64(nil), want.Words()...)
+		got, err := LoadWords(words, n)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !got.Equal(want) || got.Count() != want.Count() || got.Cap() != n {
+			t.Fatalf("n=%d: loaded %v, want %v", n, got.Slice(), want.Slice())
+		}
+		if n > 0 {
+			words[0] = 0
+			if got.Contains(0) {
+				t.Fatalf("n=%d: the set does not alias its words", n)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		words []uint64
+		n     int
+	}{
+		{"negative capacity", nil, -1},
+		{"too few words", []uint64{0}, 65},
+		{"too many words", []uint64{0, 0}, 64},
+		{"words for an empty set", []uint64{0}, 0},
+		{"bit at capacity", []uint64{1 << 5}, 5},
+		{"top bit past capacity", []uint64{1 << 63}, 63},
+	} {
+		if _, err := LoadWords(c.words, c.n); err == nil {
+			t.Fatalf("%s: loaded without error", c.name)
+		}
+	}
+}
+
 func TestSetOps(t *testing.T) {
 	a := FromSlice(200, []int{1, 5, 64, 100, 150})
 	b := FromSlice(200, []int{5, 64, 99, 150, 199})

@@ -94,8 +94,7 @@ func (b *buSearch) genParallel(workers int) *coverage.TopK {
 	// with L = ∅: LP is every position).
 	children := make([]*bitset.Set, l)
 	pool.Run(workers, l, func(j int) {
-		seed := p.alive.Intersection(b.posCore(j)) // Lemma 1 scope
-		children[j] = p.dcc(seed, p.layersOf([]int{j}))
+		children[j] = p.dccIn(p.alive, b.posCore(j), p.layersOf([]int{j}))
 	})
 
 	if s == 1 {
@@ -160,16 +159,21 @@ func (b *buSearch) gen(L []int, cL *bitset.Set, lq uint64) {
 		}
 	}
 
-	childLayers := func(j int) []int {
-		return p.layersOf(append(append(make([]int, 0, len(L)+1), L...), j))
-	}
-	computeChild := func(j int) *bitset.Set {
-		seed := cL.Intersection(b.posCore(j)) // Lemma 1 scope
-		return p.dcc(seed, childLayers(j))
+	// expand returns the d-CC of the child at position j and its original
+	// layers; a memo miss peels it from the Lemma 1 scope cL ∩ C^d(G_j).
+	expand := func(j int) (*bitset.Set, []int) {
+		layers := p.layersOf(append(append(make([]int, 0, len(L)+1), L...), j))
+		return p.dccIn(cL, b.posCore(j), layers), layers
 	}
 
-	var lr []int
-	children := make(map[int]*bitset.Set)
+	// A child is a position of LP; lr, the paper's LR, keeps the children
+	// to recurse into, each with its d-CC.
+	type child struct {
+		pos   int
+		bound int // Lemma 1 upper bound |C_L ∩ C^d(G_pos)|, when R is full
+		cc    *bitset.Set
+	}
+	var lr []child
 
 	// Empty-subtree cut (beyond the paper's pseudocode, justified by
 	// Property 3): every descendant d-CC is a subset of the current one,
@@ -181,44 +185,42 @@ func (b *buSearch) gen(L []int, cL *bitset.Set, lq uint64) {
 		// Lines 2–9: R not yet full — generate every child; size-s
 		// children update R, the rest are queued for recursion.
 		for _, j := range lp {
-			child := computeChild(j)
+			c, layers := expand(j)
 			if len(L)+1 == s {
-				p.offer(b.topk, child, childLayers(j))
-			} else if child.Empty() && !p.opts.NoEq1Pruning {
+				p.offer(b.topk, c, layers)
+			} else if c.Empty() && !p.opts.NoEq1Pruning {
 				p.stats.pruned.Add(1)
 			} else {
-				lr = append(lr, j)
-				children[j] = child
+				lr = append(lr, child{pos: j, cc: c})
 			}
 		}
 	} else {
 		// Lines 10–22: R is full — process children in descending order
 		// of the Lemma 1 upper bound |C_L ∩ C^d(G_j)|.
-		inter := make(map[int]int, len(lp))
-		for _, j := range lp {
-			inter[j] = cL.CountAnd(b.posCore(j))
+		order := make([]child, len(lp))
+		for i, j := range lp {
+			order[i] = child{pos: j, bound: cL.CountAnd(b.posCore(j))}
 		}
-		sorted := append([]int(nil), lp...)
 		if !p.opts.NoOrderPruning {
-			slices.SortStableFunc(sorted, func(a, bb int) int {
-				return cmp.Compare(inter[bb], inter[a])
+			slices.SortStableFunc(order, func(a, bb child) int {
+				return cmp.Compare(bb.bound, a.bound)
 			})
 		}
-		for rank, j := range sorted {
-			if !p.opts.NoOrderPruning && !b.topk.MeetsSizeBound(inter[j]) {
+		for rank, ch := range order {
+			if !p.opts.NoOrderPruning && !b.topk.MeetsSizeBound(ch.bound) {
 				// Lemma 3: no candidate below this bound — and, by the
 				// sort order, none after it — can satisfy Eq. (1).
-				p.stats.pruned.Add(int64(len(sorted) - rank))
+				p.stats.pruned.Add(int64(len(order) - rank))
 				break
 			}
-			child := computeChild(j)
+			c, layers := expand(ch.pos)
 			if len(L)+1 == s {
-				p.offer(b.topk, child, childLayers(j))
-			} else if child.Empty() && !p.opts.NoEq1Pruning {
+				p.offer(b.topk, c, layers)
+			} else if c.Empty() && !p.opts.NoEq1Pruning {
 				p.stats.pruned.Add(1) // empty-subtree cut, see above
-			} else if p.opts.NoEq1Pruning || b.topk.SatisfiesEq1(child) {
-				lr = append(lr, j)
-				children[j] = child
+			} else if p.opts.NoEq1Pruning || b.topk.SatisfiesEq1(c) {
+				ch.cc = c
+				lr = append(lr, ch)
 			} else {
 				// Lemma 2: no descendant of this child can satisfy
 				// Eq. (1); prune the subtree rooted at it.
@@ -236,13 +238,14 @@ func (b *buSearch) gen(L []int, cL *bitset.Set, lq uint64) {
 			for _, j := range lp {
 				childLQ |= 1 << uint(j)
 			}
-			for _, j := range lr {
-				childLQ &^= 1 << uint(j)
+			for _, ch := range lr {
+				childLQ &^= 1 << uint(ch.pos)
 			}
 		}
-		slices.Sort(lr) // recurse in ascending position order for determinism
-		for _, j := range lr {
-			b.gen(append(append(make([]int, 0, len(L)+1), L...), j), children[j], childLQ)
+		// Recurse in ascending position order for determinism.
+		slices.SortFunc(lr, func(a, bb child) int { return cmp.Compare(a.pos, bb.pos) })
+		for _, ch := range lr {
+			b.gen(append(append(make([]int, 0, len(L)+1), L...), ch.pos), ch.cc, childLQ)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/bitset"
@@ -20,6 +22,44 @@ type memoKey struct {
 	potential bool
 	noSort    bool
 	mask      uint64
+}
+
+// Key flag bits as snapshots store them. Their values rank the flags
+// so that ordering keys by (s, flags, mask) orders them by s,
+// NoVertexDeletion, kind (d-CC before potential set), NoSortLayers and
+// layer mask (compareMemoKeys).
+const (
+	memoFlagNoSort = 1 << iota
+	memoFlagPotential
+	memoFlagNVD
+	memoFlagsAll = memoFlagNoSort | memoFlagPotential | memoFlagNVD
+)
+
+// flags returns the key's toggles as memoFlag bits.
+func (k memoKey) flags() int64 {
+	var f int64
+	if k.noSort {
+		f |= memoFlagNoSort
+	}
+	if k.potential {
+		f |= memoFlagPotential
+	}
+	if k.nvd {
+		f |= memoFlagNVD
+	}
+	return f
+}
+
+// compareMemoKeys orders keys by s, NoVertexDeletion, kind, NoSortLayers
+// and layer mask: the order snapshots store a memo in.
+func compareMemoKeys(a, b memoKey) int {
+	return cmp.Or(cmp.Compare(a.s, b.s), cmp.Compare(a.flags(), b.flags()), cmp.Compare(a.mask, b.mask))
+}
+
+// memoEntry is one stored set with its key.
+type memoEntry struct {
+	key memoKey
+	set *bitset.Set
 }
 
 // memoEntryOverhead is the bytes an entry is charged beyond its bitset
@@ -69,6 +109,18 @@ func (m *dccMemo) put(pr *Prepared, k memoKey, c *bitset.Set) {
 		m.entries = map[memoKey]*bitset.Set{}
 	}
 	m.entries[k] = c
+}
+
+// sorted returns the memo's entries in ascending key order.
+func (m *dccMemo) sorted() []memoEntry {
+	m.mu.Lock()
+	out := make([]memoEntry, 0, len(m.entries))
+	for k, c := range m.entries {
+		out = append(out, memoEntry{k, c})
+	}
+	m.mu.Unlock()
+	slices.SortFunc(out, func(a, b memoEntry) int { return compareMemoKeys(a.key, b.key) })
+	return out
 }
 
 // memoBudget bounds the bytes a Prepared's memos hold: the size of the
@@ -125,8 +177,24 @@ func (p *prep) memoized(k memoKey, calls int64, compute func() *bitset.Set) *bit
 // dcc returns C^d_L peeled from seed by kcore.DCC, through the memo; see
 // coherentCore for the contract on seed and on the returned set.
 func (p *prep) dcc(seed *bitset.Set, layers []int) *bitset.Set {
-	return p.coherentCore(layers, func() *bitset.Set {
-		p.stats.dccCalls.Add(1)
-		return kcore.DCC(p.g, seed, layers, p.opts.D)
-	})
+	return p.coherentCore(layers, func() *bitset.Set { return p.peel(seed, layers) })
+}
+
+// dccIn is dcc from the seed scope ∩ core, which it builds only on a
+// memo miss: a hit needs no seed.
+func (p *prep) dccIn(scope, core *bitset.Set, layers []int) *bitset.Set {
+	return p.coherentCore(layers, func() *bitset.Set { return p.peelIn(scope, core, layers) })
+}
+
+// peelIn is peel from the seed scope ∩ core. It is a method of its own
+// so that the seed's set header stays on its stack: built inside dccIn's
+// closure, the header escaped to the heap, one allocation per miss.
+func (p *prep) peelIn(scope, core *bitset.Set, layers []int) *bitset.Set {
+	return p.peel(scope.Intersection(core), layers)
+}
+
+// peel counts one dCC call and runs kcore.DCC from seed on layers.
+func (p *prep) peel(seed *bitset.Set, layers []int) *bitset.Set {
+	p.stats.dccCalls.Add(1)
+	return kcore.DCC(p.g, seed, layers, p.opts.D)
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -118,4 +120,138 @@ func TestCancelAtEveryPollPoint(t *testing.T) {
 			t.Logf("fixture %d %s: %d Err calls swept", fi, a.name, calls)
 		}
 	}
+}
+
+// TestPrepareDsCancelAtEveryPollPoint cancels the multi-d sweep at every
+// poll point. On the fixtures of TestPrepareDsCancellationCachesCompleted
+// and TestPrepareDsCancellationParallel, PrepareDs runs every threshold
+// 1..maxCoreness+1 through the shared sweep and, separately, the single
+// threshold 2 through the per-d hierarchyFor path, at Workers 1 and 2.
+// The context reports cancellation from its N-th Err call on, for N from
+// 1 to one past the most calls an uncancelled pass made (at Workers 2
+// the count depends on scheduling: the most of five passes). At every N,
+// on a fresh Prepared:
+//
+//   - PrepareDs returns nil exactly when every threshold is cached, which
+//     at Workers 1 is exactly when N exceeds the uncancelled count;
+//   - every cached hierarchy equals a cold build, HierarchyBuilds counts
+//     them, and no other slot is done;
+//   - the handle's snapshot restores exactly the cached thresholds;
+//   - an uncancelled PrepareDs then builds exactly the rest, after which
+//     a BU and a TD query answer with the cores, cover and Stats (less
+//     Elapsed) of a cold handle.
+func TestPrepareDsCancelAtEveryPollPoint(t *testing.T) {
+	ctx := context.Background()
+	for _, fx := range []struct {
+		name string
+		seed int64
+		n    int
+		p    float64
+		q    float64
+	}{
+		{"seed 93", 93, 80, 0.3, 0.1},
+		{"seed 95", 95, 300, 0.08, 0.05},
+	} {
+		g := testutil.RandomCorrelatedGraph(rand.New(rand.NewSource(fx.seed)), fx.n, 4, fx.p, 0.85, fx.q)
+		cold := NewPrepared(g, 1)
+		maxc := cold.MaxCoreness()
+		all := make([]int, 0, maxc+1)
+		for d := 1; d <= maxc+1; d++ {
+			all = append(all, d)
+		}
+		queries := []Options{{D: 2, S: 2, K: 3, Seed: 1}, {D: 2, S: 3, K: 3, Seed: 1}}
+		want := make([]*Result, len(queries))
+		for i, o := range queries {
+			run := cold.BottomUp
+			if i == 1 {
+				run = cold.TopDown
+			}
+			res, err := run(ctx, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Stats.Elapsed = 0
+			want[i] = res
+		}
+		for _, ds := range [][]int{all, {2}} {
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("%s ds=%v workers=%d", fx.name, ds, workers)
+				calls := int64(0)
+				passes := 1
+				if workers > 1 {
+					passes = 5
+				}
+				for range passes {
+					full := &sweepCtx{Context: ctx, n: math.MaxInt64}
+					if err := NewPrepared(g, workers).PrepareDs(full, ds...); err != nil {
+						t.Fatal(err)
+					}
+					calls = max(calls, full.calls.Load())
+				}
+				for n := int64(1); n <= calls+1; n++ {
+					pr := NewPrepared(g, workers)
+					err := pr.PrepareDs(&sweepCtx{Context: ctx, n: n}, ds...)
+					cached := doneSlots(pr)
+					for d := range cached {
+						if !slices.Contains(ds, d) {
+							t.Fatalf("%s N=%d: slot d=%d is done, but was not asked for", name, n, d)
+						}
+						if !sameHierarchy(pr.artifact(d).hier, cold.hierarchyFor(ctx, d)) {
+							t.Fatalf("%s N=%d d=%d: cached hierarchy differs from a cold build", name, n, d)
+						}
+					}
+					if (err == nil) != (len(cached) == len(ds)) {
+						t.Fatalf("%s N=%d: PrepareDs returned %v with %d of %d thresholds cached", name, n, err, len(cached), len(ds))
+					}
+					if workers == 1 && (err == nil) != (n > calls) {
+						t.Fatalf("%s N=%d of %d calls: PrepareDs returned %v", name, n, calls, err)
+					}
+					if got := pr.Counters().HierarchyBuilds; got != int64(len(cached)) {
+						t.Fatalf("%s N=%d: HierarchyBuilds %d, %d cached", name, n, got, len(cached))
+					}
+					restored := NewPrepared(g, workers)
+					if err := restored.RestoreSnapshot(snapshotBytes(t, pr)); err != nil {
+						t.Fatal(err)
+					}
+					if got := doneSlots(restored); !reflect.DeepEqual(got, cached) {
+						t.Fatalf("%s N=%d: the snapshot restored %v, %v cached", name, n, got, cached)
+					}
+					if err := pr.PrepareDs(ctx, ds...); err != nil {
+						t.Fatal(err)
+					}
+					if got := pr.Counters().HierarchyBuilds; got != int64(len(ds)) {
+						t.Fatalf("%s N=%d: HierarchyBuilds %d after the resumed PrepareDs, want %d", name, n, got, len(ds))
+					}
+					for i, o := range queries {
+						run := pr.BottomUp
+						if i == 1 {
+							run = pr.TopDown
+						}
+						res, err := run(ctx, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res.Stats.Elapsed = 0
+						if res.CoverSize != want[i].CoverSize || !reflect.DeepEqual(res.Cores, want[i].Cores) || res.Stats != want[i].Stats {
+							t.Fatalf("%s N=%d: query %d answers\n%+v\nwant\n%+v", name, n, i, res, want[i])
+						}
+					}
+				}
+				t.Logf("%s: %d Err calls swept", name, calls)
+			}
+		}
+	}
+}
+
+// doneSlots returns the thresholds whose hierarchies pr has cached.
+func doneSlots(pr *Prepared) map[int]bool {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	out := map[int]bool{}
+	for d, a := range pr.byD {
+		if a.done.Load() {
+			out[d] = true
+		}
+	}
+	return out
 }

@@ -68,12 +68,13 @@ type Prepared struct {
 // for that d retries, rather than caching a partial hierarchy behind a
 // spent sync.Once. done flips after a successful build, letting the
 // snapshot writer enumerate finished entries without blocking on (or
-// triggering) in-flight builds. memo holds the exact d-CCs queries
-// computed on hier; it lives and dies with the slot, so a hierarchy
-// shared across live generations never carries it, and snapshots skip
-// it. spaces pools, per space key, the arenas holding compact search
-// spaces built on hier (see queryArena); like the memo they belong to
-// the slot and hence to one graph.
+// triggering) in-flight builds. memo holds the exact d-CCs and potential
+// sets queries computed on hier; it lives and dies with the slot, so a
+// hierarchy shared across live generations never carries it, while a
+// snapshot persists it next to hier and a restore refills it. spaces
+// pools, per space key, the arenas holding compact search spaces built
+// on hier (see queryArena); like the memo they belong to the slot and
+// hence to one graph.
 type dArtifact struct {
 	buildMu sync.Mutex
 	hier    *hierarchy

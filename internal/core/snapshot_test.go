@@ -15,6 +15,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bitset"
+	"repro/internal/kcore"
 	"repro/internal/leio"
 	"repro/internal/multilayer"
 	"repro/internal/testutil"
@@ -92,6 +94,197 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// memoStream answers, on pr, BU, TD, GD and Exact at two (d, s) pairs,
+// each with and without NoVertexDeletion, and TD also with NoSortLayers:
+// every kind of memo key there is.
+func memoStream(t *testing.T, pr *Prepared) []*Result {
+	t.Helper()
+	var out []*Result
+	for _, ds := range [][2]int{{2, 2}, {3, 4}} {
+		for _, nvd := range []bool{false, true} {
+			o := Options{D: ds[0], S: ds[1], K: 3, Seed: 5, NoVertexDeletion: nvd}
+			noSort := o
+			noSort.NoSortLayers = true
+			for _, q := range []struct {
+				run func(context.Context, Options) (*Result, error)
+				o   Options
+			}{
+				{pr.BottomUp, o}, {pr.TopDown, o}, {pr.Greedy, o}, {pr.Exact, o}, {pr.TopDown, noSort},
+			} {
+				res, err := q.run(context.Background(), q.o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.Stats.Elapsed = 0
+				out = append(out, res)
+			}
+		}
+	}
+	return out
+}
+
+// memoState returns every memo entry of pr by d, in key order.
+func memoState(pr *Prepared) map[int][]memoEntry {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	out := map[int][]memoEntry{}
+	for d, a := range pr.byD {
+		if memo := a.memo.sorted(); len(memo) > 0 {
+			out[d] = memo
+		}
+	}
+	return out
+}
+
+// sameMemo reports whether two memo states hold the same keys with
+// bit-identical sets.
+func sameMemo(a, b map[int][]memoEntry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for d, ea := range a {
+		eb := b[d]
+		if len(ea) != len(eb) {
+			return false
+		}
+		for i := range ea {
+			if ea[i].key != eb[i].key || !ea[i].set.Equal(eb[i].set) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func snapshotBytes(t *testing.T, pr *Prepared) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pr.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotCarriesMemo pins the memo sections of format 5: after a
+// handle answers every kind of memo key, a restore from its snapshot
+// holds the same memo key by key and bit by bit, answers the same stream
+// with the same cores, cover and Stats without one memo miss, and writes
+// a snapshot byte-identical to the builder's.
+func TestSnapshotCarriesMemo(t *testing.T) {
+	g, _ := snapshotTestGraphs(t)
+	builder := NewPrepared(g, 1)
+	want := memoStream(t, builder)
+	img := snapshotBytes(t, builder)
+	built := memoState(builder)
+	kinds := map[[3]bool]bool{}
+	for _, memo := range built {
+		for _, e := range memo {
+			kinds[[3]bool{e.key.nvd, e.key.potential, e.key.noSort}] = true
+		}
+	}
+	if len(kinds) != 6 {
+		t.Fatalf("the stream stored %d of the 6 key kinds: %v", len(kinds), kinds)
+	}
+
+	restored := NewPrepared(g, 1)
+	if err := restored.RestoreSnapshot(img); err != nil {
+		t.Fatal(err)
+	}
+	if !sameMemo(memoState(restored), built) {
+		t.Fatal("the restored memo differs from the builder's")
+	}
+	got := memoStream(t, restored)
+	for i := range want {
+		if got[i].CoverSize != want[i].CoverSize || !reflect.DeepEqual(got[i].Cores, want[i].Cores) || got[i].Stats != want[i].Stats {
+			t.Fatalf("query %d: restored handle answers\n%+v\nwant\n%+v", i, got[i], want[i])
+		}
+	}
+	if c := restored.Counters(); c.MemoMisses != 0 || c.MemoHits == 0 || c.CorenessBuilds != 0 || c.HierarchyBuilds != 0 {
+		t.Fatalf("restored handle was not warm: %+v", c)
+	}
+	if !bytes.Equal(snapshotBytes(t, restored), img) {
+		t.Fatal("the restored handle's snapshot differs from the builder's")
+	}
+}
+
+// TestSnapshotMemoBudget pins the budget charge of restored memo
+// entries, which go through the memo's own put: a restore charges what
+// the builder was charged, and an image whose valid entries exceed the
+// budget restores with the excess dropped. The oversized image carries
+// the true d-CCs of every layer set under NoVertexDeletion at every s,
+// which a vertex-deletion stream never reads, so its answers equal a
+// cold handle's.
+func TestSnapshotMemoBudget(t *testing.T) {
+	g, _ := snapshotTestGraphs(t)
+	builder := NewPrepared(g, 1)
+	memoStream(t, builder)
+	restored := NewPrepared(g, 1)
+	if err := restored.RestoreSnapshot(snapshotBytes(t, builder)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.Counters().MemoBytes, builder.Counters().MemoBytes; got != want || got == 0 {
+		t.Fatalf("restored MemoBytes %d, the builder's %d", got, want)
+	}
+
+	big := testutil.RandomCorrelatedGraph(rand.New(rand.NewSource(7)), 5000, 6, 0.002, 0.85, 0.0005)
+	const d = 2
+	crafted := NewPrepared(big, 1)
+	crafted.Prepare(d)
+	// The entries are stored around put, whose budget would refuse most.
+	slot := crafted.artifact(d)
+	slot.memo.entries = map[memoKey]*bitset.Set{}
+	l := big.L()
+	var charged int64
+	for s := 1; s <= l; s++ {
+		for mask := uint64(1); mask < 1<<l; mask++ {
+			var layers []int
+			for i := 0; i < l; i++ {
+				if mask&(1<<i) != 0 {
+					layers = append(layers, i)
+				}
+			}
+			c := kcore.DCC(big, crafted.CoreIntersection(layers, d), layers, d)
+			slot.memo.entries[memoKey{s: int32(s), nvd: true, mask: mask}] = c
+			charged += int64(8*len(c.Words()) + memoEntryOverhead)
+		}
+	}
+	budget := memoBudget(big)
+	if charged <= budget {
+		t.Fatalf("crafted entries take %d bytes, within the %d-byte budget", charged, budget)
+	}
+	pr := NewPrepared(big, 1)
+	if err := pr.RestoreSnapshot(snapshotBytes(t, crafted)); err != nil {
+		t.Fatal(err)
+	}
+	if c := pr.Counters(); c.MemoBytes > budget || c.MemoBytes == 0 {
+		t.Fatalf("restored MemoBytes %d, budget %d", c.MemoBytes, budget)
+	}
+	cold := NewPrepared(big, 1)
+	for _, o := range []Options{{D: d, S: 2, K: 3, Seed: 1}, {D: d, S: 4, K: 3, Seed: 2}} {
+		for _, algo := range []struct {
+			got, want func(context.Context, Options) (*Result, error)
+		}{
+			{pr.BottomUp, cold.BottomUp}, {pr.TopDown, cold.TopDown}, {pr.Greedy, cold.Greedy},
+		} {
+			got, err := algo.got(context.Background(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := algo.want(context.Background(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Stats.Elapsed, want.Stats.Elapsed = 0, 0
+			if len(want.Cores) == 0 {
+				t.Fatalf("%+v: no core; the fixture shows nothing", o)
+			}
+			if got.CoverSize != want.CoverSize || !reflect.DeepEqual(got.Cores, want.Cores) || got.Stats != want.Stats {
+				t.Fatalf("%+v: the over-budget restore answers\n%+v\nwant\n%+v", o, got, want)
+			}
+		}
+	}
+}
+
 // TestSnapshotColdHandle snapshots a handle that has served nothing: the
 // snapshot carries the coreness tier only and still restores cleanly.
 func TestSnapshotColdHandle(t *testing.T) {
@@ -119,7 +312,7 @@ func TestSnapshotColdHandle(t *testing.T) {
 
 // TestSnapshotWideGraph round-trips a graph beyond the 64-layer limit of
 // top-down and of the memo's bitmask keys, whose hierarchies are served
-// to bottom-up alone.
+// to bottom-up alone, and rejects a memo entry in its image.
 func TestSnapshotWideGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := testutil.RandomCorrelatedGraph(rng, 25, 66, 0.3, 0.7, 0.02)
@@ -146,6 +339,24 @@ func TestSnapshotWideGraph(t *testing.T) {
 	}
 	if c := restored.Counters(); c.CorenessBuilds != 0 || c.HierarchyBuilds != 0 {
 		t.Fatalf("restored handle rebuilt artifacts: %+v", c)
+	}
+	// Such a graph has no memo, so a memo entry in its image is rejected.
+	img := buf.Bytes()
+	dOffs, entries := snapLayout(img, g.N(), g.L())
+	if len(dOffs) != 1 || len(entries) != 0 {
+		t.Fatalf("wide image: d fields %v, memo entries %+v", dOffs, entries)
+	}
+	countOff := dOffs[0] + 8 + (g.L()+1)*((4*g.N()+7)&^7)
+	withEntry := reseal(img, func(b []byte) []byte {
+		binary.LittleEndian.PutUint64(b[countOff:], 1)
+		entry := make([]byte, 32+8) // s, flags, mask, bit length and one word
+		binary.LittleEndian.PutUint64(entry, 1)
+		binary.LittleEndian.PutUint64(entry[16:], 1)
+		binary.LittleEndian.PutUint64(entry[24:], uint64(g.N()))
+		return slices.Insert(b, countOff+8, entry...)
+	})
+	if err := NewPrepared(g, 1).RestoreSnapshot(withEntry); err == nil || !strings.Contains(err.Error(), "at most 64 layers") {
+		t.Fatalf("memo entry on a %d-layer graph: restore error %v", g.L(), err)
 	}
 }
 
@@ -238,14 +449,15 @@ func reseal(img []byte, edit func(body []byte) []byte) []byte {
 }
 
 // TestSnapshotRejectsEarlierFormats pins the upgrade path from format
-// versions 1 to 3: restore rejects them with an error naming the
+// versions 1 to 4: restore rejects them with an error naming the
 // version, and the handle stays cold and answers like one.
 // testdata/union_v2.mlgs is a format-2 snapshot for compatGraph at graph
 // version 5 with the d = 2 and 3 hierarchies and a union-adjacency
 // section; the format-v3 corpus seed is the last format-3 writer's image
 // of the same two hierarchies, with their per-d flags word and layer
-// masks; the version-1 image is a current image with its version field
-// set to 1 and resealed.
+// masks; the format-v4 seed is the last format-4 writer's image of them,
+// without memo sections; the version-1 image is a current image with its
+// version field set to 1 and resealed.
 func TestSnapshotRejectsEarlierFormats(t *testing.T) {
 	ctx := context.Background()
 	g := compatGraph()
@@ -254,6 +466,10 @@ func TestSnapshotRejectsEarlierFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	v3, err := readCorpusFile(filepath.Join(corpusDir, "format-v3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4, err := readCorpusFile(filepath.Join(corpusDir, "format-v4"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +488,7 @@ func TestSnapshotRejectsEarlierFormats(t *testing.T) {
 	for _, c := range []struct {
 		version int
 		img     []byte
-	}{{3, seal(v3)}, {2, v2}, {1, v1}} {
+	}{{4, seal(v4)}, {3, seal(v3)}, {2, v2}, {1, v1}} {
 		pr := NewPrepared(g, 1)
 		err := pr.RestoreSnapshot(c.img)
 		if err == nil {
@@ -329,24 +545,89 @@ func TestSnapshotRejectsEarlierFormats(t *testing.T) {
 	}
 }
 
+// snapEntry is one memo entry of a snapshot image: the offset of its
+// key and the fields it holds.
+type snapEntry struct {
+	off         int // of its s field; flags, mask and bit length follow
+	d, s, flags int64
+	mask        uint64
+	bits        int64
+}
+
+// snapLayout walks a snapshot image of a graph with n vertices and l
+// layers and returns the offsets of the persisted d fields and every
+// memo entry, in file order.
+func snapLayout(img []byte, n, l int) (dOffs []int, entries []snapEntry) {
+	u64 := func(off int) int64 { return int64(binary.LittleEndian.Uint64(img[off:])) }
+	section := (4*n + 7) &^ 7
+	off := snapCorenessOff + l*section
+	numD := u64(off)
+	off += 8
+	for range numD {
+		dOffs = append(dOffs, off)
+		d := u64(off)
+		off += 8 + (l+1)*section
+		count := u64(off)
+		off += 8
+		for range count {
+			e := snapEntry{off: off, d: d, s: u64(off), flags: u64(off + 8), mask: uint64(u64(off + 16)), bits: u64(off + 24)}
+			entries = append(entries, e)
+			off += 32 + 8*int((e.bits+63)/64)
+		}
+	}
+	return dOffs, entries
+}
+
 // TestSnapshotResealedRejected pins the content checks that stand in for
-// the checksum when an edited body is resealed, each on content that
-// used to restore and crash later. Coreness is the one persisted value
-// that sizes an allocation: a layer-0 entry of 2^30 ran the next
-// multi-d PrepareDs out of memory allocating the sweep's level table.
+// the checksum when an edited body is resealed. Coreness is the one
+// persisted value that sizes an allocation: a layer-0 entry of 2^30 ran
+// the next multi-d PrepareDs out of memory allocating the sweep's level
+// table. A memo entry is read by compact id next to the space's other
+// n′-bit sets, so its key and bit length must match its space. Degree
+// thresholds must strictly ascend: a repeated d would install one copy
+// and drop the other.
 func TestSnapshotResealedRejected(t *testing.T) {
+	ctx := context.Background()
 	g := compatGraph()
+	n, l := g.N(), g.L()
+	// At d = 8 vertex deletion keeps 31 of the 40 vertices at s = 2.
 	builder := NewPrepared(g, 1)
-	builder.Prepare(2)
-	var buf bytes.Buffer
-	if err := builder.WriteSnapshot(&buf); err != nil {
+	if err := builder.PrepareDs(ctx, 2, 8); err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.Bytes()
+	for _, nvd := range []bool{false, true} {
+		if _, err := builder.BottomUp(ctx, Options{D: 8, S: 2, K: 3, Seed: 1, NoVertexDeletion: nvd}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	valid := snapshotBytes(t, builder)
 	maxc := binary.LittleEndian.Uint64(valid[snapMaxCorenessOff:])
 	if err := NewPrepared(g, 1).RestoreSnapshot(reseal(valid, func(b []byte) []byte { return b })); err != nil {
 		t.Fatalf("resealed unedited image rejected: %v", err)
 	}
+	dOffs, entries := snapLayout(valid, n, l)
+	// A vertex-deletion d-CC entry whose space lost vertices, and two
+	// neighbouring entries of one d that differ in their mask alone.
+	var vd *snapEntry
+	pair := -1
+	for i, e := range entries {
+		if vd == nil && e.flags == 0 && e.bits > 0 && e.bits < int64(n) {
+			vd = &entries[i]
+		}
+		if pair < 0 && i > 0 && entries[i-1].d == e.d && entries[i-1].s == e.s && entries[i-1].flags == e.flags {
+			pair = i
+		}
+	}
+	if len(dOffs) != 2 || vd == nil || pair < 0 {
+		t.Fatalf("the image shows nothing: d fields %v, memo entries %+v, vertex-deletion entry %v, pair %d", dOffs, entries, vd, pair)
+	}
+	put := func(off int, v int64) func([]byte) []byte {
+		return func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[off:], uint64(v))
+			return b
+		}
+	}
+	lastWord := vd.off + 32 + 8*int((vd.bits-1)/64)
 	for _, c := range []struct {
 		name string
 		edit func(body []byte) []byte
@@ -359,24 +640,36 @@ func TestSnapshotResealedRejected(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[snapCorenessOff+4:], 0xffffffff)
 			return b
 		}},
-		{"max coreness above the largest entry", func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[snapMaxCorenessOff:], maxc+1)
+		{"max coreness above the largest entry", put(snapMaxCorenessOff, int64(maxc+1))},
+		{"max coreness below the largest entry", put(snapMaxCorenessOff, int64(maxc-1))},
+		{"repeated degree threshold", put(dOffs[1], 2)},
+		{"memo bit length one above n′", put(vd.off+24, vd.bits+1)},
+		{"memo bit length one below n′", put(vd.off+24, vd.bits-1)},
+		{"memo NoVertexDeletion flag on a space of n′ < n", put(vd.off+8, memoFlagNVD)},
+		{"memo bit set past n′", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[lastWord:], binary.LittleEndian.Uint64(b[lastWord:])|1<<63)
 			return b
 		}},
-		{"max coreness below the largest entry", func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[snapMaxCorenessOff:], maxc-1)
-			return b
-		}},
+		{"memo mask bit l", put(vd.off+16, int64(vd.mask|1<<uint(l)))},
+		{"memo s = 0", put(vd.off, 0)},
+		{"memo s = l + 1", put(vd.off, int64(l+1))},
+		{"memo NoSortLayers on a d-CC key", put(vd.off+8, memoFlagNoSort)},
+		{"memo unknown key flag", put(vd.off+8, memoFlagsAll+1)},
+		{"memo key equal to the one before", put(entries[pair].off+16, int64(entries[pair-1].mask))},
+		{"memo entry count 2^40", put(entries[0].off-8, 1<<40)},
 	} {
 		pr := NewPrepared(g, 1)
 		if err := pr.RestoreSnapshot(reseal(valid, c.edit)); err == nil {
 			t.Fatalf("%s: resealed image accepted", c.name)
 		}
 		// The rejected image left the handle cold and usable.
-		if err := pr.PrepareDs(context.Background(), 2, 3); err != nil {
+		if got := pr.Counters(); got != (PreparedCounters{}) || len(memoState(pr)) != 0 {
+			t.Fatalf("%s: the rejected restore left %+v behind", c.name, got)
+		}
+		if err := pr.PrepareDs(ctx, 2, 3); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pr.TopDown(context.Background(), Options{D: 2, S: 3, K: 2, Seed: 1}); err != nil {
+		if _, err := pr.TopDown(ctx, Options{D: 2, S: 3, K: 2, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if c := pr.Counters(); c.CorenessBuilds != 1 || c.HierarchyBuilds != 2 {
@@ -404,11 +697,14 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if err := pr.PrepareAll(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pr.BottomUp(ctx, Options{D: 2, S: 2, K: 3, Seed: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pr.TopDown(ctx, Options{D: 3, S: 3, K: 3, Seed: 1}); err != nil {
-			t.Fatal(err)
+		for _, q := range fuzzQueries {
+			run := pr.BottomUp
+			if q.topDown {
+				run = pr.TopDown
+			}
+			if _, err := run(ctx, q.o); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }
@@ -419,21 +715,30 @@ var corpusDir = filepath.Join("testdata", "fuzz", "FuzzRestoreSnapshot")
 // earlierFormatSeeds maps the corpus seeds written by earlier format
 // versions to their version: a format-2 body with the union-adjacency
 // field absent, as the last format-2 writer produced it, and the last
-// format-3 writer's warm-d2-d3 body. Restore must reject both.
-var earlierFormatSeeds = map[string]int{"format-v2": 2, "format-v3": 3}
+// format-3 and format-4 writers' warm-d2-d3 bodies. Restore must reject
+// all three.
+var earlierFormatSeeds = map[string]int{"format-v2": 2, "format-v3": 3, "format-v4": 4}
+
+// fuzzQueries are the queries FuzzRestoreSnapshot answers after a
+// restore, a bottom-up and a top-down one at different d.
+var fuzzQueries = []struct {
+	topDown bool
+	o       Options
+}{
+	{false, Options{D: 2, S: 2, K: 3, Seed: 1}},
+	{true, Options{D: 3, S: 3, K: 3, Seed: 1}},
+}
 
 // corpusSeeds returns the current-format seed bodies for compatGraph,
 // by corpus file name: a cold handle's, a handle with the d = 2 and 3
-// hierarchies, and the same at graph version 7.
+// hierarchies, the same at graph version 7, and a handle that answered
+// fuzzQueries, whose memo sections hold the entries those queries read.
 func corpusSeeds(t *testing.T) map[string][]byte {
 	t.Helper()
 	g := compatGraph()
 	body := func(pr *Prepared) []byte {
-		var buf bytes.Buffer
-		if err := pr.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()[:buf.Len()-8]
+		img := snapshotBytes(t, pr)
+		return img[:len(img)-8]
 	}
 	warm := func() *Prepared {
 		pr := NewPrepared(g, 1)
@@ -444,10 +749,24 @@ func corpusSeeds(t *testing.T) map[string][]byte {
 	}
 	stamped := warm()
 	stamped.version.Store(7)
+	answered := NewPrepared(g, 1)
+	for _, q := range fuzzQueries {
+		run := answered.BottomUp
+		if q.topDown {
+			run = answered.TopDown
+		}
+		if _, err := run(context.Background(), q.o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if answered.Counters().MemoBytes == 0 {
+		t.Fatal("the fuzz queries stored no memo entry")
+	}
 	return map[string][]byte{
 		"cold-handle":     body(NewPrepared(g, 1)),
 		"warm-d2-d3":      body(warm()),
 		"version-stamped": body(stamped),
+		"memo-answered":   body(answered),
 	}
 }
 

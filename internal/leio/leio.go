@@ -113,6 +113,19 @@ func (w *Writer) I64s(xs []int64) {
 	}
 }
 
+// U64s writes a section of little-endian uint64 values.
+func (w *Writer) U64s(xs []uint64) {
+	if hostLittleEndian {
+		w.write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), 8*len(xs)))
+		return
+	}
+	var b [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b[:], x)
+		w.write(b[:])
+	}
+}
+
 var zeroPad [8]byte
 
 // Pad8 pads the stream with zero bytes to the next 8-byte boundary, so
@@ -252,6 +265,23 @@ func (r *Reader) I64s(count int) []int64 {
 	out := make([]int64, count)
 	for i := range out {
 		out[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+	return out
+}
+
+// U64s reads a section of count little-endian uint64 values, zero-copy
+// when possible.
+func (r *Reader) U64s(count int) []uint64 {
+	p := r.take(8 * count)
+	if p == nil || count == 0 {
+		return nil
+	}
+	if hostLittleEndian && aligned(p, 8) {
+		return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(p))), count)
+	}
+	out := make([]uint64, count)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(p[8*i:])
 	}
 	return out
 }

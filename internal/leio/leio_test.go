@@ -15,6 +15,7 @@ func TestRoundTrip(t *testing.T) {
 	w.I32s([]int32{1, -2, 3})
 	w.Pad8()
 	w.I64s([]int64{1 << 40, -5})
+	w.U64s([]uint64{0xdeadbeef, 1 << 63})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +36,12 @@ func TestRoundTrip(t *testing.T) {
 	xs := r.I32s(3)
 	r.Align8()
 	ys := r.I64s(2)
+	zs := r.U64s(2)
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	if xs[0] != 1 || xs[1] != -2 || xs[2] != 3 || ys[0] != 1<<40 || ys[1] != -5 {
-		t.Fatalf("section mismatch: %v %v", xs, ys)
+	if xs[0] != 1 || xs[1] != -2 || xs[2] != 3 || ys[0] != 1<<40 || ys[1] != -5 || zs[0] != 0xdeadbeef || zs[1] != 1<<63 {
+		t.Fatalf("section mismatch: %v %v %v", xs, ys, zs)
 	}
 	if r.Remaining() != 0 {
 		t.Fatalf("%d bytes left over", r.Remaining())
@@ -52,7 +54,7 @@ func TestReaderTruncation(t *testing.T) {
 		t.Fatal("expected truncation error")
 	}
 	// Sticky: everything after the failure is a zero-value no-op.
-	if r.U32() != 0 || r.I32s(5) != nil || r.Err() == nil {
+	if r.U32() != 0 || r.I32s(5) != nil || r.U64s(1) != nil || r.Err() == nil {
 		t.Fatal("error did not stick")
 	}
 }

@@ -611,8 +611,8 @@ func TestSnapshotUpgradeFromEarlierFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(saved) < 8 || binary.LittleEndian.Uint32(saved[4:]) != 4 {
-		t.Fatal("the save after an ignored snapshot did not write format version 4")
+	if len(saved) < 8 || binary.LittleEndian.Uint32(saved[4:]) != 5 {
+		t.Fatal("the save after an ignored snapshot did not write format version 5")
 	}
 	s2, err := New(cfg, GraphSpec{Name: "compat", Graph: g})
 	if err != nil {

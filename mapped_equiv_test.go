@@ -2,6 +2,7 @@ package dccs
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -110,6 +111,80 @@ func TestMappedEngineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	check()
+}
+
+// TestMappedRestartAnswersWarm restarts an engine the way a server does
+// after a drain save: map the .mlgb, create an engine and load the
+// .mlgs the saved engine wrote after answering a query stream. The
+// restarted engine answers the stream with JSON byte-equal to the saved
+// engine's answers (Stats.Elapsed aside) without building an artifact
+// or missing the memo once: the snapshot carries every d-CC and
+// potential set the stream looks up.
+func TestMappedRestartAnswersWarm(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	g := testutil.RandomCorrelatedGraph(rng, 80, 6, 0.2, 0.85, 0.05)
+	dir := t.TempDir()
+	graphPath, snapPath := filepath.Join(dir, "g.mlgb"), filepath.Join(dir, "g.mlgs")
+	if err := g.WriteBinaryFile(graphPath); err != nil {
+		t.Fatal(err)
+	}
+	queries := []Query{
+		{D: 2, S: 2, K: 5, Seed: 3, Algorithm: AlgoBottomUp},
+		{D: 2, S: 4, K: 5, Seed: 3, Algorithm: AlgoTopDown},
+		{D: 3, S: 3, K: 4, Seed: 9, Algorithm: AlgoGreedy},
+		{D: 3, S: 3, K: 4, Seed: 9}, // auto
+	}
+	answer := func(eng *Engine) []string {
+		t.Helper()
+		var out []string
+		for _, q := range queries {
+			res, err := eng.Search(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Stats.Elapsed = 0
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, string(b))
+		}
+		return out
+	}
+
+	saved, err := NewEngine(g, EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := answer(saved)
+	if err := saved.SaveSnapshot(snapPath); err != nil {
+		t.Fatal(err)
+	}
+
+	mapped, err := OpenMappedGraphFile(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	restarted, err := NewEngine(mapped.Graph, EngineConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restarted.LoadSnapshot(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	if m := restarted.Metrics(); m.MemoBytes != saved.Metrics().MemoBytes {
+		t.Fatalf("restored MemoBytes %d, the saved engine's %d", m.MemoBytes, saved.Metrics().MemoBytes)
+	}
+	got := answer(restarted)
+	for i := range queries {
+		if got[i] != want[i] {
+			t.Fatalf("query %d: restarted engine answers\n%s\nwant\n%s", i, got[i], want[i])
+		}
+	}
+	if m := restarted.Metrics(); m.CorenessBuilds != 0 || m.HierarchyBuilds != 0 || m.MemoMisses != 0 || m.MemoHits == 0 {
+		t.Fatalf("restarted engine was not warm: %+v", m)
+	}
 }
 
 // TestWriteOverMappedGraph writes a graph over the file an engine serves
