@@ -51,15 +51,18 @@ func arcs(n, layers, span int) *multilayer.Graph {
 
 // TestCancelAtEveryPollPoint cancels BU, TD, GD and Exact at every poll
 // point of internal/core. On three small fixtures and a 5,000-vertex
-// one whose refineC floods reach their strided poll (arcs), with
-// Workers = 1 and each run on a fresh Prepared, the context reports
-// cancellation from its N-th Err call on, for N from 1 to one past the
-// calls an uncancelled run makes. At every N:
+// one whose refineC floods reach their strided poll (arcs), at Workers
+// 1 and, for BU, TD and GD, at Workers 2, each run on a fresh Prepared
+// of those workers, the context reports cancellation from its N-th Err
+// call on, for N from 1 to one past the calls an uncancelled run makes
+// (at Workers 2 the count depends on scheduling: the most of five
+// passes). At every N:
 //
 //   - the result passes ValidateResult, so every returned core is the
 //     exact d-CC of its layers;
-//   - Truncated and Interrupted are set exactly when N is at most the
-//     uncancelled call count;
+//   - Truncated and Interrupted agree, and are set exactly when N is at
+//     most the uncancelled call count at Workers 1, and never once N
+//     exceeds it;
 //   - the same Prepared then answers the query uncancelled with the
 //     cores, cover and Stats (less Elapsed) of a fresh Prepared, so no
 //     memo entry, pooled space or refine scratch leaks out of the
@@ -84,40 +87,56 @@ func TestCancelAtEveryPollPoint(t *testing.T) {
 		{arcs(5000, 6, 4700), Options{D: 2, S: 4, K: 3, Seed: 4, NoInitResult: true}},
 	}
 	for fi, fx := range fixtures {
-		fx.o.Workers = 1
 		for _, a := range algos {
-			full := &sweepCtx{Context: context.Background(), n: math.MaxInt64}
-			want, err := a.run(NewPrepared(fx.g, 1), full, fx.o)
-			if err != nil {
-				t.Fatal(err)
+			for _, workers := range []int{1, 2} {
+				if workers > 1 && a.name == "exact" {
+					continue
+				}
+				o := fx.o
+				o.Workers = workers
+				name := fmt.Sprintf("fixture %d %s workers=%d", fi, a.name, workers)
+				passes := 1
+				if workers > 1 {
+					passes = 5
+				}
+				var want *Result
+				calls := int64(0)
+				for range passes {
+					full := &sweepCtx{Context: context.Background(), n: math.MaxInt64}
+					res, err := a.run(NewPrepared(fx.g, workers), full, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, calls = res, max(calls, full.calls.Load())
+				}
+				if want.Stats.Truncated || len(want.Cores) == 0 {
+					t.Fatalf("%s: uncancelled run truncated %v with %d cores; the fixture shows nothing", name, want.Stats.Truncated, len(want.Cores))
+				}
+				want.Stats.Elapsed = 0
+				for n := int64(1); n <= calls+1; n++ {
+					pr := NewPrepared(fx.g, workers)
+					res, err := a.run(pr, &sweepCtx{Context: context.Background(), n: n}, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := ValidateResult(fx.g, o, res); err != nil {
+						t.Fatalf("%s N=%d: %v", name, n, err)
+					}
+					cut := res.Stats.Truncated
+					if res.Stats.Interrupted != cut || (n > calls && cut) || (workers == 1 && cut != (n <= calls)) {
+						t.Fatalf("%s N=%d of %d calls: truncated %v, interrupted %v", name, n, calls, cut, res.Stats.Interrupted)
+					}
+					again, err := a.run(pr, context.Background(), o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					again.Stats.Elapsed = 0
+					if again.CoverSize != want.CoverSize || !reflect.DeepEqual(again.Cores, want.Cores) || again.Stats != want.Stats {
+						t.Fatalf("%s N=%d: after the cancelled run the handle answers\n%+v\nwant\n%+v", name, n, again, want)
+					}
+				}
+				t.Logf("%s: %d Err calls swept", name, calls)
 			}
-			calls := full.calls.Load()
-			if want.Stats.Truncated || len(want.Cores) == 0 {
-				t.Fatalf("fixture %d %s: uncancelled run truncated %v with %d cores; the fixture shows nothing", fi, a.name, want.Stats.Truncated, len(want.Cores))
-			}
-			want.Stats.Elapsed = 0
-			for n := int64(1); n <= calls+1; n++ {
-				pr := NewPrepared(fx.g, 1)
-				res, err := a.run(pr, &sweepCtx{Context: context.Background(), n: n}, fx.o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := ValidateResult(fx.g, fx.o, res); err != nil {
-					t.Fatalf("fixture %d %s N=%d: %v", fi, a.name, n, err)
-				}
-				if cut := n <= calls; res.Stats.Truncated != cut || res.Stats.Interrupted != cut {
-					t.Fatalf("fixture %d %s N=%d of %d calls: truncated %v, interrupted %v, want %v", fi, a.name, n, calls, res.Stats.Truncated, res.Stats.Interrupted, cut)
-				}
-				again, err := a.run(pr, context.Background(), fx.o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				again.Stats.Elapsed = 0
-				if again.CoverSize != want.CoverSize || !reflect.DeepEqual(again.Cores, want.Cores) || again.Stats != want.Stats {
-					t.Fatalf("fixture %d %s N=%d: after the cancelled run the handle answers\n%+v\nwant\n%+v", fi, a.name, n, again, want)
-				}
-			}
-			t.Logf("fixture %d %s: %d Err calls swept", fi, a.name, calls)
 		}
 	}
 }

@@ -21,7 +21,7 @@ type semaphore struct {
 	depth int
 	// inflight and queued mirror the held tokens and the queue length
 	// for lock-free reads (/metrics, tests).
-	inflight, queued *atomic.Int64
+	inflight, queued atomic.Int64
 
 	mu      sync.Mutex
 	held    int64
@@ -35,8 +35,8 @@ type waiter struct {
 	ready chan struct{}
 }
 
-func newSemaphore(size, depth int, inflight, queued *atomic.Int64) *semaphore {
-	return &semaphore{size: int64(size), depth: depth, inflight: inflight, queued: queued}
+func newSemaphore(size, depth int) *semaphore {
+	return &semaphore{size: int64(size), depth: depth}
 }
 
 // acquire takes n tokens: at once when they are free and nobody is

@@ -10,8 +10,7 @@ import (
 )
 
 func newTestSemaphore(size, depth int) *semaphore {
-	var inflight, queued atomic.Int64
-	return newSemaphore(size, depth, &inflight, &queued)
+	return newSemaphore(size, depth)
 }
 
 // acquireAsync starts s.acquire(ctx, n) and returns the channel its

@@ -175,6 +175,5 @@ func (s *Server) HandleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 	}
 	resp.CacheHits, resp.Coalesced, resp.EngineRuns, resp.Errors = s.metrics.countBatch(items, elapsed)
-	s.metrics.countStatus(http.StatusOK)
 	s.writeJSON(w, http.StatusOK, resp)
 }

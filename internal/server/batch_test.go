@@ -379,7 +379,7 @@ func TestBatchSaturated429(t *testing.T) {
 	}()
 	// Wait until the slow query holds the only inflight slot.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.metrics.inflight.Load() == 0 {
+	for s.admission.inflight.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slow query never acquired the inflight slot")
 		}
@@ -557,7 +557,7 @@ func TestBatchCoalescesWithSingles(t *testing.T) {
 					t.Errorf("blocker status %d", resp.StatusCode)
 				}
 			}()
-			waitFor(t, func() bool { return s.metrics.inflight.Load() == 1 })
+			waitFor(t, func() bool { return s.admission.inflight.Load() == 1 })
 
 			var singleOut SearchResponse
 			var batchOut BatchResponse
@@ -584,7 +584,7 @@ func TestBatchCoalescesWithSingles(t *testing.T) {
 				defer close(firstDone)
 				first()
 			}()
-			waitFor(t, func() bool { return s.queued.Load() == 1 })
+			waitFor(t, func() bool { return s.admission.queued.Load() == 1 })
 			second()
 			<-firstDone
 			<-blockerDone

@@ -2,7 +2,7 @@
 // long-lived engine per loaded graph, an LRU result cache keyed by the
 // engine's canonical cache key, singleflight coalescing of identical
 // concurrent queries, bounded admission with backpressure, Prometheus
-// text metrics, and snapshot-backed warm starts. See README.md for the
+// text metrics, and snapshot-backed warm starts. See API.md for the
 // endpoint and metrics reference and DESIGN.md for the cache-key and
 // coalescing soundness arguments.
 package server

@@ -28,33 +28,63 @@ func TestRoutesMatchAPIDoc(t *testing.T) {
 	for _, m := range docRouteRe.FindAllStringSubmatch(dccs.APIDoc, -1) {
 		documented[m[1]+" "+m[2]] = true
 	}
-	if len(documented) == 0 {
-		t.Fatal("no `### `METHOD /path`` headings found in the embedded API.md")
-	}
-
 	served := map[string]bool{}
 	for _, r := range Routes() {
 		served[r] = true
 	}
+	diffDoc(t, "routes", served, documented)
+}
 
+// TestMetricsMatchAPIDoc diffs the families GET /metrics renders against
+// the dccs_* names in the first column of API.md's GET /metrics table:
+// every rendered family must be documented, and every documented one
+// rendered.
+func TestMetricsMatchAPIDoc(t *testing.T) {
+	_, section, _ := strings.Cut(dccs.APIDoc, "### `GET /metrics`")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 {
+			for _, m := range docMetricRe.FindAllStringSubmatch(cells[1], -1) {
+				documented[m[1]] = true
+			}
+		}
+	}
+	s, _ := newTestServer(t, Config{})
+	rendered := map[string]bool{}
+	for _, f := range s.families() {
+		rendered[f.name] = true
+	}
+	diffDoc(t, "metrics", rendered, documented)
+}
+
+// docMetricRe matches a backticked metric name in API.md's /metrics table.
+var docMetricRe = regexp.MustCompile("`(dccs_[a-z_]+)")
+
+// diffDoc fails the test with the names the server has that API.md
+// does not document, and the ones it documents that the server lacks.
+func diffDoc(t *testing.T, what string, have, documented map[string]bool) {
+	t.Helper()
+	if len(documented) == 0 {
+		t.Fatalf("no %s found in the embedded API.md", what)
+	}
 	var missing, stale []string
-	for r := range served {
+	for r := range have {
 		if !documented[r] {
 			missing = append(missing, r)
 		}
 	}
 	for r := range documented {
-		if !served[r] {
+		if !have[r] {
 			stale = append(stale, r)
 		}
 	}
 	sort.Strings(missing)
 	sort.Strings(stale)
 	if len(missing) > 0 {
-		t.Errorf("routes served but not documented in API.md: %v", missing)
+		t.Errorf("%s served but not documented in API.md: %v", what, missing)
 	}
 	if len(stale) > 0 {
-		t.Errorf("routes documented in API.md but not served: %v", stale)
+		t.Errorf("%s documented in API.md but not served: %v", what, stale)
 	}
 }
 

@@ -67,7 +67,10 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers with v as JSON and counts its status, before the
+// client can read the response.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	s.metrics.countStatus(code)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -77,7 +80,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	s.metrics.countStatus(code)
 	s.writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
@@ -156,12 +158,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, t.err)
 		return
 	}
-	if t.source == "coalesced" {
-		s.metrics.coalesced.Add(1)
-	}
 	elapsed := time.Since(start)
 	s.metrics.countSearch(t.source, elapsed)
-	s.metrics.countStatus(http.StatusOK)
 	cores, stats := wireResult(t.res)
 	s.writeJSON(w, http.StatusOK, SearchResponse{
 		Graph:     h.name,
@@ -207,7 +205,6 @@ func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 			HierarchyBuilds: m.HierarchyBuilds,
 		})
 	}
-	s.metrics.countStatus(http.StatusOK)
 	s.writeJSON(w, http.StatusOK, struct {
 		Graphs []GraphInfo `json:"graphs"`
 	}{out})
@@ -238,10 +235,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	up := time.Since(s.start).Seconds()
 	if s.draining.Load() {
-		s.metrics.countStatus(http.StatusServiceUnavailable)
 		s.writeJSON(w, http.StatusServiceUnavailable, health{Status: "draining", UptimeS: up, Graphs: len(s.names), GraphStatus: gs})
 		return
 	}
-	s.metrics.countStatus(http.StatusOK)
 	s.writeJSON(w, http.StatusOK, health{Status: "ok", UptimeS: up, Graphs: len(s.names), GraphStatus: gs})
 }

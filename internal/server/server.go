@@ -132,10 +132,9 @@ type Server struct {
 	cache  *resultCache
 	flight *flightGroup
 
-	// admission grants MaxInflight tokens in arrival order; queued
-	// gauges the requests waiting for them, at most QueueDepth.
+	// admission grants MaxInflight tokens in arrival order, with at most
+	// QueueDepth requests waiting for them.
 	admission *semaphore
-	queued    atomic.Int64
 
 	// queryCtx parents every computation context; Shutdown cancels it,
 	// draining in-flight searches via the engines' cancellation support.
@@ -180,7 +179,7 @@ func New(cfg Config, specs ...GraphSpec) (*Server, error) {
 		cancelQuery: cancel,
 		snapStop:    make(chan struct{}),
 	}
-	s.admission = newSemaphore(cfg.MaxInflight, cfg.QueueDepth, &s.metrics.inflight, &s.queued)
+	s.admission = newSemaphore(cfg.MaxInflight, cfg.QueueDepth)
 	for _, spec := range specs {
 		if spec.Name == "" || spec.Graph == nil {
 			cancel()
@@ -387,7 +386,7 @@ var routes = []route{
 	{http.MethodPost, "/v1/graphs/{graph}/edges", (*Server).handleUpdateEdges, true}, // an edge-update batch (mutable graphs)
 	{http.MethodGet, "/v1/docs", (*Server).handleDocs, false},                        // the API contract (API.md) as markdown
 	{http.MethodGet, "/healthz", (*Server).handleHealthz, false},                     // liveness (503 while draining) + per-graph status
-	{http.MethodGet, "/metrics", (*Server).handleMetrics, false},                     // Prometheus text-format counters
+	{http.MethodGet, "/metrics", (*Server).handleMetrics, false},                     // Prometheus text-format metrics
 }
 
 // Routes lists every route Handler serves, one "METHOD /path" line per

@@ -267,7 +267,7 @@ func TestCoalescing(t *testing.T) {
 			t.Errorf("blocker status %d", resp.StatusCode)
 		}
 	}()
-	waitFor(t, func() bool { return s.metrics.inflight.Load() == 1 })
+	waitFor(t, func() bool { return s.admission.inflight.Load() == 1 })
 
 	// While the blocker owns the slot, identical fast queries pile up:
 	// one flight leader queued on admission, the rest coalesced onto it.
@@ -305,7 +305,7 @@ func TestCoalescing(t *testing.T) {
 	if q := eng.Metrics().Queries; q != 2 {
 		t.Fatalf("engine served %d queries, want 2 (blocker + coalesced leader)", q)
 	}
-	if got := s.metrics.coalesced.Load(); got != int64(counts["coalesced"]) {
+	if got := s.metrics.searchCoalesced.count(); got != int64(counts["coalesced"]) {
 		t.Fatalf("coalesced counter %d, responses %d", got, counts["coalesced"])
 	}
 }
@@ -331,7 +331,7 @@ func TestShutdownDrains(t *testing.T) {
 		resp, out := postSearch(t, ts.URL, slowQuery(30_000))
 		got <- answer{resp, out}
 	}()
-	waitFor(t, func() bool { return s.metrics.inflight.Load() == 1 })
+	waitFor(t, func() bool { return s.admission.inflight.Load() == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -379,7 +379,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		defer close(blockerDone)
 		postSearch(t, ts.URL, slowQuery(400))
 	}()
-	waitFor(t, func() bool { return s.metrics.inflight.Load() == 1 })
+	waitFor(t, func() bool { return s.admission.inflight.Load() == 1 })
 
 	resp, _ := postSearch(t, ts.URL, SearchRequest{D: 2, S: 3, K: 1, Seed: 77})
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -738,13 +738,13 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	if s.cache.evictions.Load() == 0 {
 		t.Fatal("stress never evicted despite capacity 8")
 	}
-	if s.metrics.searchEngine.Load() == 0 {
+	if s.metrics.searchEngine.count() == 0 {
 		t.Fatal("no engine computations recorded")
 	}
 	// Every answer labelled "engine" ran the engine once, and no
 	// computation went unlabelled.
 	eng, _ := s.Engine("fig1")
-	if q, engine := eng.Metrics().Queries, s.metrics.searchEngine.Load()+s.metrics.batchItemsEng.Load(); q != engine {
+	if q, engine := eng.Metrics().Queries, s.metrics.searchEngine.count()+s.metrics.batchItemsEng.Load(); q != engine {
 		t.Fatalf("engine served %d queries, but %d answers are engine-sourced", q, engine)
 	}
 }

@@ -101,7 +101,6 @@ func (s *Server) handleUpdateEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.countUpdate(stats)
-	s.metrics.countStatus(http.StatusOK)
 	s.writeJSON(w, http.StatusOK, UpdateResponse{
 		Graph:                  name,
 		Version:                stats.Version,
