@@ -417,6 +417,42 @@ func BenchmarkApplyUpdatesWatched(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchAfterUpdate times the first searches on each new live
+// generation, live-mixed's query shapes on BenchmarkApplyUpdates' engine
+// and batch stream: each iteration applies the next batch with the timer
+// stopped, then times bottom-up at d = 4, k = 10 for s = 2 and s = 3 on
+// the new generation. carried/op reports the d-CC memo entries each
+// batch carried into its generation, misses/op the memo lookups the two
+// searches had to compute.
+func BenchmarkSearchAfterUpdate(b *testing.B) {
+	e, batches := liveUpdateBench(b)
+	ctx := context.Background()
+	search := func(i int) {
+		for _, s := range []int{2, 3} {
+			q := dccs.Query{D: 4, S: s, K: 10, Seed: int64(i%4 + 1), Algorithm: dccs.AlgoBottomUp}
+			if _, err := e.Search(ctx, q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	search(0) // fills the first generation's memo for the first batch
+	start := e.Metrics()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := e.ApplyUpdates(ctx, batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		search(i)
+	}
+	b.StopTimer()
+	m := e.Metrics()
+	b.ReportMetric(float64(m.MemoCarried-start.MemoCarried)/float64(b.N), "carried/op")
+	b.ReportMetric(float64(m.MemoMisses-start.MemoMisses)/float64(b.N), "misses/op")
+}
+
 // liveUpdateBench returns the mutable engine and the batch stream of
 // BenchmarkApplyUpdates: batch 2p inserts 100 edges absent from the graph
 // on layer p, batch 2p+1 deletes them again.

@@ -83,10 +83,12 @@ type Query struct {
 //
 // MemoHits and MemoMisses count the lookups of the d-CC memo, which
 // reuses exact coherent cores across queries sharing (D, S); they are
-// lifetime counters like the build counters. MemoBytes is what the
-// current generation's memo holds, bounded by a budget the size of the
-// graph's per-layer coreness arrays (at least 64 KiB); after
-// LoadSnapshot it includes the restored entries.
+// lifetime counters like the build counters. MemoCarried counts, over
+// the engine's life, the memo entries an update batch carried into the
+// next generation because the batch provably left them unchanged.
+// MemoBytes is what the current generation's memo holds, bounded by a
+// budget the size of the graph's per-layer coreness arrays (at least
+// 64 KiB); after LoadSnapshot it includes the restored entries.
 //
 // SpaceBuilds and SpaceReuses count the queries that built their compact
 // search space and those that reused the space an earlier query sharing
@@ -100,6 +102,7 @@ type EngineMetrics struct {
 	HierarchyBuilds int64
 	MemoHits        int64
 	MemoMisses      int64
+	MemoCarried     int64
 	MemoBytes       int64
 	SpaceBuilds     int64
 	SpaceReuses     int64
@@ -308,9 +311,10 @@ func (v View) CacheKey(q Query) string {
 // Metrics returns the engine's lifetime counters. On mutable engines
 // the build and memo counters carry across update generations (Derive
 // inherits them), so they keep measuring amortization over the engine's
-// life; MemoBytes restarts at 0 with every generation. After
-// LoadSnapshot, MemoBytes holds the restored memo entries; restored
-// artifacts and entries count as neither builds nor memo lookups.
+// life; MemoBytes restarts with every generation at the charges of the
+// entries the batch carried into it. After LoadSnapshot, MemoBytes
+// holds the restored memo entries; restored artifacts and entries count
+// as neither builds nor memo lookups.
 func (e *Engine) Metrics() EngineMetrics {
 	c := e.st.Load().pr.Counters()
 	return EngineMetrics{
@@ -319,6 +323,7 @@ func (e *Engine) Metrics() EngineMetrics {
 		HierarchyBuilds: c.HierarchyBuilds,
 		MemoHits:        c.MemoHits,
 		MemoMisses:      c.MemoMisses,
+		MemoCarried:     c.MemoCarried,
 		MemoBytes:       c.MemoBytes,
 		SpaceBuilds:     c.SpaceBuilds,
 		SpaceReuses:     c.SpaceReuses,

@@ -17,12 +17,17 @@ import (
 // rejected whole with nothing applied. After every batch:
 //
 //   - Engine.Graph() is Equal to a cold build of a shadow edge set;
-//   - search answers are byte-equal to a cold NewEngine's;
+//   - search answers are byte-equal to a cold NewEngine's, also when
+//     they read memo entries an earlier batch carried;
 //   - the watch core equals CoherentCore.
 func FuzzApplyUpdates(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 2, 3, 4, 1, 1, 2})
 	f.Add([]byte{2, 1, 0, 1, 0, 0, 1, 1, 4, 4, 5, 5, 6})
 	f.Add([]byte{1, 6, 10, 3})
+	// Two single inserts on layer 2: the second batch carries 5 of the
+	// memo entries the queries after the first stored, so the replay
+	// compares answers read from carried entries with a cold engine's.
+	f.Add([]byte{0, 4, 0, 11, 0, 4, 1, 11})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n, l = 12, 3
 		watched := []int{0, 1}

@@ -171,45 +171,96 @@ func TestApplyUpdatesVersionAndCacheKey(t *testing.T) {
 }
 
 // TestMemoMetricsAcrossUpdates pins the d-CC memo and search-space
-// counters across live generations: hits, misses, space builds and
-// reuses carry over like the build counters, while the new generation's
-// memo starts empty and fills again, and its first query builds its
-// space anew.
+// counters across live generations. Hits, misses, space builds and
+// reuses carry over like the build counters, and a new generation's
+// first query builds its space anew. Its memo starts with exactly the
+// entries the batch provably left unchanged:
+//
+//   - an edge on a layer whose 2-core stays empty changes no survivor,
+//     no reduced core and no compact row at d = 2, so every entry
+//     carries: MemoBytes equals their charges, MemoCarried grows by their
+//     count, and a repeat query misses nothing;
+//   - deleting every edge of a vertex in a returned core drops it from
+//     the survivors at every s ≥ 1, so nothing at the queries' s
+//     carries.
 func TestMemoMetricsAcrossUpdates(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(17))
-	g := testutil.RandomCorrelatedGraph(rng, 60, 4, 0.2, 0.85, 0.05)
+	base := testutil.RandomCorrelatedGraph(rng, 60, 4, 0.2, 0.85, 0.05)
+	empty := base.L() // the extra layer, which starts without edges
+	b := NewBuilder(base.N(), base.L()+1)
+	for layer := 0; layer < base.L(); layer++ {
+		for u := 0; u < base.N(); u++ {
+			for _, v := range base.Neighbors(layer, u) {
+				if int(v) > u {
+					b.MustAddEdge(layer, u, int(v))
+				}
+			}
+		}
+	}
+	g := b.Build()
 	eng, err := NewMutableEngine(g, EngineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(1); seed <= 2; seed++ {
-		if _, err := eng.Search(context.Background(), Query{D: 2, S: 2, K: 3, Seed: seed}); err != nil {
+	search := func(seed int64) *Result {
+		t.Helper()
+		res, err := eng.Search(ctx, Query{D: 2, S: 2, K: 3, Seed: seed})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return res
+	}
+	var res *Result
+	for seed := int64(1); seed <= 2; seed++ {
+		res = search(seed)
 	}
 	before := eng.Metrics()
-	if before.MemoHits == 0 || before.MemoMisses == 0 || before.MemoBytes == 0 {
-		t.Fatalf("two queries at one (d, s) left %+v, want hits, misses and bytes", before)
+	if before.MemoHits == 0 || before.MemoMisses == 0 || before.MemoBytes == 0 || len(res.Cores) == 0 {
+		t.Fatalf("two queries at one (d, s) left %+v and %d cores, want hits, misses, bytes and a core", before, len(res.Cores))
 	}
-	u, v := 0, 1
-	for g.HasEdge(0, u, v) {
-		v++
+	// Every entry lives in the one (d, s) space and is charged its
+	// bitset words over the survivors plus the per-entry overhead.
+	charge := int64(8*((g.N()-res.Stats.PreprocessRemoved+63)/64) + 64)
+	entries := before.MemoBytes / charge
+	if before.MemoBytes != entries*charge {
+		t.Fatalf("memo bytes %d are not a multiple of the entry charge %d", before.MemoBytes, charge)
 	}
-	if _, err := eng.ApplyUpdates(context.Background(), []EdgeUpdate{{Op: EdgeInsert, Layer: 0, U: u, V: v}}); err != nil {
+
+	if _, err := eng.ApplyUpdates(ctx, []EdgeUpdate{{Op: EdgeInsert, Layer: empty, U: 0, V: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	after := eng.Metrics()
-	if after.MemoHits != before.MemoHits || after.MemoMisses != before.MemoMisses || after.MemoBytes != 0 ||
-		after.SpaceBuilds != before.SpaceBuilds || after.SpaceReuses != before.SpaceReuses {
-		t.Fatalf("after an update: %+v, want the counters of %+v and no bytes", after, before)
+	if after.MemoHits != before.MemoHits || after.MemoMisses != before.MemoMisses ||
+		after.SpaceBuilds != before.SpaceBuilds || after.SpaceReuses != before.SpaceReuses ||
+		after.MemoCarried != before.MemoCarried+entries || after.MemoBytes != entries*charge {
+		t.Fatalf("after a batch on the empty layer: %+v, want the counters of %+v with all %d entries carried", after, before, entries)
 	}
-	if _, err := eng.Search(context.Background(), Query{D: 2, S: 2, K: 3, Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if m := eng.Metrics(); m.MemoMisses == after.MemoMisses || m.MemoBytes == 0 {
-		t.Fatalf("the new generation did not refill its memo: %+v", m)
+	res = search(3)
+	if m := eng.Metrics(); m.MemoMisses != after.MemoMisses || m.MemoHits == after.MemoHits || m.MemoBytes != after.MemoBytes {
+		t.Fatalf("a repeat query on the new generation did not answer from the carried entries: %+v", m)
 	} else if m.SpaceBuilds != after.SpaceBuilds+1 || m.SpaceReuses != after.SpaceReuses {
 		t.Fatalf("the new generation's first query did not build its space: %+v", m)
+	}
+
+	v := int(res.Cores[0].Vertices[0])
+	var drop []EdgeUpdate
+	for layer := 0; layer < g.L(); layer++ {
+		for _, u := range eng.Graph().Neighbors(layer, v) {
+			drop = append(drop, EdgeUpdate{Op: EdgeDelete, Layer: layer, U: v, V: int(u)})
+		}
+	}
+	mid := eng.Metrics()
+	if _, err := eng.ApplyUpdates(ctx, drop); err != nil {
+		t.Fatal(err)
+	}
+	if m := eng.Metrics(); m.MemoCarried != mid.MemoCarried || m.MemoBytes != 0 {
+		t.Fatalf("after a batch that moved the survivors: %+v, want nothing carried", m)
+	}
+	if again := search(4); again.Stats.PreprocessRemoved == res.Stats.PreprocessRemoved {
+		t.Fatalf("isolating vertex %d left %d vertices removed, want the survivors changed", v, again.Stats.PreprocessRemoved)
+	} else if m := eng.Metrics(); m.MemoMisses == mid.MemoMisses || m.MemoBytes == 0 {
+		t.Fatalf("the new generation did not refill its memo: %+v", m)
 	}
 }
 

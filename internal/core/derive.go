@@ -51,15 +51,20 @@ func (pr *Prepared) Version() uint64 { return pr.version.Load() }
 //     the old graph; entries at or below the bound — and entries whose d
 //     exceeds the new maxCoreness+1 sentinel clamp — are dropped and
 //     eagerly rebuilt on the new handle, all sharing one sweep (see
-//     rebuildHierarchies).
+//     rebuildHierarchies);
+//   - the d-CC memo entries of each completed slot are copied into the
+//     new handle's slot for the same d when the batch provably left
+//     their sets unchanged (carryMemo), so the new generation starts
+//     with the d-CCs its predecessor already peeled.
 //
 // pr itself is never mutated: queries running against the old handle
 // keep observing a consistent pre-update state. The returned handle is
 // stamped with version and inherits pr's build counters (plus one
-// coreness build when any layer was dirty), memo hit and miss counters
-// and space build and reuse counters, so the amortization counters stay
-// meaningful across updates. Its d-CC memos and its pooled search spaces
-// start empty, retained hierarchies included.
+// coreness build when any layer was dirty), memo hit, miss and carry
+// counters (plus the entries carried here) and space build and reuse
+// counters, so the amortization counters stay meaningful across
+// updates. Its pooled search spaces start empty, retained hierarchies
+// included.
 func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, version uint64) (*Prepared, DeriveInfo) {
 	old := pr.layerCoreness() // resolves pr.coreness and pr.maxCoreness
 	np := NewPrepared(g, pr.workers)
@@ -97,6 +102,7 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 	np.hierarchyBuilds.Store(pr.hierarchyBuilds.Load())
 	np.memoHits.Store(pr.memoHits.Load())
 	np.memoMisses.Store(pr.memoMisses.Load())
+	np.memoCarried.Store(pr.memoCarried.Load())
 	np.spaceBuilds.Store(pr.spaceBuilds.Load())
 	np.spaceReuses.Store(pr.spaceReuses.Load())
 	bound := corenessBound(changed, old, coreness)
@@ -110,12 +116,16 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 		ds = append(ds, d)
 	}
 	slices.Sort(ds)
-	var rebuild []int
+	var (
+		rebuild []int
+		built   []builtSlot
+	)
 	for _, d := range ds {
 		a := pr.byD[d]
 		if !a.done.Load() || a.hier == nil {
 			continue
 		}
+		built = append(built, builtSlot{d, a})
 		// Retention requires both the coreness bound (untouched by the
 		// update) and the sentinel clamp (still addressable: restore and
 		// hierarchyFor clamp d at maxCoreness+1 of the NEW graph).
@@ -136,7 +146,99 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 	}
 	pr.mu.Unlock()
 	info.RebuiltHierarchies = np.rebuildHierarchies(rebuild)
+	np.memoCarried.Add(np.carryMemo(built, changed))
 	return np, info
+}
+
+// builtSlot is a completed per-d cache slot of the handle Derive reads.
+type builtSlot struct {
+	d int
+	a *dArtifact
+}
+
+// carryMemo copies into np's slot for the same d every memo entry of the
+// old slots (pr's completed ones, ascending in d) whose set the batch of
+// changed edges provably did not change, and returns how many it stored.
+// The entries go in through put in ascending (d, key) order, so the
+// budget admits a deterministic set, and are shared by pointer: entries
+// never change once stored. np must not be published yet.
+//
+// Per slot and per space key among its entries (spaceKeyOf), nothing
+// carries unless the survivors are equal on both hierarchies
+// (dirtyLayers). A d-CC entry then carries when its layer mask avoids
+// every dirty layer: C^d_L reads only the compact rows of L's layers. A
+// potential set carries only when no layer is dirty, because U^d_L
+// reads the whole space and the layer order (DESIGN.md § d-CC memo ›
+// Lifetime). A slot whose d the new handle clamps to its sentinel
+// carries nothing.
+func (np *Prepared) carryMemo(old []builtSlot, changed []multilayer.Edge) int64 {
+	carried := int64(0)
+	for _, o := range old {
+		slot := np.byD[o.d]
+		if slot == nil || !slot.done.Load() {
+			continue
+		}
+		var (
+			key   spaceKey
+			same  bool
+			dirty uint64
+		)
+		for i, e := range o.a.memo.sorted() {
+			if k := spaceKeyOf(Options{S: int(e.key.s), NoVertexDeletion: e.key.nvd}); i == 0 || k != key {
+				key = k
+				dirty, same = dirtyLayers(o.a.hier, slot.hier, key, changed)
+			}
+			if !same || e.key.mask&dirty != 0 || (e.key.potential && dirty != 0) {
+				continue
+			}
+			if slot.memo.put(np, e.key, e.set) {
+				carried++
+			}
+		}
+	}
+	return carried
+}
+
+// dirtyLayers compares the compact spaces of key k on two hierarchies
+// for one d: ho of the graph before a batch that changed the edges
+// changed, hn of the graph after it. same reports whether the survivors
+// {v : h(v) ≥ s} are equal (under NoVertexDeletion every vertex
+// survives); only then is dirty meaningful. Bit i of dirty is set when
+// layer i's compact rows can differ: its reduced core {v : coreh_i(v) ≥
+// s} differs, or a changed edge on layer i has both endpoints inside it.
+// A clean layer's rows are its edges inside an unchanged core that no
+// changed edge touches, over unchanged compact ids.
+//
+// Beyond the one pass over h that finds the survivors, the scan reads
+// coreh for survivors only: coreh_i(v) ≤ h(v), so no other vertex is in
+// a reduced core of either hierarchy. A hierarchy Derive retained is the
+// same on both handles and only its changed edges are checked; by the
+// coreness bound none has both endpoints in a reduced core.
+func dirtyLayers(ho, hn *hierarchy, k spaceKey, changed []multilayer.Edge) (dirty uint64, same bool) {
+	if ho != hn {
+		for v, h := range hn.h {
+			if !k.nvd {
+				in := h >= k.s
+				if in != (ho.h[v] >= k.s) {
+					return 0, false
+				}
+				if !in {
+					continue
+				}
+			}
+			for i, row := range hn.coreh {
+				if (row[v] >= k.s) != (ho.coreh[i][v] >= k.s) {
+					dirty |= 1 << uint(i)
+				}
+			}
+		}
+	}
+	for _, e := range changed {
+		if row := hn.coreh[e.Layer]; row[e.U] >= k.s && row[e.V] >= k.s {
+			dirty |= 1 << uint(e.Layer)
+		}
+	}
+	return dirty, true
 }
 
 // corenessBound returns the largest degree threshold an edge-update batch

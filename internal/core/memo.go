@@ -66,6 +66,12 @@ type memoEntry struct {
 // words: the set header, the map slot and its key.
 const memoEntryOverhead = 64
 
+// memoCharge is the bytes an entry holding c is charged against the
+// budget: its bitset words and the overhead.
+func memoCharge(c *bitset.Set) int64 {
+	return int64(8*((c.Cap()+63)/64) + memoEntryOverhead)
+}
+
 // memoMinBudget is the smallest memo budget a Prepared gets, so small
 // graphs keep every entry (see memoBudget).
 const memoMinBudget = 64 << 10
@@ -90,25 +96,27 @@ func (m *dccMemo) get(k memoKey) *bitset.Set {
 }
 
 // put stores c under k unless k is present or the owner's byte budget
-// cannot take it; a full memo stops inserting and never evicts.
-func (m *dccMemo) put(pr *Prepared, k memoKey, c *bitset.Set) {
-	size := int64(8*((c.Cap()+63)/64) + memoEntryOverhead)
+// cannot take it, and reports whether it stored c; a full memo stops
+// inserting and never evicts.
+func (m *dccMemo) put(pr *Prepared, k memoKey, c *bitset.Set) bool {
+	size := memoCharge(c)
 	budget := memoBudget(pr.g)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.entries[k]; ok {
-		return
+		return false
 	}
 	// Reserve, then undo on overflow: near a full budget a concurrent put
 	// on another slot may be refused, which only costs a future hit.
 	if pr.memoBytes.Add(size) > budget {
 		pr.memoBytes.Add(-size)
-		return
+		return false
 	}
 	if m.entries == nil {
 		m.entries = map[memoKey]*bitset.Set{}
 	}
 	m.entries[k] = c
+	return true
 }
 
 // sorted returns the memo's entries in ascending key order.

@@ -118,11 +118,22 @@ func TestMemoConcurrentQueries(t *testing.T) {
 // sets it checked.
 func checkMemoEntries(t *testing.T, pr *Prepared) (potentials int) {
 	t.Helper()
-	entries := 0
+	entries, potentials := checkMemoEntriesOn(t, pr, pr)
+	if entries == 0 {
+		t.Fatal("memo holds no entries")
+	}
+	return potentials
+}
+
+// checkMemoEntriesOn recomputes every memo entry of pr on the compact
+// space of its key built by ref, a handle on the same graph, and returns
+// how many entries and how many potential sets it checked.
+func checkMemoEntriesOn(t *testing.T, pr, ref *Prepared) (entries, potentials int) {
+	t.Helper()
 	for d, a := range pr.byD {
 		for k, got := range a.memo.entries {
 			opts := Options{D: d, S: int(k.s), K: 1, NoVertexDeletion: k.nvd, NoSortLayers: k.noSort}
-			p := pr.newPrep(context.Background(), opts, k.potential)
+			p := ref.newPrep(context.Background(), opts, k.potential)
 			var want *bitset.Set
 			if k.potential {
 				want = potentialAlongRootPath(p, k.mask)
@@ -141,10 +152,7 @@ func checkMemoEntries(t *testing.T, pr *Prepared) (potentials int) {
 			entries++
 		}
 	}
-	if entries == 0 {
-		t.Fatal("memo holds no entries")
-	}
-	return potentials
+	return entries, potentials
 }
 
 // potentialAlongRootPath recomputes U^d_L, for the layer set mask, with

@@ -42,11 +42,13 @@ type Prepared struct {
 	hierarchyBuilds atomic.Int64
 
 	// The d-CC memos of the per-d slots share one byte budget, derived
-	// from the graph (memoBudget). Hits and misses are lifetime counters
-	// that Derive carries; memoBytes covers this handle's entries only.
-	memoBytes  atomic.Int64
-	memoHits   atomic.Int64
-	memoMisses atomic.Int64
+	// from the graph (memoBudget). Hits, misses and the entries Derive
+	// carried into a new generation are lifetime counters that Derive
+	// carries; memoBytes covers this handle's entries only.
+	memoBytes   atomic.Int64
+	memoHits    atomic.Int64
+	memoMisses  atomic.Int64
+	memoCarried atomic.Int64
 
 	// Compact search spaces built and checked out again (see newPrep);
 	// lifetime counters that Derive carries, like the memo's.
@@ -69,9 +71,11 @@ type Prepared struct {
 // spent sync.Once. done flips after a successful build, letting the
 // snapshot writer enumerate finished entries without blocking on (or
 // triggering) in-flight builds. memo holds the exact d-CCs and potential
-// sets queries computed on hier; it lives and dies with the slot, so a
-// hierarchy shared across live generations never carries it, while a
-// snapshot persists it next to hier and a restore refills it. spaces
+// sets queries computed on hier; it belongs to the slot, not to hier, and
+// Derive copies into the next generation's slot for the same d only the
+// entries its batch provably left unchanged (carryMemo), retained
+// hierarchies included, while a snapshot persists it next to hier and a
+// restore refills it. spaces
 // pools, per space key, the arenas holding compact search spaces built
 // on hier (see queryArena); like the memo they belong to the slot and
 // hence to one graph.
@@ -90,8 +94,10 @@ type dArtifact struct {
 // number of queries, CorenessBuilds is at most 1 and HierarchyBuilds is
 // at most the number of distinct d values queried. MemoHits and
 // MemoMisses count memo lookups over the handle's lineage (Derive
-// carries them like the build counters); MemoBytes is what this handle's
-// memo entries are charged against its budget. SpaceBuilds and
+// carries them like the build counters), and MemoCarried the entries
+// Derive copied into a new generation over it; MemoBytes is what this
+// handle's memo entries, carried ones included, are charged against its
+// budget. SpaceBuilds and
 // SpaceReuses count, over the lineage too, the queries that built their
 // compact search space and those that checked out one an earlier query
 // of the same (d, s) built; every query with a hierarchy counts in
@@ -101,6 +107,7 @@ type PreparedCounters struct {
 	HierarchyBuilds int64
 	MemoHits        int64
 	MemoMisses      int64
+	MemoCarried     int64
 	MemoBytes       int64
 	SpaceBuilds     int64
 	SpaceReuses     int64
@@ -126,6 +133,7 @@ func (pr *Prepared) Counters() PreparedCounters {
 		HierarchyBuilds: pr.hierarchyBuilds.Load(),
 		MemoHits:        pr.memoHits.Load(),
 		MemoMisses:      pr.memoMisses.Load(),
+		MemoCarried:     pr.memoCarried.Load(),
 		MemoBytes:       pr.memoBytes.Load(),
 		SpaceBuilds:     pr.spaceBuilds.Load(),
 		SpaceReuses:     pr.spaceReuses.Load(),

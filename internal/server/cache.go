@@ -46,20 +46,29 @@ func newResultCache(capacity int) *resultCache {
 }
 
 // Get returns the cached result for key, promoting it to most recently
-// used, or nil on a miss.
+// used, or nil on a miss, and counts the lookup as a hit or a miss.
 func (c *resultCache) Get(key string) *dccs.Result {
-	if c.capacity < 1 {
+	res := c.Recheck(key)
+	if res == nil {
 		c.misses.Add(1)
+	} else {
+		c.hits.Add(1)
+	}
+	return res
+}
+
+// Recheck is Get without counting, for a second lookup of a key whose
+// first lookup, already counted, missed.
+func (c *resultCache) Recheck(key string) *dccs.Result {
+	if c.capacity < 1 {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		c.misses.Add(1)
 		return nil
 	}
-	c.hits.Add(1)
 	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).res
 }

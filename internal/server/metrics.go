@@ -225,6 +225,7 @@ func (s *Server) families() []family {
 		perGraph("dccs_engine_hierarchy_builds_total", "counter", func(i int) int64 { return ems[i].HierarchyBuilds }),
 		perGraph("dccs_engine_memo_hits_total", "counter", func(i int) int64 { return ems[i].MemoHits }),
 		perGraph("dccs_engine_memo_misses_total", "counter", func(i int) int64 { return ems[i].MemoMisses }),
+		perGraph("dccs_engine_memo_carried_total", "counter", func(i int) int64 { return ems[i].MemoCarried }),
 		perGraph("dccs_engine_memo_bytes", "gauge", func(i int) int64 { return ems[i].MemoBytes }),
 		perGraph("dccs_engine_space_builds_total", "counter", func(i int) int64 { return ems[i].SpaceBuilds }),
 		perGraph("dccs_engine_space_reuses_total", "counter", func(i int) int64 { return ems[i].SpaceReuses }),

@@ -101,12 +101,13 @@ func (s *Server) newTask(q *BatchQuery, budget time.Duration) task {
 	return t
 }
 
-// cached answers t from the result cache, unless it asked to skip it.
-func (t *task) cached(c *resultCache) bool {
+// cached answers t through lookup, a result-cache lookup, unless t asked
+// to skip the cache.
+func (t *task) cached(lookup func(key string) *dccs.Result) bool {
 	if t.noCache {
 		return false
 	}
-	t.res = c.Get(t.key)
+	t.res = lookup(t.key)
 	if t.res == nil {
 		return false
 	}
@@ -140,7 +141,7 @@ func (s *Server) resolve(wait context.Context, view dccs.View, budget time.Durat
 	}()
 	for _, t := range tasks {
 		t.key = view.CacheKey(t.q)
-		if t.cached(s.cache) {
+		if t.cached(s.cache.Get) {
 			continue
 		}
 		// A deadline can truncate the shared result, so only tasks with
@@ -154,8 +155,10 @@ func (s *Server) resolve(wait context.Context, view dccs.View, budget time.Durat
 		}
 		led = append(led, t)
 		// A leader that just finished may have filled the cache between
-		// the lookup and the join; don't recompute what it stored.
-		if t.cached(s.cache) {
+		// the lookup and the join; don't recompute what it stored. The
+		// first lookup counted this task's miss, so the recheck counts
+		// nothing.
+		if t.cached(s.cache.Recheck) {
 			s.flight.finish(t.flightKey, t.call, t.res, nil)
 			continue
 		}

@@ -223,6 +223,28 @@ func TestSearchCacheHit(t *testing.T) {
 	}
 }
 
+// TestCacheCountsOneLookupPerQuery pins the result-cache counters to
+// one lookup per query that asks the cache: a search and a batch holding
+// a leader and its duplicate miss 3 times, and the same requests again
+// hit 3 times. A leader's recheck after joining its flight counts
+// nothing.
+func TestCacheCountsOneLookupPerQuery(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	search := SearchRequest{D: 3, S: 2, K: 2}
+	batch := BatchRequest{Queries: []BatchQuery{{D: 2, S: 2, K: 1}, {D: 2, S: 2, K: 1}}}
+	for round, want := range []struct{ hits, misses int64 }{{0, 3}, {3, 3}} {
+		if resp, _ := postSearch(t, ts.URL, search); resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: search status %d", round, resp.StatusCode)
+		}
+		if resp, _ := postBatch(t, ts.URL, batch); resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: batch status %d", round, resp.StatusCode)
+		}
+		if h, m := s.cache.hits.Load(), s.cache.misses.Load(); h != want.hits || m != want.misses {
+			t.Fatalf("round %d: %d hits and %d misses, want %d and %d", round, h, m, want.hits, want.misses)
+		}
+	}
+}
+
 func TestSearchDeadlineReturnsTruncatedPartial(t *testing.T) {
 	g := slowGraph()
 	s, err := New(Config{}, GraphSpec{Name: "slow", Graph: g})
