@@ -334,24 +334,20 @@ func (e *Engine) Metrics() EngineMetrics {
 // of traffic, so the first query per d does not pay construction
 // latency. The thresholds are all validated before any artifact is
 // built: an invalid d errors out without leaving the engine half-warmed.
-// All requested hierarchies are derived through one shared sweep (the
-// d-core level sets are nested), so warming many thresholds costs a
-// fraction of building them independently.
-func (e *Engine) Warm(ds ...int) error {
-	for _, d := range ds {
-		if d < 1 {
-			return fmt.Errorf("dccs: degree threshold d = %d, want ≥ 1", d)
-		}
-	}
-	return e.st.Load().pr.PrepareDs(context.Background(), ds...)
-}
+// The requested hierarchies are built in one pass that initializes one
+// tracker and raises it from threshold to threshold (the d-core level
+// sets are nested), so only the initialization is shared: each d still
+// pays its own peel. On the live-mixed benchmark graph (n = 20,000,
+// l = 12) at 2 workers on a 2-vCPU VM, d 2..5 took 13.5 ms this way and
+// 14.6 ms as independent builds.
+func (e *Engine) Warm(ds ...int) error { return e.View().Warm(context.Background(), ds...) }
 
 // Warm builds the cached artifacts for the given degree thresholds
 // against this view's pinned generation; see Engine.Warm. Unlike the
-// engine-level method it is cancellable: cancelling ctx stops the shared
-// sweep early, keeping exactly the hierarchies already completed. This
-// is the batch-serving entry point — the server warms every distinct d a
-// batch needs in one sweep before fanning the per-query searches out.
+// engine-level method it is cancellable: cancelling ctx stops the pass
+// early, keeping exactly the hierarchies already completed. This is the
+// batch-serving entry point — the server warms every distinct d a batch
+// needs in one pass before fanning the per-query searches out.
 func (v View) Warm(ctx context.Context, ds ...int) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -366,10 +362,10 @@ func (v View) Warm(ctx context.Context, ds ...int) error {
 
 // WarmAll builds every distinct hierarchy the engine's graph admits — d
 // from 1 through MaxCoreness()+1, the sentinel every larger threshold
-// maps to — in one shared sweep, fully prepaying per-d construction for
-// any query mix. Cancelling ctx stops the sweep early, keeping exactly
-// the hierarchies that were fully completed; ctx == nil behaves like
-// context.Background().
+// maps to — in one pass like Warm's, fully prepaying per-d construction
+// for any query mix. Cancelling ctx stops the pass early, keeping
+// exactly the hierarchies that were fully completed; ctx == nil behaves
+// like context.Background().
 func (e *Engine) WarmAll(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()

@@ -60,7 +60,7 @@ type UpdateStats struct {
 	DirtyLayers            int // layers whose coreness was recomputed
 	InvalidatedHierarchies int // per-d artifacts dropped by the batch
 	RetainedHierarchies    int // per-d artifacts carried over unchanged
-	RebuiltHierarchies     int // invalidated artifacts re-derived from one shared sweep
+	RebuiltHierarchies     int // invalidated artifacts re-derived in one multi-d pass
 
 	Version        uint64        // engine version after the batch
 	FreezeElapsed  time.Duration // export of the mutated graph to CSR (0 for no-ops)

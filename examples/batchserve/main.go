@@ -1,4 +1,4 @@
-// Batch serving: many queries, one sweep, one request.
+// Batch serving: many queries, one warm pass, one request.
 //
 // A recommendation dashboard rarely asks one question at a time — it
 // wants the coherent-core landscape of a graph across a whole range of
@@ -7,13 +7,13 @@
 // preprocessing (per-layer coreness) and builds its
 // hierarchy level alone. POST /v1/search/batch instead canonicalizes
 // the whole set, answers duplicates once, warms every distinct d with a
-// single shared hierarchy sweep, and only then fans the remaining
+// single multi-d hierarchy pass, and only then fans the remaining
 // misses out over the engine.
 //
 // This example starts the HTTP server in-process on a random synthetic
 // graph, then contrasts three rounds:
 //
-//  1. a batch of 16 queries at d=1..16 (one shared sweep),
+//  1. a batch of 16 queries at d=1..16 (one warm pass),
 //  2. the same batch again (pure cache hits),
 //  3. a batch with duplicates and an invalid query (per-item status).
 //

@@ -27,7 +27,7 @@ type DeriveInfo struct {
 	RetainedHierarchies    int
 	InvalidatedHierarchies int
 	// RebuiltHierarchies counts the invalidated thresholds eagerly rebuilt
-	// on the new handle — all of them, shared through one sweep, except
+	// on the new handle — all of them, built in one pass, except
 	// where the sentinel clamp coalesced several old entries into one.
 	RebuiltHierarchies int
 }
@@ -50,7 +50,7 @@ func (pr *Prepared) Version() uint64 { return pr.version.Load() }
 //     (corenessBound) are shared by pointer — they reference nothing of
 //     the old graph; entries at or below the bound — and entries whose d
 //     exceeds the new maxCoreness+1 sentinel clamp — are dropped and
-//     eagerly rebuilt on the new handle, all sharing one sweep (see
+//     eagerly rebuilt on the new handle, all in one pass (see
 //     rebuildHierarchies);
 //   - the d-CC memo entries of each completed slot are copied into the
 //     new handle's slot for the same d when the batch provably left
@@ -128,7 +128,7 @@ func (pr *Prepared) Derive(g *multilayer.Graph, changed []multilayer.Edge, versi
 		built = append(built, builtSlot{d, a})
 		// Retention requires both the coreness bound (untouched by the
 		// update) and the sentinel clamp (still addressable: restore and
-		// hierarchyFor clamp d at maxCoreness+1 of the NEW graph).
+		// builtArtifact clamp d at maxCoreness+1 of the NEW graph).
 		if d > bound && d <= maxCoreness+1 {
 			// Shared by pointer: np is not published yet, and a hierarchy
 			// references nothing of the graph it was built on.
@@ -260,12 +260,12 @@ func corenessBound(changed []multilayer.Edge, old, cur [][]int32) int {
 }
 
 // rebuildHierarchies eagerly re-derives the invalidated thresholds on the
-// new handle through PrepareDs — one shared sweep feeding the per-d batch
-// loops on all of the handle's workers — so a warm cache stays warm
-// across an update batch at a fraction of the per-d rebuild cost the
-// first queries would otherwise pay serially. The list may repeat values
-// (sentinel coalescing); PrepareDs dedupes and skips anything already
-// installed. It returns the number of hierarchies actually built.
+// new handle through PrepareDs — one pass whose per-d batch loops run on
+// all of the handle's workers — so a warm cache stays warm across an
+// update batch instead of the first queries rebuilding one d at a time.
+// The list may repeat values (sentinel coalescing); PrepareDs dedupes
+// and skips anything already installed. It returns the number of
+// hierarchies actually built.
 func (pr *Prepared) rebuildHierarchies(ds []int) int {
 	if len(ds) == 0 {
 		return 0

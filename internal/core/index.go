@@ -62,45 +62,32 @@ type tdIndex struct {
 	unionAdj [][]int32
 }
 
-// buildHierarchy constructs the removal hierarchy of g for degree
-// threshold d, seeding the tracker from the caller's (required)
-// per-layer coreness arrays so the initial peel is skipped.
-//
-// The batch loop polls ctx between batches: a partial hierarchy is
-// never a valid artifact (batches after the abort point would be
-// missing), so cancellation returns nil and the caller must not cache
-// the result. A nil ctx runs to completion.
-func buildHierarchy(ctx context.Context, g *multilayer.Graph, d int, coreness [][]int32, workers int) *hierarchy {
-	tr := kcore.NewTrackerFromCoreness(g, d, coreness, workers)
-	return runHierarchy(ctx, g, tr, newHierScratch(g))
-}
-
-// buildHierarchies builds the removal hierarchies for every threshold in
-// ds — which must be non-empty, ascending, deduplicated and ≥ 1 — on up
-// to workers goroutines fed by one shared kcore.Sweep, so the per-d
-// initialization cost O(Σ m_i) is paid once for the whole set instead of
-// once per d (the level sets {coreness ≥ d} are nested; see DESIGN.md
-// § Shared multi-d hierarchy pass). Each worker owns a tracker shell and
-// a batch-loop scratch and repeats two steps: under the lock, take the
-// next threshold in ascending order and have the sweep position its
-// shell there; then, outside the lock, run the §V-C batch loop. The
-// per-d batch loops are independent, so they run side by side; with one
-// worker this is the serial ascending loop.
+// buildHierarchies builds the removal hierarchies of the thresholds in
+// ds — non-empty, ascending, deduplicated, ≥ 1 — on up to workers
+// goroutines; it is the only hierarchy builder. One base tracker starts
+// at ds[0] and is raised from threshold to threshold, so the O(Σ m_i)
+// initialization is paid once for the set (DESIGN.md § Shared multi-d
+// hierarchy pass). Each worker owns a tracker shell and a batch-loop
+// scratch and repeats: under the lock, take the next threshold, raise
+// the base to it and copy the base into its shell; then, outside the
+// lock, run the §V-C batch loop. The last threshold takes the base
+// itself, which nothing raises again, so a single threshold builds no
+// leaver buckets and makes no copy. With one worker this is the serial
+// ascending loop.
 //
 // emit is invoked with each completed hierarchy, in completion order,
-// under the lock: calls never overlap, and a slow emit holds back the
-// other workers' next thresholds. Every emitted hierarchy is
-// byte-identical to a buildHierarchy call for the same d.
+// under the lock: calls never overlap. Every emitted hierarchy is the
+// same whatever the other thresholds and the worker count.
 //
-// Cancellation is polled between batches like buildHierarchy's, and
-// before each threshold is taken: on a cancelled context no worker takes
-// another threshold and in-flight builds are abandoned, so the function
-// returns ctx.Err() after having emitted only fully completed thresholds
-// — the caller may cache exactly what was emitted.
+// The batch loop polls ctx between batches, and each worker polls it
+// before taking a threshold, so on cancellation the function returns
+// ctx.Err() having emitted only fully completed thresholds (a partial
+// hierarchy is never a valid artifact): the caller may cache exactly
+// what was emitted. A nil ctx runs to completion.
 func buildHierarchies(ctx context.Context, g *multilayer.Graph, ds []int, coreness [][]int32, workers int, emit func(d int, hr *hierarchy)) error {
-	sweep := kcore.NewSweep(g, ds[0], coreness, workers)
+	base := kcore.NewTrackerFromCoreness(g, ds[0], coreness, workers)
 	var (
-		mu      sync.Mutex // guards sweep, next and emitted, and serializes emit
+		mu      sync.Mutex // guards base, next and emitted, and serializes emit
 		next    int        // index into ds of the next threshold to take
 		emitted int
 		wg      sync.WaitGroup
@@ -110,9 +97,9 @@ func buildHierarchies(ctx context.Context, g *multilayer.Graph, ds []int, corene
 		go func() {
 			defer wg.Done()
 			var (
-				tr *kcore.Tracker
-				hr *hierarchy
-				d  int
+				shell, tr *kcore.Tracker
+				hr        *hierarchy
+				d         int
 			)
 			sc := newHierScratch(g)
 			for {
@@ -127,7 +114,12 @@ func buildHierarchies(ctx context.Context, g *multilayer.Graph, ds []int, corene
 				}
 				d = ds[next]
 				next++
-				tr = sweep.TrackerAt(d, tr)
+				base.Raise(d)
+				tr = base // the last threshold: nothing raises the base again
+				if next < len(ds) {
+					shell = base.CopyInto(shell)
+					tr = shell
+				}
 				mu.Unlock()
 				if hr = runHierarchy(ctx, g, tr, sc); hr == nil {
 					return
@@ -159,11 +151,10 @@ func newHierScratch(g *multilayer.Graph) *hierScratch {
 	}
 }
 
-// runHierarchy drives the §V-C batch loop over a positioned tracker and
-// assembles the hierarchy artifacts. The tracker must be freshly
-// positioned at the full graph (all vertices alive); its listeners are
-// installed here. Cancellation semantics are buildHierarchy's: a nil
-// return means the context was cancelled and nothing may be cached.
+// runHierarchy drives the §V-C batch loop over an unpeeled tracker (all
+// vertices alive) and assembles the hierarchy artifacts; the tracker's
+// listeners are installed here. A nil return means the context was
+// cancelled and nothing may be cached (see buildHierarchies).
 func runHierarchy(ctx context.Context, g *multilayer.Graph, tr *kcore.Tracker, sc *hierScratch) *hierarchy {
 	n := g.N()
 	hr := &hierarchy{h: make([]int32, n), coreh: make([][]int32, g.L())}

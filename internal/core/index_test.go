@@ -15,27 +15,27 @@ import (
 // TestHierarchyMatchesFixpoints checks the removal hierarchies of random
 // small graphs, for every d up to max coreness + 1, against their
 // fixpoint definitions computed by brute force (fixpointHierarchy): both
-// the per-d build and the one the shared sweep installs must match it
-// array by array. The definitions name no removal order, so a match
+// a single-threshold build and the one the all-threshold pass installs
+// must match it array by array. The definitions name no removal order, so a match
 // shows that h and coreh do not depend on the batch loop's.
 func TestHierarchyMatchesFixpoints(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := testutil.RandomCorrelatedGraph(rng, 8+rng.Intn(30), 1+rng.Intn(5), 0.3, 0.85, 0.08)
-		swept := NewPrepared(g, 2)
-		if err := swept.PrepareAll(ctx); err != nil {
+		all := NewPrepared(g, 2)
+		if err := all.PrepareAll(ctx); err != nil {
 			t.Fatal(err)
 		}
-		coreness := swept.layerCoreness()
-		for d := 1; d <= swept.maxCoreness+1; d++ {
+		coreness := all.layerCoreness()
+		for d := 1; d <= all.maxCoreness+1; d++ {
 			want := fixpointHierarchy(g, d)
 			for _, got := range []struct {
 				name string
 				hr   *hierarchy
 			}{
-				{"per-d build", buildHierarchy(nil, g, d, coreness, 1)},
-				{"shared sweep", swept.hierarchyFor(ctx, d)},
+				{"per-d build", buildOne(g, d, coreness)},
+				{"all-threshold pass", all.hierarchyFor(ctx, d)},
 			} {
 				if !slices.Equal(got.hr.h, want.h) {
 					t.Fatalf("seed %d d=%d %s: h %v, want %v", seed, d, got.name, got.hr.h, want.h)

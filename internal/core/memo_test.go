@@ -233,7 +233,9 @@ func TestMemoSurvivesCancellation(t *testing.T) {
 		g := blockRingGraph(12000, []int{300, 500, 700, 900, 1100})
 		opts := Options{D: 2, S: g.L() - 1, K: g.L(), Seed: 1, NoInitResult: true}
 		pr := NewPrepared(g, 1)
-		pr.Prepare(opts.D)
+		if err := pr.PrepareDs(context.Background(), opts.D); err != nil {
+			t.Fatal(err)
+		}
 		ctx := &refineCancelCtx{Context: context.Background()}
 		res, err := pr.TopDown(ctx, opts)
 		if err != nil {

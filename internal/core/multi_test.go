@@ -6,8 +6,11 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/multilayer"
 	"repro/internal/testutil"
 )
 
@@ -17,11 +20,30 @@ func sameHierarchy(a, b *hierarchy) bool {
 	return slices.Equal(a.h, b.h) && reflect.DeepEqual(a.coreh, b.coreh)
 }
 
-// TestBuildHierarchiesMatchesPerD pins the tentpole byte-identity
-// contract: the sweep-fed multi-d pass must produce, for every threshold
-// and at every worker count, a hierarchy deeply equal to an independent
-// buildHierarchy call — same removal thresholds, same coreh thresholds —
-// and emit each threshold exactly once.
+// hierarchyFor returns the per-d removal hierarchy the way a query's
+// first use of d gets it, building it then, or nil when ctx cancelled
+// the build.
+func (pr *Prepared) hierarchyFor(ctx context.Context, d int) *hierarchy {
+	if a := pr.builtArtifact(ctx, d); a != nil {
+		return a.hier
+	}
+	return nil
+}
+
+// buildOne builds the hierarchy of the single threshold d at one
+// worker: a pass whose base tracker is never raised or copied.
+func buildOne(g *multilayer.Graph, d int, coreness [][]int32) *hierarchy {
+	var hr *hierarchy
+	buildHierarchies(context.Background(), g, []int{d}, coreness, 1, func(_ int, h *hierarchy) { hr = h })
+	return hr
+}
+
+// TestBuildHierarchiesMatchesPerD pins the byte-identity contract of the
+// multi-d pass: with the base tracker raised across every threshold and
+// copied for all but the last, it must produce, for every threshold and
+// at every worker count, a hierarchy deeply equal to a single-threshold
+// build — same removal thresholds, same coreh thresholds — and emit
+// each threshold exactly once.
 func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	g := testutil.RandomCorrelatedGraph(rng, 100, 4, 0.25, 0.85, 0.1)
@@ -36,7 +58,7 @@ func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 	for d := 1; d <= maxc+1; d++ {
 		ds = append(ds, d)
 	}
-	for _, workers := range []int{1, 2, 4} {
+	for _, workers := range []int{1, 2, 3, 4} {
 		shared := map[int]*hierarchy{}
 		var order []int
 		err := buildHierarchies(context.Background(), g, ds, coreness, workers, func(d int, hr *hierarchy) {
@@ -57,7 +79,7 @@ func TestBuildHierarchiesMatchesPerD(t *testing.T) {
 			if got == nil {
 				t.Fatalf("workers=%d d=%d: shared pass emitted nothing", workers, d)
 			}
-			want := buildHierarchy(nil, g, d, coreness, 1)
+			want := buildOne(g, d, coreness)
 			if !reflect.DeepEqual(got.coreh, want.coreh) {
 				t.Fatalf("workers=%d d=%d: coreh differs between shared and per-d build", workers, d)
 			}
@@ -202,10 +224,11 @@ func (c cancelAfterBuilds) Err() error {
 }
 
 // TestPrepareDsCancellationParallel is the cancellation contract at two
-// workers, where completions race: after a cancelled pass, the cached set
-// is exactly the set of hierarchies the pass completed, each equal to a
-// cold build; HierarchyBuilds counts exactly those; and a resumed
-// PrepareDs builds exactly the rest.
+// workers, where completions race: after a cancelled PrepareDs, the
+// cached set is exactly the set of hierarchies the pass completed, each
+// equal to a cold build; HierarchyBuilds counts exactly those; every
+// slot lock is free again; and a resumed PrepareDs builds exactly the
+// rest.
 func TestPrepareDsCancellationParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	g := testutil.RandomCorrelatedGraph(rng, 300, 4, 0.08, 0.85, 0.05)
@@ -225,25 +248,26 @@ func TestPrepareDsCancellationParallel(t *testing.T) {
 
 	for rep := 0; rep < 5; rep++ {
 		pr := NewPrepared(g, 2)
-		completed := map[int]bool{}
 		ctx := cancelAfterBuilds{Context: context.Background(), pr: pr, n: 1}
-		err := buildHierarchies(ctx, g, ds, pr.layerCoreness(), 2, func(d int, hr *hierarchy) {
-			completed[d] = true
-			pr.install(d, hr)
-		})
-		if err != context.Canceled {
+		if err := pr.PrepareDs(ctx, ds...); err != context.Canceled {
 			t.Fatalf("rep %d: cancelled pass returned %v, want context.Canceled", rep, err)
 		}
+		completed := doneSlots(pr)
 		if len(completed) == 0 || len(completed) == len(ds) {
 			t.Fatalf("rep %d: %d of %d thresholds completed, want some but not all", rep, len(completed), len(ds))
 		}
 		for _, d := range ds {
-			if cached := pr.artifact(d).done.Load(); cached != completed[d] {
+			a := pr.artifact(d)
+			if cached := a.hier != nil; cached != completed[d] {
 				t.Fatalf("rep %d d=%d: cached %v, completed %v", rep, d, cached, completed[d])
 			}
 			if completed[d] && !sameAsCold(pr, d) {
 				t.Fatalf("rep %d d=%d: cached hierarchy differs from a cold build", rep, d)
 			}
+			if !a.buildMu.TryLock() {
+				t.Fatalf("rep %d d=%d: the cancelled pass left the slot locked", rep, d)
+			}
+			a.buildMu.Unlock()
 		}
 		if got := pr.Counters().HierarchyBuilds; got != int64(len(completed)) {
 			t.Fatalf("rep %d: HierarchyBuilds = %d, want %d cached", rep, got, len(completed))
@@ -258,6 +282,134 @@ func TestPrepareDsCancellationParallel(t *testing.T) {
 		for _, d := range ds {
 			if !sameAsCold(pr, d) {
 				t.Fatalf("rep %d d=%d: resumed hierarchy differs from a cold build", rep, d)
+			}
+		}
+	}
+}
+
+// firstPollWaits is a context that counts its Err calls and holds the
+// first one back, long enough that a caller started beside the first
+// decides what to build while the first has built nothing yet. The wait
+// only makes a second build likely where one can happen; the count
+// matches in every schedule when none can.
+type firstPollWaits struct {
+	context.Context
+	calls atomic.Int64
+}
+
+func (c *firstPollWaits) Err() error {
+	if c.calls.Add(1) == 1 {
+		time.Sleep(20 * time.Millisecond)
+	}
+	return nil
+}
+
+// TestConcurrentPrepareDsBuildsOnce pins that concurrent warms build each
+// d once: two concurrent PrepareDs(ctx, 3, 4) calls on a cold handle
+// poll a counting context exactly as often as one such call alone. The
+// batch loop polls once per batch and a build is deterministic, so a
+// second build of either hierarchy would add its polls.
+func TestConcurrentPrepareDsBuildsOnce(t *testing.T) {
+	g := testutil.RandomCorrelatedGraph(rand.New(rand.NewSource(95)), 300, 4, 0.08, 0.85, 0.05)
+	for _, workers := range []int{1, 2} {
+		alone := &firstPollWaits{Context: context.Background()}
+		if err := NewPrepared(g, workers).PrepareDs(alone, 3, 4); err != nil {
+			t.Fatal(err)
+		}
+		pr := NewPrepared(g, workers)
+		pr.MaxCoreness()
+		ctx := &firstPollWaits{Context: context.Background()}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := pr.PrepareDs(ctx, 3, 4); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got, want := ctx.calls.Load(), alone.calls.Load(); got != want {
+			t.Fatalf("workers=%d: two concurrent calls polled %d times, one call alone %d", workers, got, want)
+		}
+		if got := pr.Counters().HierarchyBuilds; got != 2 {
+			t.Fatalf("workers=%d: HierarchyBuilds = %d, want 2", workers, got)
+		}
+	}
+}
+
+// TestWarmsBesideSearchesBuildOnce runs warms over overlapping, unsorted
+// d lists beside searches that build their d on first use, all on one
+// cold handle at Workers 2. Every caller takes its slot locks in
+// ascending d, so no order of calls deadlocks: each repetition finishes
+// within a bounded wait. Every distinct clamped d is built exactly once,
+// and every hierarchy equals a single-threshold build on a cold handle.
+func TestWarmsBesideSearchesBuildOnce(t *testing.T) {
+	ctx := context.Background()
+	g := testutil.RandomCorrelatedGraph(rand.New(rand.NewSource(95)), 300, 4, 0.08, 0.85, 0.05)
+	cold := NewPrepared(g, 1)
+	maxc := cold.MaxCoreness()
+	warms := [][]int{
+		{maxc + 1, 5, 4, 3, 2, 1},
+		{1, 2, 3, 4, 5, maxc + 1},
+		{4, maxc + 7, 2, 2},
+		{3, 1, 5},
+	}
+	searches := []int{2, 5, maxc + 9, 6}
+	distinct := map[int]bool{}
+	for _, ds := range append(warms, searches) {
+		for _, d := range ds {
+			distinct[min(d, maxc+1)] = true
+		}
+	}
+	// A lock-order cycle needs two callers inside their lock loops at
+	// once, which a repetition sets up only now and then.
+	for rep := 0; rep < 40; rep++ {
+		pr := NewPrepared(g, 2)
+		pr.MaxCoreness()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, ds := range warms {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := pr.PrepareDs(ctx, ds...); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		for i, d := range searches {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := pr.BottomUp(ctx, Options{D: d, S: 2, K: 2, Seed: int64(i)}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		finished := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(finished)
+		}()
+		close(start)
+		select {
+		case <-finished:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("rep %d: warms and searches still running after 30 s", rep)
+		}
+		if got := pr.Counters().HierarchyBuilds; got != int64(len(distinct)) {
+			t.Fatalf("rep %d: HierarchyBuilds = %d, want %d distinct clamped d", rep, got, len(distinct))
+		}
+		for d := range distinct {
+			if !sameHierarchy(pr.artifact(d).hier, cold.hierarchyFor(ctx, d)) {
+				t.Fatalf("rep %d d=%d: hierarchy differs from a cold build", rep, d)
 			}
 		}
 	}

@@ -141,11 +141,12 @@ func TestCancelAtEveryPollPoint(t *testing.T) {
 	}
 }
 
-// TestPrepareDsCancelAtEveryPollPoint cancels the multi-d sweep at every
+// TestPrepareDsCancelAtEveryPollPoint cancels the multi-d pass at every
 // poll point. On the fixtures of TestPrepareDsCancellationCachesCompleted
 // and TestPrepareDsCancellationParallel, PrepareDs runs every threshold
-// 1..maxCoreness+1 through the shared sweep and, separately, the single
-// threshold 2 through the per-d hierarchyFor path, at Workers 1 and 2.
+// 1..maxCoreness+1 through one raised tracker and, separately, the
+// single threshold 2, the call a query's first use of d makes, at
+// Workers 1 and 2.
 // The context reports cancellation from its N-th Err call on, for N from
 // 1 to one past the most calls an uncancelled pass made (at Workers 2
 // the count depends on scheduling: the most of five passes). At every N,

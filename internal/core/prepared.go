@@ -64,13 +64,11 @@ type Prepared struct {
 	version atomic.Uint64
 }
 
-// dArtifact is the lazily built per-d cache slot. buildMu serializes
-// builds for the same d while distinct d values build independently; a
-// build aborted by query cancellation leaves hier nil so the next query
-// for that d retries, rather than caching a partial hierarchy behind a
-// spent sync.Once. done flips after a successful build, letting the
-// snapshot writer enumerate finished entries without blocking on (or
-// triggering) in-flight builds. memo holds the exact d-CCs and potential
+// dArtifact is the lazily built per-d cache slot. PrepareDs holds buildMu
+// while it builds hier, so each d is built once while distinct d values
+// build independently; a cancelled build leaves hier nil for the next
+// caller to build. done flips after a successful build: queries and the
+// snapshot writer read it without blocking on in-flight builds. memo holds the exact d-CCs and potential
 // sets queries computed on hier; it belongs to the slot, not to hier, and
 // Derive copies into the next generation's slot for the same d only the
 // entries its batch provably left unchanged (carryMemo), retained
@@ -150,67 +148,68 @@ func (pr *Prepared) MaxCoreness() int {
 	return pr.maxCoreness
 }
 
-// Prepare eagerly builds the cached artifacts for degree threshold d —
-// the per-layer coreness (shared by all d) and the per-d removal
-// hierarchy — so the first query for that d does not pay construction
-// latency.
-func (pr *Prepared) Prepare(d int) {
-	pr.hierarchyFor(context.Background(), d)
-}
-
-// PrepareDs eagerly builds the per-d removal hierarchies for every
-// listed degree threshold (each ≥ 1; duplicates and thresholds beyond
-// the maxCoreness+1 sentinel clamp coalesce) fed by ONE shared sweep:
-// the per-d tracker initializations, ordinarily O(Σ m_i) each, are
-// derived incrementally from a single pass because the d-cores are
-// nested level sets, and the per-d batch loops run on up to the
-// handle's workers at once (see buildHierarchies). Thresholds already
-// cached are skipped. Every produced hierarchy is byte-identical to the
-// one the lazy hierarchyFor path would build.
+// PrepareDs builds the per-d removal hierarchies of the listed degree
+// thresholds (each ≥ 1; duplicates and thresholds beyond the
+// maxCoreness+1 sentinel clamp coalesce) that are not built yet, in one
+// buildHierarchies pass. It is the only way a per-d slot gets built; a
+// query's first use of d calls it with that d (builtArtifact).
 //
-// Cancelling ctx mid-sweep returns ctx.Err() after caching only the
-// thresholds whose hierarchies were fully completed — the per-d
-// cancellation contract, extended to the batch.
+// It takes the buildMu of each listed slot in ascending d, skips the
+// slots already built and builds the rest under their locks, so each d
+// is built once: a caller that wants a d another is building waits and
+// then skips it. A holder only ever waits for the lock of a larger d,
+// and never while holding pr.mu, so the locks cannot deadlock. Each slot
+// is installed and unlocked as its hierarchy is emitted, so a query
+// waiting for one d resumes while larger ones build.
+//
+// Cancelling ctx returns ctx.Err() after caching only the thresholds
+// whose hierarchies were fully completed; the other slots are unlocked
+// empty, for the next call to build.
 func (pr *Prepared) PrepareDs(ctx context.Context, ds ...int) error {
 	pr.layerCoreness() // resolves maxCoreness
 	want := make([]int, 0, len(ds))
-	seen := make(map[int]bool, len(ds))
 	for _, d := range ds {
 		if d < 1 {
 			return fmt.Errorf("core: degree threshold d = %d, want ≥ 1", d)
 		}
-		if d > pr.maxCoreness+1 {
-			d = pr.maxCoreness + 1
-		}
-		if !seen[d] {
-			seen[d] = true
-			want = append(want, d)
-		}
+		want = append(want, min(d, pr.maxCoreness+1))
 	}
 	slices.Sort(want)
+	want = slices.Compact(want)
 	pending := want[:0]
+	var slots []*dArtifact
 	for _, d := range want {
-		if !pr.artifact(d).done.Load() {
-			pending = append(pending, d)
+		a := pr.artifact(d)
+		a.buildMu.Lock()
+		if a.done.Load() {
+			a.buildMu.Unlock()
+			continue
 		}
+		pending = append(pending, d)
+		slots = append(slots, a)
 	}
-	switch len(pending) {
-	case 0:
-		return nil
-	case 1:
-		// A single threshold gains nothing from a sweep; take the lazy
-		// path (which also serializes with concurrent builders for d).
-		if hr := pr.hierarchyFor(ctx, pending[0]); hr == nil {
-			return ctx.Err()
-		}
+	if len(pending) == 0 {
 		return nil
 	}
-	return buildHierarchies(ctx, pr.g, pending, pr.coreness, pr.workers, pr.install)
+	err := buildHierarchies(ctx, pr.g, pending, pr.coreness, pr.workers, func(d int, hr *hierarchy) {
+		j, _ := slices.BinarySearch(pending, d)
+		a := slots[j]
+		a.hier = hr
+		pr.hierarchyBuilds.Add(1)
+		a.done.Store(true)
+		a.buildMu.Unlock()
+	})
+	for _, a := range slots {
+		if !a.done.Load() { // left empty by a cancelled pass
+			a.buildMu.Unlock()
+		}
+	}
+	return err
 }
 
 // PrepareAll builds every distinct hierarchy the graph admits — d from 1
 // to maxCoreness+1, the sentinel serving all larger thresholds — in one
-// shared sweep. See PrepareDs for the cancellation contract.
+// PrepareDs pass.
 func (pr *Prepared) PrepareAll(ctx context.Context) error {
 	ds := make([]int, 0, pr.MaxCoreness()+1)
 	for d := 1; d <= pr.maxCoreness+1; d++ {
@@ -230,20 +229,6 @@ func (pr *Prepared) artifact(d int) *dArtifact {
 		pr.byD[d] = a
 	}
 	return a
-}
-
-// install caches a fully built hierarchy for d unless a concurrent
-// builder won the slot; determinism makes the two interchangeable, so
-// the loser is simply dropped (and not counted as a build).
-func (pr *Prepared) install(d int, hr *hierarchy) {
-	a := pr.artifact(d)
-	a.buildMu.Lock()
-	defer a.buildMu.Unlock()
-	if a.hier == nil {
-		a.hier = hr
-		pr.hierarchyBuilds.Add(1)
-		a.done.Store(true)
-	}
 }
 
 // layerCoreness returns the d-independent per-layer coreness arrays,
@@ -286,42 +271,19 @@ func maxOf(coreness [][]int32) int {
 	return int(m)
 }
 
-// hierarchyFor returns the per-d removal hierarchy, building it on first
-// use for that d. The cache key is clamped at maxCoreness+1: for every d
-// beyond the graph's maximum coreness all per-layer d-cores are empty,
-// so the hierarchies are identical and one sentinel entry serves them
-// all. Distinct cache entries are thereby bounded by the graph's
-// structure, never by the (query-controlled) range of D values seen.
-//
-// The build itself honors ctx: cancellation mid-build returns nil and
-// caches nothing, so a cancelled first query never poisons the shared
-// slot — the next query for the same d simply rebuilds under its own
-// context.
-func (pr *Prepared) hierarchyFor(ctx context.Context, d int) *hierarchy {
-	if a := pr.builtArtifact(ctx, d); a != nil {
-		return a.hier
-	}
-	return nil
-}
-
 // builtArtifact returns the cache slot for d with its hierarchy built,
-// or nil when ctx cancelled the build; see hierarchyFor.
+// building it through PrepareDs on first use for that d, or nil when ctx
+// cancelled the build; a cancelled first query never poisons the slot.
+// A built slot is found by a lock-free done check. The cache key is
+// clamped at maxCoreness+1: for every d beyond the graph's maximum
+// coreness all per-layer d-cores are empty, so one sentinel entry serves
+// them all, and distinct cache entries are bounded by the graph's
+// structure, never by the (query-controlled) range of D values seen.
 func (pr *Prepared) builtArtifact(ctx context.Context, d int) *dArtifact {
-	coreness := pr.layerCoreness() // also resolves maxCoreness
-	if d > pr.maxCoreness+1 {
-		d = pr.maxCoreness + 1
-	}
-	a := pr.artifact(d)
-	a.buildMu.Lock()
-	defer a.buildMu.Unlock()
-	if a.hier == nil {
-		hr := buildHierarchy(ctx, pr.g, d, coreness, pr.workers)
-		if hr == nil {
-			return nil // cancelled mid-build; slot stays empty
-		}
-		a.hier = hr
-		pr.hierarchyBuilds.Add(1)
-		a.done.Store(true)
+	pr.layerCoreness() // resolves maxCoreness
+	a := pr.artifact(min(d, pr.maxCoreness+1))
+	if !a.done.Load() && pr.PrepareDs(ctx, d) != nil {
+		return nil
 	}
 	return a
 }

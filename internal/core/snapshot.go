@@ -54,8 +54,8 @@ import (
 // MAC: a body rewritten with a recomputed trailer passes it, so restore
 // also range-checks every persisted value that sizes an allocation or
 // an index. Every coreness entry must lie in [0, maxCoreness], and
-// maxCoreness must be the largest entry (the shared sweep allocates a
-// level table per layer by it). Every memo entry must have exactly the
+// maxCoreness must be the largest entry (a tracker raise allocates its
+// leaver buckets per layer by it). Every memo entry must have exactly the
 // n′ bits its key implies on the restored h (readMemo), because the
 // queries that read it index it by compact id and combine it with the
 // space's other n′-bit sets. h, coreh and the memo's bits are otherwise

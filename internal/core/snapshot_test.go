@@ -229,7 +229,9 @@ func TestSnapshotMemoBudget(t *testing.T) {
 	big := testutil.RandomCorrelatedGraph(rand.New(rand.NewSource(7)), 5000, 6, 0.002, 0.85, 0.0005)
 	const d = 2
 	crafted := NewPrepared(big, 1)
-	crafted.Prepare(d)
+	if err := crafted.PrepareDs(context.Background(), d); err != nil {
+		t.Fatal(err)
+	}
 	// The entries are stored around put, whose budget would refuse most.
 	slot := crafted.artifact(d)
 	slot.memo.entries = map[memoKey]*bitset.Set{}
@@ -581,8 +583,8 @@ func snapLayout(img []byte, n, l int) (dOffs []int, entries []snapEntry) {
 // TestSnapshotResealedRejected pins the content checks that stand in for
 // the checksum when an edited body is resealed. Coreness is the one
 // persisted value that sizes an allocation: a layer-0 entry of 2^30 ran
-// the next multi-d PrepareDs out of memory allocating the sweep's level
-// table. A memo entry is read by compact id next to the space's other
+// the next multi-d PrepareDs out of memory allocating the raise's leaver
+// buckets. A memo entry is read by compact id next to the space's other
 // n′-bit sets, so its key and bit length must match its space. Degree
 // thresholds must strictly ascend: a repeated d would install one copy
 // and drop the other.

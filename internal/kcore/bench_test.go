@@ -61,7 +61,7 @@ func BenchmarkCoreness(b *testing.B) {
 }
 
 // BenchmarkTrackerInitPerD measures maxc+1 independent coreness-seeded
-// tracker initializations — the per-d cost the shared sweep replaces.
+// tracker initializations, each paying the whole degree pass.
 func BenchmarkTrackerInitPerD(b *testing.B) {
 	fx, _ := benchGraph(b)
 	b.ReportAllocs()
@@ -73,18 +73,19 @@ func BenchmarkTrackerInitPerD(b *testing.B) {
 	}
 }
 
-// BenchmarkTrackerInitSweep measures the same maxc+1 tracker
-// initializations derived incrementally from one Sweep over the nested
-// level sets.
-func BenchmarkTrackerInitSweep(b *testing.B) {
+// BenchmarkTrackerInitRaise measures the same maxc+1 tracker states the
+// way the multi-d hierarchy pass makes them: one tracker raised across
+// the nested level sets and copied into a shell at each threshold.
+func BenchmarkTrackerInitRaise(b *testing.B) {
 	fx, _ := benchGraph(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw := NewSweep(fx.g, 1, fx.coreness, 1)
+		base := NewTrackerFromCoreness(fx.g, 1, fx.coreness, 1)
 		var tr *Tracker
 		for d := 1; d <= fx.maxc+1; d++ {
-			tr = sw.TrackerAt(d, tr)
+			base.Raise(d)
+			tr = base.CopyInto(tr)
 		}
 	}
 }

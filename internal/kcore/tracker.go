@@ -16,11 +16,13 @@ import (
 // cores then shrink by cascaded peeling, so each edge of each layer is
 // processed O(1) times over the lifetime of the tracker.
 type Tracker struct {
-	g     *multilayer.Graph
-	d     int
-	alive *bitset.Set   // vertices still present in the graph
-	cores []*bitset.Set // cores[i] = d-core of G_i restricted to alive
-	num   []int32       // num[v] = Num(v), valid while v ∈ alive
+	g        *multilayer.Graph
+	d        int
+	coreness [][]int32 // per-layer coreness the state was built from, read-only
+	workers  int
+	alive    *bitset.Set   // vertices still present in the graph
+	cores    []*bitset.Set // cores[i] = d-core of G_i restricted to alive
+	num      []int32       // num[v] = Num(v), valid while v ∈ alive
 
 	// deg[i][v] = degree of v inside cores[i] while v ∈ cores[i], and the
 	// sentinel -1 otherwise. The sentinel makes the peel's inner loop a
@@ -45,6 +47,11 @@ type Tracker struct {
 	// queue is the cascade worklist of removeFromCore, kept on the
 	// tracker so the (very hot) per-removal calls never allocate.
 	queue []int32
+
+	// leavers[i][c] lists the vertices of layer i with coreness c, for
+	// every c from the threshold of the first Raise up: the vertices a
+	// raise past c removes from layer i's core. Built by that Raise.
+	leavers [][][]int32
 }
 
 // NewTrackerFromCoreness builds a full-graph tracker from precomputed
@@ -53,17 +60,19 @@ type Tracker struct {
 // linear scan plus the degree-in-core pass, sharded across layers on up
 // to workers goroutines. The coreness arrays are graph-lifetime,
 // d-independent artifacts; the prepared-engine path computes them once
-// and seeds every per-d tracker from them (or from a Sweep, which yields
-// the same trackers).
+// and seeds every per-d tracker from them, for several thresholds by
+// raising one tracker across them (Raise, CopyInto).
 func NewTrackerFromCoreness(g *multilayer.Graph, d int, coreness [][]int32, workers int) *Tracker {
 	n := g.N()
 	t := &Tracker{
-		g:     g,
-		d:     d,
-		alive: bitset.NewFull(n),
-		cores: make([]*bitset.Set, g.L()),
-		deg:   make([][]int32, g.L()),
-		num:   make([]int32, n),
+		g:        g,
+		d:        d,
+		coreness: coreness,
+		workers:  workers,
+		alive:    bitset.NewFull(n),
+		cores:    make([]*bitset.Set, g.L()),
+		deg:      make([][]int32, g.L()),
+		num:      make([]int32, n),
 	}
 	pool.Run(workers, g.L(), func(i int) {
 		// Flat initialization straight off the CSR: membership in the
@@ -104,6 +113,112 @@ func (t *Tracker) sumNum() {
 			return true
 		})
 	}
+}
+
+// Raise moves an unpeeled tracker (no RemoveVertex since
+// NewTrackerFromCoreness or CopyInto) from its threshold up to d, leaving
+// it exactly as NewTrackerFromCoreness(g, d, coreness, workers) builds
+// it. The d-cores are nested level sets, C^d(G_i) = {v : coreness_i(v) ≥
+// d}, so a raise only removes the leavers, whose coreness lies in
+// [current threshold, d), and decrements their neighbours' in-core
+// degrees: a vertex's row on a layer is read at most once over all
+// raises of one tracker, where a tracker per threshold repeats the
+// whole degree pass.
+// The first raise that moves buckets the vertices by coreness (O(n·l));
+// layers are raised in parallel on the tracker's workers. Raising below
+// the current threshold panics.
+func (t *Tracker) Raise(d int) {
+	if d < t.d {
+		panic("kcore: a tracker can only be raised to a higher threshold")
+	}
+	if d == t.d {
+		return
+	}
+	if t.leavers == nil {
+		t.bucketLeavers()
+	}
+	from := t.d
+	pool.Run(t.workers, t.g.L(), func(i int) {
+		core, deg := t.cores[i], t.deg[i]
+		offs, nbrs := t.g.LayerCSR(i)
+		for _, level := range t.levels(i, from, d) {
+			for _, v32 := range level {
+				v := int(v32)
+				core.Remove(v)
+				deg[v] = -1
+				// A leaver not yet removed may be decremented too; its
+				// entry becomes the sentinel when its own turn comes.
+				for _, u := range nbrs[offs[v]:offs[v+1]] {
+					if deg[u] >= 0 {
+						deg[u]--
+					}
+				}
+			}
+		}
+	})
+	for i := range t.cores {
+		for _, level := range t.levels(i, from, d) {
+			for _, v := range level {
+				t.num[v]--
+			}
+		}
+	}
+	t.d = d
+}
+
+// bucketLeavers buckets each layer's core by coreness.
+func (t *Tracker) bucketLeavers() {
+	t.leavers = make([][][]int32, t.g.L())
+	pool.Run(t.workers, t.g.L(), func(i int) {
+		cn := t.coreness[i]
+		maxc := int32(0)
+		for _, c := range cn {
+			maxc = max(maxc, c)
+		}
+		levels := make([][]int32, maxc+1)
+		for v, c := range cn {
+			if int(c) >= t.d {
+				levels[c] = append(levels[c], int32(v))
+			}
+		}
+		t.leavers[i] = levels
+	})
+}
+
+// levels returns the leaver buckets of layer i for the coreness values
+// in [from, to).
+func (t *Tracker) levels(i, from, to int) [][]int32 {
+	levels := t.leavers[i]
+	return levels[min(from, len(levels)):min(to, len(levels))]
+}
+
+// CopyInto copies t's state, listeners excepted, into shell, which must
+// be nil (a new one is allocated) or come from an earlier CopyInto on
+// the same graph, and returns it. The copy shares nothing mutable with
+// t, so it can be peeled while t is raised further.
+func (t *Tracker) CopyInto(shell *Tracker) *Tracker {
+	n, l := t.g.N(), t.g.L()
+	if shell == nil {
+		shell = &Tracker{
+			alive: bitset.New(n),
+			cores: make([]*bitset.Set, l),
+			deg:   make([][]int32, l),
+			num:   make([]int32, n),
+		}
+		for i := 0; i < l; i++ {
+			shell.cores[i] = bitset.New(n)
+			shell.deg[i] = make([]int32, n)
+		}
+	}
+	shell.g, shell.d, shell.coreness, shell.workers = t.g, t.d, t.coreness, t.workers
+	shell.NumListener, shell.CoreListener, shell.leavers = nil, nil, nil
+	shell.alive.CopyFrom(t.alive)
+	for i := 0; i < l; i++ {
+		shell.cores[i].CopyFrom(t.cores[i])
+		copy(shell.deg[i], t.deg[i])
+	}
+	copy(shell.num, t.num)
+	return shell
 }
 
 // Alive returns the set of vertices still in the graph. The returned set

@@ -43,9 +43,9 @@ func trackersEqual(t *testing.T, got, want *Tracker, label string) {
 	}
 }
 
-// sweepFixture returns a random correlated graph with its per-layer
+// raiseFixture returns a random correlated graph with its per-layer
 // coreness and maximum coreness.
-func sweepFixture(t *testing.T, seed int64) (*multilayer.Graph, [][]int32, int) {
+func raiseFixture(t *testing.T, seed int64) (*multilayer.Graph, [][]int32, int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := testutil.RandomCorrelatedGraph(rng, 120, 4, 0.2, 0.85, 0.1)
@@ -64,56 +64,67 @@ func sweepFixture(t *testing.T, seed int64) (*multilayer.Graph, [][]int32, int) 
 }
 
 // replayRemovals removes every seventh vertex, the removal sequence the
-// sweep tests replay on both trackers of a comparison.
+// raise tests replay on both trackers of a comparison.
 func replayRemovals(tr *Tracker) {
 	for v := 0; v < tr.g.N(); v += 7 {
 		tr.RemoveVertex(v)
 	}
 }
 
-// TestSweepMatchesFromCoreness pins the byte-identity contract the shared
-// multi-d hierarchy pass relies on: for every threshold from the sweep's
-// starting one up, the tracker a Sweep positions is indistinguishable
-// from an independently built NewTrackerFromCoreness tracker — both in
-// its initial state and in its behaviour under an identical removal
-// sequence. Two shells alternate, and each is checked again after the
-// sweep has positioned the other at the next threshold: a positioned
-// tracker shares nothing mutable with the sweep.
-func TestSweepMatchesFromCoreness(t *testing.T) {
+// TestRaiseMatchesFromCoreness pins the byte-identity contract the
+// multi-d hierarchy pass relies on: from every start threshold, a
+// tracker raised to each higher d is indistinguishable from an
+// independently built NewTrackerFromCoreness tracker at d — both in its
+// initial state and in its behaviour under an identical removal
+// sequence. The base is raised one threshold at a time and by several
+// at once, and copies of it alternate between two shells; each copy is
+// checked again after the base has been raised past it: a copy shares
+// nothing mutable with its base.
+func TestRaiseMatchesFromCoreness(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
-		g, coreness, maxc := sweepFixture(t, 40+seed)
-		start := 1 + int(seed) // maxc ≥ 2, so every start is addressable
-		sw := NewSweep(g, start, coreness, 3)
-		var shells [2]*Tracker
-		var prevGot, prevWant *Tracker
-		for d := start; d <= maxc+1; d++ {
-			got := sw.TrackerAt(d, shells[d%2])
-			shells[d%2] = got
-			want := NewTrackerFromCoreness(g, d, coreness, 1)
-			trackersEqual(t, got, want, "initial state")
-			if prevGot != nil {
-				trackersEqual(t, prevGot, prevWant, "previous shell after the sweep advanced")
-			}
+		g, coreness, maxc := raiseFixture(t, 40+seed)
+		for start := 1; start <= maxc+1; start++ {
+			for _, step := range []int{1, 2} {
+				base := NewTrackerFromCoreness(g, start, coreness, 3)
+				var shells [2]*Tracker
+				var prevGot, prevWant *Tracker
+				for d, k := start, 0; d <= maxc+1; d, k = d+step, k+1 {
+					base.Raise(d)
+					got := base.CopyInto(shells[k%2])
+					shells[k%2] = got
+					want := NewTrackerFromCoreness(g, d, coreness, 1)
+					trackersEqual(t, base, want, fmt.Sprintf("start %d: base raised to %d", start, d))
+					trackersEqual(t, got, want, fmt.Sprintf("start %d: copy at %d", start, d))
+					if prevGot != nil {
+						trackersEqual(t, prevGot, prevWant, "previous copy after the base was raised")
+					}
 
-			// The shell must also *behave* identically: replay one removal
-			// sequence on both.
-			replayRemovals(got)
-			replayRemovals(want)
-			trackersEqual(t, got, want, "after removals")
-			prevGot, prevWant = got, want
+					// The copy must also *behave* identically: replay one
+					// removal sequence on both.
+					replayRemovals(got)
+					replayRemovals(want)
+					trackersEqual(t, got, want, fmt.Sprintf("start %d d=%d: after removals", start, d))
+					prevGot, prevWant = got, want
+				}
+				// The raised base itself peels like a fresh tracker too.
+				want := NewTrackerFromCoreness(g, base.d, coreness, 1)
+				replayRemovals(base)
+				replayRemovals(want)
+				trackersEqual(t, base, want, fmt.Sprintf("start %d: raised base after removals", start))
+			}
 		}
 	}
 }
 
-// TestSweepShellsConcurrent is the multi-d hierarchy pass's access
+// TestRaisedCopiesConcurrent is the multi-d hierarchy pass's access
 // pattern: several goroutines take thresholds in ascending order from
-// one sweep under a lock, each positioning its own shell, and peel
-// their trackers concurrently outside the lock. Run with -race it checks
-// that positioned shells share no mutable state with the sweep or with
-// each other.
-func TestSweepShellsConcurrent(t *testing.T) {
-	g, coreness, maxc := sweepFixture(t, 43)
-	sw := NewSweep(g, 1, coreness, 2)
+// one base under a lock, each raising the base and copying it into its
+// own shell, and peel their copies concurrently outside the lock. Run
+// with -race it checks that copies share no mutable state with the
+// base or with each other.
+func TestRaisedCopiesConcurrent(t *testing.T) {
+	g, coreness, maxc := raiseFixture(t, 43)
+	base := NewTrackerFromCoreness(g, 1, coreness, 2)
 	var (
 		mu   sync.Mutex
 		next = 1
@@ -132,13 +143,14 @@ func TestSweepShellsConcurrent(t *testing.T) {
 					return
 				}
 				next++
-				tr = sw.TrackerAt(d, tr)
+				base.Raise(d)
+				tr = base.CopyInto(tr)
 				mu.Unlock()
 				want := NewTrackerFromCoreness(g, d, coreness, 1)
 				replayRemovals(tr)
 				replayRemovals(want)
 				if diff := trackerDiff(tr, want); diff != "" {
-					t.Errorf("d=%d: concurrently peeled shell: %s", d, diff)
+					t.Errorf("d=%d: concurrently peeled copy: %s", d, diff)
 					return
 				}
 			}
@@ -147,23 +159,24 @@ func TestSweepShellsConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSweepAscendingOnly pins the single-consumer contract: thresholds
-// must be requested in ascending order.
-func TestSweepAscendingOnly(t *testing.T) {
+// TestRaiseAscendingOnly pins that a tracker only moves up: raising it
+// to a lower threshold panics.
+func TestRaiseAscendingOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := testutil.RandomCorrelatedGraph(rng, 40, 3, 0.3, 0.85, 0.1)
 	coreness := make([][]int32, g.L())
 	for i := range coreness {
 		coreness[i] = Coreness(g, i)
 	}
-	sw := NewSweep(g, 1, coreness, 1)
-	sw.TrackerAt(3, nil)
+	tr := NewTrackerFromCoreness(g, 1, coreness, 1)
+	tr.Raise(3)
+	tr.Raise(3) // the current threshold is a no-op
 	defer func() {
 		if recover() == nil {
-			t.Fatal("descending TrackerAt did not panic")
+			t.Fatal("descending Raise did not panic")
 		}
 	}()
-	sw.TrackerAt(2, nil)
+	tr.Raise(2)
 }
 
 // TestCorenessFullMatchesMasked pins Coreness, the bin-sort

@@ -56,8 +56,8 @@ type BatchItem struct {
 // BatchResponse is the body of a successful POST /v1/search/batch. The
 // summary counters partition the items: CacheHits + Coalesced +
 // EngineRuns + Errors = len(Items). WarmedDs lists the distinct
-// canonical degree thresholds the batch prepared in its one shared
-// hierarchy sweep (empty when everything was answered from cache).
+// canonical degree thresholds the batch prepared in its one multi-d
+// hierarchy pass (empty when everything was answered from cache).
 type BatchResponse struct {
 	Graph      string      `json:"graph"`
 	Items      []BatchItem `json:"items"`
@@ -83,9 +83,9 @@ type BatchResponse struct {
 //     remaining leaders are admitted as one weight of
 //     min(leaders, MaxInflight) tokens (429 + Retry-After when the queue
 //     is full).
-//  3. The leaders' distinct degree thresholds are warmed in ONE shared
-//     hierarchy sweep (the d-cores are nested level sets — see DESIGN.md
-//     § Batch serving), then their searches fan out over an
+//  3. The leaders' distinct degree thresholds are warmed in ONE
+//     hierarchy pass (one tracker raised across the nested d-core level
+//     sets — see DESIGN.md § Batch serving), then their searches fan out over an
 //     internal/pool worker set bounded by the admitted weight.
 //
 // Per-item deadlines are the batch budget intersected with the item's
@@ -139,7 +139,7 @@ func (s *Server) HandleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		valid = append(valid, &tasks[i])
 	}
 	// One pinned engine generation for the whole batch: every item's
-	// cache key, the shared warm sweep, and every search answer against
+	// cache key, the shared warm pass, and every search answer against
 	// the same state even if updates land mid-batch.
 	warmed, err := s.resolve(r.Context(), h.eng.View(), budget, valid)
 	if err != nil {

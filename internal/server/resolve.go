@@ -182,7 +182,7 @@ func (s *Server) resolve(wait context.Context, view dccs.View, budget time.Durat
 
 // run computes the leaders under one admission of min(leaders,
 // MaxInflight) tokens, held until the last of them has finished its
-// flight: one warm sweep of their distinct degree thresholds, then the
+// flight: one warm pass over their distinct degree thresholds, then the
 // searches on that many workers, each putting its result in the cache
 // before finishing its flight. It returns the warmed thresholds, or the
 // admission error, which it also hands the leaders' followers.
@@ -210,7 +210,7 @@ func (s *Server) run(view dccs.View, start time.Time, budget time.Duration, lead
 		}
 	}
 	sort.Ints(warmed)
-	// A sweep cut short by ctx keeps the hierarchies it completed; the
+	// A warm cut short by ctx keeps the hierarchies it completed; the
 	// searches then return truncated partials under the same context.
 	_ = view.Warm(ctx, warmed...)
 	pool.Run(weight, len(leaders), func(i int) {
